@@ -6,6 +6,20 @@ a q-grade h (a formal factor q^(h/2)) and a pi-grade k (a formal factor
 pi^k).  Multiplication adds grades; addition insists on equal grades,
 except that an exact zero is grade-polymorphic.
 
+Representation.  A scalar is a tuple of integer numerators ``nums`` over
+one denominator ``den``, in the basis of its kind:
+
+  * "rat":  (n,), the rational n/den;
+  * "cyc":  the power basis 1, zeta_N, ..., zeta_N^(phi(N)-1), i.e. the
+    coefficients of a polynomial of degree < phi(N) reduced mod Phi_N;
+  * "quad": the basis 1, i, sqrtD, i*sqrtD (D > 1 squarefree).
+
+Invariants, kept by every constructor and operation: ``den > 0`` and
+``gcd(den, *nums) == 1``, so each value of one kind and conductor has
+exactly one (nums, den); zero is ``nums == (0, ...)`` with ``den == 1``.
+Arithmetic runs on Python ints and reduces mod Phi_N once per product;
+``coeffs`` gives the coefficients as Fractions.
+
 Laurent rational functions in X (= q^(-s)) over these scalars carry the
 local L/epsilon/gamma factors and zeta integrals built on top.
 """
@@ -14,14 +28,14 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from fractions import Fraction
 
 Q0 = Fraction(0)
-Q1 = Fraction(1)
 
 
 # ----------------------------------------------------------------------
-# integer/rational polynomial helpers (dense lists, index = degree)
+# integer polynomial helpers (dense lists, index = degree)
 # ----------------------------------------------------------------------
 
 def _poly_trim(p):
@@ -40,23 +54,29 @@ def _poly_mul(a, b):
     return _poly_trim(out)
 
 
-def _poly_divmod(a, b):
-    """Exact-friendly division of dense Fraction polynomials."""
-    a = [Fraction(x) for x in a]
-    b = [Fraction(x) for x in b]
-    assert _poly_trim(list(b)), "division by zero polynomial"
-    q = [Q0] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    r = a
-    while len(_poly_trim(list(r))) >= len(b):
-        r = _poly_trim(r)
-        d = len(r) - len(b)
-        c = r[-1] / lead
-        q[d] = c
-        for i, y in enumerate(b):
-            r[i + d] -= c * y
-        r = _poly_trim(r)
-    return _poly_trim(q), _poly_trim(r)
+def _pseudo_divmod(a, b):
+    """(q, r, f) with f*a == q*b + r over Z and deg r < deg b, for integer
+    polynomials a and b != 0; f is the power of lc(b) that the division
+    needed (1 when b is monic)."""
+    lead, db = b[-1], len(b) - 1
+    r = list(a)
+    q = [0] * max(0, len(r) - db)
+    f = 1
+    for k in range(len(r) - 1, db - 1, -1):
+        c = r[k]
+        if not c:
+            continue
+        if c % lead:
+            r = [x * lead for x in r]
+            q = [x * lead for x in q]
+            f *= lead
+            c *= lead
+        t = c // lead
+        q[k - db] += t
+        base = k - db
+        for j, y in enumerate(b):
+            r[base + j] -= t * y
+    return _poly_trim(q), _poly_trim(r[:db]), f
 
 
 @functools.lru_cache(maxsize=None)
@@ -81,14 +101,34 @@ def cyclotomic_poly(n: int):
     """Coefficients (degree-ascending, integers) of the n-th cyclotomic polynomial."""
     assert n >= 1
     num = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    den = [1]
     for d in range(1, n):
         if n % d == 0:
-            den = _poly_mul(den, list(cyclotomic_poly(d)))
-    q, r = _poly_divmod(num, den)
-    assert not r
-    assert all(x.denominator == 1 for x in q)
-    return tuple(int(x) for x in q)
+            num, r, _ = _pseudo_divmod(num, list(cyclotomic_poly(d)))
+            assert not r
+    return tuple(num)
+
+
+@functools.lru_cache(maxsize=None)
+def _phi_tail(N):
+    """The non-zero lower terms (j, m_j) of the monic Phi_N, so that
+    zeta_N^deg = -sum m_j zeta_N^j."""
+    return tuple((j, m) for j, m in enumerate(cyclotomic_poly(N)[:-1]) if m)
+
+
+def _cyc_reduce(acc, N):
+    """Reduce a dense integer list (acc[j] multiplies zeta_N^j) mod Phi_N,
+    in place from the top; returns the phi(N) power-basis numerators."""
+    deg = euler_phi(N)
+    tail = _phi_tail(N)
+    for k in range(len(acc) - 1, deg - 1, -1):
+        c = acc[k]
+        if c:
+            base = k - deg
+            for j, m in tail:
+                acc[base + j] -= c * m
+    if len(acc) < deg:
+        acc += [0] * (deg - len(acc))
+    return acc[:deg]
 
 
 class GradeError(ArithmeticError):
@@ -104,51 +144,64 @@ def _as_fraction(x):
 
 
 class ExactScalar:
-    """Immutable element of Q, Q(zeta_N) or Q(i, sqrtD) with formal grades."""
+    """Immutable element of Q, Q(zeta_N) or Q(i, sqrtD) with formal grades,
+    stored as integer numerators ``nums`` over one positive ``den``."""
 
-    __slots__ = ("kind", "N", "D", "coeffs", "qgrade", "pigrade")
+    __slots__ = ("kind", "N", "D", "nums", "den", "qgrade", "pigrade")
 
     def __init__(self, kind, coeffs, N=None, D=None, qgrade=0, pigrade=0):
-        coeffs = tuple(c if type(c) is Fraction else _as_fraction(c)
-                       for c in coeffs)
+        coeffs = [c if type(c) is Fraction else _as_fraction(c)
+                  for c in coeffs]
         if kind == "rat":
-            assert len(coeffs) == 1
+            size = 1
         elif kind == "cyc":
-            assert N is not None and N >= 1
-            assert len(coeffs) == euler_phi(N)
+            if N is None or N < 1:
+                raise ValueError(f"bad conductor N={N}")
+            size = euler_phi(N)
         elif kind == "quad":
-            assert D is not None and D > 1
-            assert _squarefree(D), f"D={D} not squarefree"
-            assert len(coeffs) == 4
+            if D is None or D <= 1 or not _squarefree(D):
+                raise ValueError(f"D={D} is not a squarefree integer > 1")
+            size = 4
         else:
             raise ValueError(kind)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "qgrade", int(qgrade))
-        object.__setattr__(self, "pigrade", int(pigrade))
+        if len(coeffs) != size:
+            raise ValueError(f"{kind} scalar needs {size} coefficients, "
+                             f"got {len(coeffs)}")
+        # over the lcm of reduced denominators the numerators are coprime
+        den = math.lcm(*(c.denominator for c in coeffs))
+        nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        _init(self, kind, nums, den, N, D, int(qgrade), int(pigrade))
 
     def __setattr__(self, *a):
         raise AttributeError("ExactScalar is immutable")
+
+    @property
+    def coeffs(self):
+        """The coefficients in the basis of the kind, as Fractions."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.nums)
 
     # -- constructors --------------------------------------------------
 
     @staticmethod
     def rational(x, qgrade=0, pigrade=0):
-        return ExactScalar("rat", (Fraction(x),), qgrade=qgrade, pigrade=pigrade)
+        if type(x) is int:
+            return _build("rat", (x,), 1, None, None, int(qgrade), int(pigrade))
+        if type(x) is not Fraction:
+            x = Fraction(x)
+        return _build("rat", (x.numerator,), x.denominator, None, None,
+                      int(qgrade), int(pigrade))
 
     @staticmethod
     def zeta(N, k=1):
         """The root of unity zeta_N^k."""
-        assert N >= 1
+        if N < 1:
+            raise ValueError(f"bad conductor N={N}")
         k %= N
-        deg = euler_phi(N)
-        mono = [Q0] * (N + 1)
-        mono[k] = Q1
-        coeffs = _cyc_reduce(mono, N)
-        coeffs += [Q0] * (deg - len(coeffs))
-        return ExactScalar("cyc", coeffs, N=N)._demote()
+        acc = [0] * max(k + 1, euler_phi(N))
+        acc[k] = 1
+        return _build("cyc", tuple(_cyc_reduce(acc, N)), 1, N, None,
+                      0, 0)._demote()
 
     @staticmethod
     def i_unit():
@@ -178,7 +231,7 @@ class ExactScalar:
     # -- basic predicates ----------------------------------------------
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self):
         return self._demote().kind == "rat"
@@ -187,65 +240,64 @@ class ExactScalar:
         d = self._demote()
         assert d.kind == "rat", f"not rational: {self}"
         assert d.qgrade == 0 and d.pigrade == 0, f"graded scalar: {self}"
-        return d.coeffs[0]
+        return Fraction(d.nums[0], d.den)
 
     # -- canonicalization ----------------------------------------------
 
     def _demote(self):
         """Drop to kind 'rat' when the element is a plain rational."""
-        if self.kind == "rat":
+        if self.kind == "rat" or any(self.nums[1:]):
             return self
-        if all(c == 0 for c in self.coeffs[1:]):
-            return ExactScalar("rat", (self.coeffs[0],),
-                               qgrade=self.qgrade, pigrade=self.pigrade)
-        return self
+        return _build("rat", self.nums[:1], self.den, None, None,
+                      self.qgrade, self.pigrade)
 
     def with_grades(self, qgrade=None, pigrade=None):
-        return ExactScalar(self.kind, self.coeffs, N=self.N, D=self.D,
-                           qgrade=self.qgrade if qgrade is None else qgrade,
-                           pigrade=self.pigrade if pigrade is None else pigrade)
+        return _build(self.kind, self.nums, self.den, self.N, self.D,
+                      self.qgrade if qgrade is None else int(qgrade),
+                      self.pigrade if pigrade is None else int(pigrade))
 
     # -- promotion -----------------------------------------------------
 
     def _to_cyc(self, N):
         """Embed into Q(zeta_N); requires self rational or cyclotomic with self.N | N."""
         if self.kind == "rat":
-            deg = euler_phi(N)
-            return ExactScalar("cyc", (self.coeffs[0],) + (Q0,) * (deg - 1), N=N,
-                               qgrade=self.qgrade, pigrade=self.pigrade)
-        assert self.kind == "cyc" and N % self.N == 0
+            nums = self.nums + (0,) * (euler_phi(N) - 1)
+            return _build("cyc", nums, self.den, N, None,
+                          self.qgrade, self.pigrade)
+        if self.kind != "cyc" or N % self.N:
+            raise AssertionError(f"cannot embed {self} into Q(zeta_{N})")
         if N == self.N:
             return self
         step = N // self.N
-        acc = [Q0] * (N + 1)
-        for k, c in enumerate(self.coeffs):
+        acc = [0] * N
+        for k, c in enumerate(self.nums):
             if c:
-                acc[k * step] += c
-        coeffs = _cyc_reduce(acc, N)
-        coeffs += [Q0] * (euler_phi(N) - len(coeffs))
-        return ExactScalar("cyc", coeffs, N=N, qgrade=self.qgrade, pigrade=self.pigrade)
+                acc[k * step] = c
+        return _make("cyc", _cyc_reduce(acc, N), self.den, N, None,
+                     self.qgrade, self.pigrade)
 
     def _to_quad(self, D):
         if self.kind == "rat":
-            return ExactScalar("quad", (self.coeffs[0], 0, 0, 0), D=D,
-                               qgrade=self.qgrade, pigrade=self.pigrade)
+            return _build("quad", self.nums + (0, 0, 0), self.den, None, D,
+                          self.qgrade, self.pigrade)
         if self.kind == "cyc":
             # only Gaussian rationals embed: N | 4
             s = self._demote()
             if s.kind == "rat":
                 return s._to_quad(D)
-            assert s.kind == "cyc" and s.N in (4,), \
-                f"cannot embed Q(zeta_{s.N}) into the quadratic tower"
-            a, b = s.coeffs[0], s.coeffs[1]
-            return ExactScalar("quad", (a, b, 0, 0), D=D,
-                               qgrade=self.qgrade, pigrade=self.pigrade)
-        assert self.kind == "quad" and self.D == D, \
-            f"incompatible quadratic towers D={self.D} vs D={D}"
+            if s.N != 4:
+                raise AssertionError(
+                    f"cannot embed Q(zeta_{s.N}) into the quadratic tower")
+            return _build("quad", s.nums + (0, 0), s.den, None, D,
+                          self.qgrade, self.pigrade)
+        if self.D != D:
+            raise AssertionError(
+                f"incompatible quadratic towers D={self.D} vs D={D}")
         return self
 
     @staticmethod
     def _promote_pair(a, b):
-        if a.kind == "rat" and b.kind == "rat":
+        if a.kind == b.kind and a.N == b.N and a.D == b.D:
             return a, b
         if a.kind == "quad" or b.kind == "quad":
             D = a.D if a.kind == "quad" else b.D
@@ -268,15 +320,22 @@ class ExactScalar:
                 f"grade mismatch in addition: (q:{self.qgrade},pi:{self.pigrade})"
                 f" vs (q:{other.qgrade},pi:{other.pigrade})")
         a, b = ExactScalar._promote_pair(self, other)
-        coeffs = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
-        return ExactScalar(a.kind, coeffs, N=a.N, D=a.D,
-                           qgrade=a.qgrade, pigrade=a.pigrade)._demote()
+        da, db = a.den, b.den
+        if da == db:
+            nums = [x + y for x, y in zip(a.nums, b.nums)]
+        else:
+            g = math.gcd(da, db)
+            fa, fb = db // g, da // g
+            nums = [x * fa + y * fb for x, y in zip(a.nums, b.nums)]
+            da *= fa
+        return _make(a.kind, nums, da, a.N, a.D,
+                     a.qgrade, a.pigrade)._demote()
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactScalar(self.kind, tuple(-c for c in self.coeffs), N=self.N,
-                           D=self.D, qgrade=self.qgrade, pigrade=self.pigrade)
+        return _build(self.kind, tuple([-x for x in self.nums]), self.den,
+                      self.N, self.D, self.qgrade, self.pigrade)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -286,36 +345,38 @@ class ExactScalar:
 
     def __mul__(self, other):
         other = _coerce(other)
-        a, b = ExactScalar._promote_pair(self, other)
-        qg, pg = a.qgrade + b.qgrade, a.pigrade + b.pigrade
-        if a.kind == "rat":
-            coeffs = (a.coeffs[0] * b.coeffs[0],)
-        elif a.kind == "cyc":
-            nza = [(i, x) for i, x in enumerate(a.coeffs) if x]
-            nzb = [(j, y) for j, y in enumerate(b.coeffs) if y]
-            acc = [Q0] * (2 * len(a.coeffs) - 1)
-            for i, x in nza:
-                for j, y in nzb:
-                    acc[i + j] += x * y
-            coeffs = _cyc_reduce(acc, a.N)
-            coeffs += [Q0] * (len(a.coeffs) - len(coeffs))
+        qg = self.qgrade + other.qgrade
+        pg = self.pigrade + other.pigrade
+        den = self.den * other.den
+        # a rational factor scales the other's numerators: no promotion
+        if other.kind == "rat":
+            a, c = self, other.nums[0]
+        elif self.kind == "rat":
+            a, c = other, self.nums[0]
         else:
-            coeffs = _quad_mul(a.coeffs, b.coeffs, a.D)
-        return ExactScalar(a.kind, coeffs, N=a.N, D=a.D,
-                           qgrade=qg, pigrade=pg)._demote()
+            a, b = ExactScalar._promote_pair(self, other)
+            if a.kind == "cyc":
+                nums = _cyc_mul(a.nums, b.nums, a.N)
+            else:
+                nums = _quad_mul(a.nums, b.nums, a.D)
+            return _make(a.kind, nums, den, a.N, a.D, qg, pg)._demote()
+        return _make(a.kind, [x * c for x in a.nums], den, a.N, a.D,
+                     qg, pg)._demote()
 
     __rmul__ = __mul__
 
     def inverse(self):
-        assert not self.is_zero(), "division by zero"
+        if self.is_zero():
+            raise AssertionError("division by zero")
         qg, pg = -self.qgrade, -self.pigrade
         if self.kind == "rat":
-            return ExactScalar.rational(1 / self.coeffs[0], qg, pg)
+            return _make("rat", (self.den,), self.nums[0], None, None, qg, pg)
         if self.kind == "cyc":
-            inv = _cyc_inverse(list(self.coeffs), self.N)
-            return ExactScalar("cyc", inv, N=self.N, qgrade=qg, pigrade=pg)._demote()
-        inv = _quad_inverse(self.coeffs, self.D)
-        return ExactScalar("quad", inv, D=self.D, qgrade=qg, pigrade=pg)._demote()
+            inv, den = _cyc_inverse(self.nums, self.N)
+        else:
+            inv, den = _quad_inverse(self.nums, self.D)
+        return _make(self.kind, [x * self.den for x in inv], den,
+                     self.N, self.D, qg, pg)._demote()
 
     def __truediv__(self, other):
         return self * _coerce(other).inverse()
@@ -349,11 +410,14 @@ class ExactScalar:
             a, b = ExactScalar._promote_pair(self, other)
         except AssertionError:
             return False
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.nums == b.nums
 
     def __hash__(self):
         d = self._demote()
-        return hash((d.kind, d.N, d.D, d.coeffs, d.qgrade, d.pigrade))
+        if d.kind == "rat" and not (d.nums[0] and (d.qgrade or d.pigrade)):
+            # every zero, and every ungraded rational, hashes as its Fraction
+            return hash(Fraction(d.nums[0], d.den))
+        return hash((d.kind, d.N, d.D, d.nums, d.den, d.qgrade, d.pigrade))
 
     # -- Galois --------------------------------------------------------
 
@@ -361,17 +425,16 @@ class ExactScalar:
         """The automorphism zeta_N -> zeta_N^m (gcd(m, N) = 1); identity on Q."""
         if self.kind == "rat":
             return self
-        assert self.kind == "cyc"
         N = self.N
-        assert math.gcd(m, N) == 1
-        acc = [Q0] * (N + 1)
-        for k, c in enumerate(self.coeffs):
+        if self.kind != "cyc" or math.gcd(m, N) != 1:
+            raise AssertionError(f"zeta_{N} -> zeta_{N}^{m} is no automorphism"
+                                 f" of {self}")
+        acc = [0] * N
+        for k, c in enumerate(self.nums):
             if c:
                 acc[(k * m) % N] += c
-        coeffs = _cyc_reduce(acc, N)
-        coeffs += [Q0] * (euler_phi(N) - len(coeffs))
-        return ExactScalar("cyc", coeffs, N=N,
-                           qgrade=self.qgrade, pigrade=self.pigrade)._demote()
+        return _make("cyc", _cyc_reduce(acc, N), self.den, N, None,
+                     self.qgrade, self.pigrade)._demote()
 
     def conjugate(self):
         """Complex conjugation: zeta_N -> zeta_N^(-1), i -> -i, sqrtD -> sqrtD."""
@@ -379,21 +442,23 @@ class ExactScalar:
             return self
         if self.kind == "cyc":
             return self.galois(self.N - 1)
-        a, b, c, d = self.coeffs
-        return ExactScalar("quad", (a, -b, c, -d), D=self.D,
-                           qgrade=self.qgrade, pigrade=self.pigrade)
+        a, b, c, d = self.nums
+        return _build("quad", (a, -b, c, -d), self.den, None, self.D,
+                      self.qgrade, self.pigrade)
 
     # -- serialization --------------------------------------------------
 
     def serialize(self):
         d = self._demote()
+        den = d.den
         if d.kind == "rat":
-            body = str(d.coeffs[0])
+            body = str(Fraction(d.nums[0], den))
         elif d.kind == "cyc":
             terms = []
-            for k, c in enumerate(d.coeffs):
-                if c == 0:
+            for k, n in enumerate(d.nums):
+                if n == 0:
                     continue
+                c = Fraction(n, den)
                 if k == 0:
                     terms.append(str(c))
                 else:
@@ -402,12 +467,8 @@ class ExactScalar:
             body = body.replace("+-", "-")
         else:
             names = (None, "i", f"sqrt{d.D}", f"i*sqrt{d.D}")
-            den = 1
-            for c in d.coeffs:
-                den = den * c.denominator // math.gcd(den, c.denominator)
             terms = []
-            for c, name in zip(d.coeffs, names):
-                cc = c * den
+            for cc, name in zip(d.nums, names):
                 if cc == 0:
                     continue
                 if name is None:
@@ -436,6 +497,44 @@ class ExactScalar:
         return f"ExactScalar({self.serialize()!r})"
 
 
+_set = object.__setattr__
+_new = object.__new__
+
+
+def _init(x, kind, nums, den, N, D, qgrade, pigrade):
+    _set(x, "kind", kind)
+    _set(x, "N", N)
+    _set(x, "D", D)
+    _set(x, "nums", nums)
+    _set(x, "den", den)
+    _set(x, "qgrade", qgrade)
+    _set(x, "pigrade", pigrade)
+
+
+def _build(kind, nums, den, N, D, qgrade, pigrade):
+    """ExactScalar from a numerator tuple and den already in lowest terms."""
+    x = _new(ExactScalar)
+    _init(x, kind, nums, den, N, D, qgrade, pigrade)
+    return x
+
+
+def _make(kind, nums, den, N, D, qgrade, pigrade):
+    """ExactScalar from integer numerators over den != 0, in lowest terms."""
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        nums = [x // g for x in nums]
+        den //= g
+    return _build(kind, tuple(nums), den, N, D, qgrade, pigrade)
+
+
+def root_of_unity_sum(acc, N):
+    """The scalar sum_j acc[j] zeta_N^j of dense integer counts acc."""
+    return _build("cyc", tuple(_cyc_reduce(list(acc), N)), 1, N, None,
+                  0, 0)._demote()
+
+
 def _coerce(x):
     if isinstance(x, ExactScalar):
         return x
@@ -455,83 +554,63 @@ def _squarefree(D):
     return True
 
 
-def _cyc_reduce(acc, N):
-    """Reduce a dense Fraction coefficient list modulo Phi_N."""
-    mod = cyclotomic_poly(N)
-    deg = len(mod) - 1
-    acc = [c if isinstance(c, Fraction) else Fraction(c) for c in acc]
-    for k in range(len(acc) - 1, deg - 1, -1):
-        c = acc[k]
-        if c:
-            for j, m in enumerate(mod):
-                if m:
-                    acc[k - deg + j] -= c * m
-    return _poly_trim(acc[:deg]) + []
+def _cyc_mul(a, b, N):
+    """Numerators of the product of two power-basis vectors mod Phi_N."""
+    nza = [(i, x) for i, x in enumerate(a) if x]
+    nzb = [(j, y) for j, y in enumerate(b) if y]
+    if len(nza) < len(nzb):
+        nza, nzb = nzb, nza
+    acc = [0] * (len(a) + len(b) - 1)
+    for j, y in nzb:
+        for i, x in nza:
+            acc[i + j] += x * y
+    return _cyc_reduce(acc, N)
 
 
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Q0] * (n - len(a))
-    b = list(b) + [Q0] * (n - len(b))
-    return _poly_trim([x - y for x, y in zip(a, b)])
-
-
-def _cyc_inverse(coeffs, N):
-    """Inverse modulo Phi_N by the extended Euclidean algorithm over Q."""
-    mod = [Fraction(x) for x in cyclotomic_poly(N)]
-    deg = len(mod) - 1
-    r0, r1 = mod, _poly_trim([Fraction(c) for c in coeffs])
-    s0, s1 = [], [Q1]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        s = _poly_sub(s0, _poly_mul(q, s1))
-        r0, r1, s0, s1 = r1, r, s1, s
-    assert len(r0) == 1, "element not invertible (should be impossible in a field)"
-    c = r0[0]
-    inv = [x / c for x in s0]
-    inv = _cyc_reduce(inv, N)
-    return inv + [Q0] * (deg - len(inv))
-
-
-_QUAD_TABLE = {
-    # (e_i, e_j) -> list of (index, sign-or-D-marker); basis 1, i, s, is
-    (0, 0): (0, 1), (0, 1): (1, 1), (0, 2): (2, 1), (0, 3): (3, 1),
-    (1, 0): (1, 1), (1, 1): (0, -1), (1, 2): (3, 1), (1, 3): (2, -1),
-    (2, 0): (2, 1), (2, 1): (3, 1), (2, 2): (0, "D"), (2, 3): (1, "D"),
-    (3, 0): (3, 1), (3, 1): (2, -1), (3, 2): (1, "D"), (3, 3): (0, "-D"),
-}
+def _cyc_inverse(nums, N):
+    """(inv, den) with (sum inv[k] zeta^k)/den the inverse of sum nums[k] zeta^k
+    mod Phi_N.  Extended Euclid on integer polynomials: each remainder r is a
+    pseudo-remainder with its content divided out, and each cofactor s/c
+    satisfies s*a == c*r mod Phi_N, with gcd(c, *s) == 1."""
+    deg = euler_phi(N)
+    r0, r1 = list(cyclotomic_poly(N)), _poly_trim(list(nums))
+    s0, c0, s1, c1 = [], 1, [1], 1
+    while len(r1) > 1:
+        q, r, f = _pseudo_divmod(r0, r1)
+        if not r:
+            raise AssertionError("element not invertible (should be impossible "
+                                 "in a field)")
+        g = math.gcd(*r)
+        r = [x // g for x in r]
+        # f*r0 - q*r1 == g*r, so s = f*c1*s0 - c0*q*s1 and c = c0*c1*g
+        qs = _poly_mul(q, s1)
+        s = [f * c1 * x for x in s0] + [0] * (len(qs) - len(s0))
+        for i, y in enumerate(qs):
+            s[i] -= c0 * y
+        c = c0 * c1 * g
+        h = math.gcd(c, *s)
+        r0, r1 = r1, r
+        s0, c0, s1, c1 = s1, c1, [x // h for x in s], c // h
+    return s1 + [0] * (deg - len(s1)), c1 * r1[0]
 
 
 def _quad_mul(a, b, D):
-    out = [Q0, Q0, Q0, Q0]
-    for i in range(4):
-        if a[i] == 0:
-            continue
-        for j in range(4):
-            if b[j] == 0:
-                continue
-            idx, sgn = _QUAD_TABLE[(i, j)]
-            if sgn == "D":
-                out[idx] += a[i] * b[j] * D
-            elif sgn == "-D":
-                out[idx] -= a[i] * b[j] * D
-            else:
-                out[idx] += sgn * a[i] * b[j]
-    return tuple(out)
+    a1, b1, c1, d1 = a
+    a2, b2, c2, d2 = b
+    return (a1 * a2 - b1 * b2 + D * (c1 * c2 - d1 * d2),
+            a1 * b2 + b1 * a2 + D * (c1 * d2 + d1 * c2),
+            a1 * c2 + c1 * a2 - b1 * d2 - d1 * b2,
+            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2)
 
 
-def _quad_inverse(coeffs, D):
-    # solve x * y = 1 as a 4x4 rational linear system
-    cols = []
-    for j in range(4):
-        e = [Q0] * 4
-        e[j] = Q1
-        cols.append(_quad_mul(coeffs, e, D))
-    mat = [[cols[j][i] for j in range(4)] for i in range(4)]
-    rhs = [Q1, Q0, Q0, Q0]
-    sol = solve_linear(mat, rhs)
-    assert sol is not None, "non-invertible quadratic-tower element"
-    return tuple(sol)
+def _quad_inverse(nums, D):
+    """(inv, den) for the inverse of u + v sqrtD (u, v in Z[i]): it is
+    (u - v sqrtD) / w with w = u^2 - D v^2 in Z[i], and 1/w = conj(w)/|w|^2."""
+    a, b, c, d = nums
+    e = a * a - b * b - D * (c * c - d * d)
+    f = 2 * (a * b - D * c * d)
+    return (a * e + b * f, b * e - a * f, -(c * e + d * f), c * f - d * e), \
+        e * e + f * f
 
 
 def solve_linear(mat, rhs):
@@ -605,16 +684,52 @@ def _parse_scalar(s: str) -> ExactScalar:
         else:
             raise ValueError(f"bad grade annotation: @{tail}")
         s = s.strip()
-    den = 1
-    if s.startswith("(") and ")/" in s:
-        body, _, d = s.rpartition(")/")
-        s = body[1:]
-        den = int(d)
-    elif s.startswith("(") and s.endswith(")"):
-        s = s[1:-1]
-    val = _parse_sum(s)
-    out = val / ExactScalar.rational(den)
+    out = _parse_power_basis(s)
+    if out is None:
+        den = 1
+        if s.startswith("(") and ")/" in s:
+            body, _, d = s.rpartition(")/")
+            s = body[1:]
+            den = int(d)
+        elif s.startswith("(") and s.endswith(")"):
+            s = s[1:-1]
+        val = _parse_sum(s)
+        out = val / ExactScalar.rational(den)
     return out.with_grades(qgrade=qg, pigrade=pg)
+
+
+_POWER_TERM = re.compile(r"([+-]?)(\d+)(?:/(\d+))?(?:\*z(\d+)\^(\d+))?")
+
+
+def _parse_power_basis(s):
+    """The value of a sum of terms c and c*zN^k with one N and k < phi(N),
+    the form serialize() writes for cyclotomic scalars, placed straight
+    into the numerator vector; None for any other input."""
+    terms, N, pos = [], None, 0
+    while pos < len(s):
+        m = _POWER_TERM.match(s, pos)
+        if m is None or (pos and not m.group(1)):
+            return None
+        sign, num, den, n, k = m.groups()
+        if n is not None:
+            n, k = int(n), int(k)
+            if N is None:
+                N = n
+            if n != N or n < 1 or k >= euler_phi(n):
+                return None
+        den = int(den or 1)
+        if not den:
+            return None
+        terms.append((int(sign + num), den, int(k or 0)))
+        pos = m.end()
+    if not terms:
+        return None
+    den = math.lcm(*(d for _, d, _ in terms))
+    nums = [0] * (euler_phi(N) if N else 1)
+    for num, d, k in terms:
+        nums[k] += num * (den // d)
+    kind = "cyc" if N else "rat"
+    return _make(kind, nums, den, N, None, 0, 0)._demote()
 
 
 def _split_top(s, seps):

@@ -19,8 +19,8 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import (ExactScalar, LaurentRF, _coerce, cyclotomic_poly,
-                       euler_phi, sqrt_prime)
+from .exactnum import (ExactScalar, LaurentRF, _coerce, euler_phi,
+                       root_of_unity_sum, sqrt_prime)
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +235,14 @@ def _gauss_cache():
         if cache_dir:
             path = os.path.join(cache_dir, "gauss_sums.json")
             if os.path.exists(path):
-                with open(path) as fh:
+                try:
+                    with open(path) as fh:
+                        entries = json.load(fh)
                     _GAUSS_MEMO = {k: ExactScalar.parse(v)
-                                   for k, v in json.load(fh).items()}
+                                   for k, v in entries.items()}
+                except (OSError, ValueError, AttributeError):
+                    # unreadable or truncated: recompute, and rewrite it
+                    _GAUSS_MEMO = {}
     return _GAUSS_MEMO
 
 
@@ -246,26 +251,17 @@ def _gauss_cache_store():
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
         path = os.path.join(cache_dir, "gauss_sums.json")
-        with open(path, "w") as fh:
-            json.dump({k: v.serialize() for k, v in _GAUSS_MEMO.items()},
-                      fh, sort_keys=True)
-
-
-def _root_of_unity_sum(acc, N):
-    """ExactScalar from dense integer counts acc[j] of the roots zeta_N^j,
-    reduced mod Phi_N in integer arithmetic before leaving Z[zeta_N]."""
-    mod = cyclotomic_poly(N)
-    deg = len(mod) - 1
-    for k in range(N - 1, deg - 1, -1):
-        x = acc[k]
-        if x:
-            for j, mj in enumerate(mod):
-                acc[k - deg + j] -= x * mj
-    coeffs = [Fraction(x) for x in acc[:deg]]
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    coeffs += [Fraction(0)] * (euler_phi(N) - len(coeffs))
-    return ExactScalar("cyc", coeffs, N=N)._demote()
+        # a reader never sees a half-written file: write aside, then rename
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w") as fh:
+                json.dump({k: v.serialize() for k, v in _GAUSS_MEMO.items()},
+                          fh, sort_keys=True)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
 
 
 def gauss_sum(chi: PadicChar) -> ExactScalar:
@@ -294,7 +290,7 @@ def gauss_sum(chi: PadicChar) -> ExactScalar:
             continue
         k = (inv.e * dlog[a]) % m
         acc[(N // m * k + N // q * a) % N] += 1
-    total = _root_of_unity_sum(acc, N)
+    total = root_of_unity_sum(acc, N)
     memo[key] = total
     _gauss_cache_store()
     return total
@@ -323,7 +319,7 @@ def gauss_sum_twisted(chi: PadicChar, y) -> ExactScalar:
             continue
         k = (inv.e * dlog[a]) % m
         acc[(N // m * k + N // q * (-yq * a)) % N] += 1
-    return _root_of_unity_sum(acc, N)
+    return root_of_unity_sum(acc, N)
 
 
 def _gauss_inverse(chi: PadicChar) -> ExactScalar:

@@ -45,6 +45,18 @@ class TestVerify:
         res = run("verify", "nope")
         assert res.exit_code == 2
 
+    def test_truncated_gauss_cache_is_recomputed(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PADR_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(plocal, "_GAUSS_MEMO", None)
+        cache = tmp_path / "gauss_sums.json"
+        cache.write_text('{"7_1_1": "1*z42^')
+        res = run("verify", "gauss", "--p", "7")
+        assert res.exit_code == 0
+        assert json.loads(res.output)["failed"] == 0
+        # rewritten whole, by rename, with no temporary file left behind
+        assert json.loads(cache.read_text())
+        assert [f.name for f in tmp_path.iterdir()] == ["gauss_sums.json"]
+
 
 class TestInterp:
     def test_default_report(self):

@@ -1,8 +1,13 @@
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import padr
 from padr.exactnum import (
     ExactScalar as E,
     GradeError,
@@ -13,6 +18,7 @@ from padr.exactnum import (
     euler_phi,
     laurent_normalize,
     sqrt_prime,
+    _parse_sum,
 )
 
 
@@ -103,7 +109,8 @@ class TestConjugate:
 
 class TestSerialization:
     CASES = ["3/4", "-2", "1/2*z8^3", "(1+i*sqrt5)/2 @q:1 @pi:-2",
-             "0", "1", "2*z5^1-1*z5^3"]
+             "0", "1", "2*z5^1-1*z5^3", "1*z8^5", "1*z4^1+1*z3^1",
+             "z8^3-1/2", "3/4*z12^2+-1*z12^1 @q:-1"]
 
     def test_round_trip(self):
         for s in self.CASES:
@@ -117,9 +124,131 @@ class TestSerialization:
                 v = rand_scalar(rng, N)
                 assert v.serialize() == E.parse(v.serialize()).serialize()
 
+    @pytest.mark.parametrize("N", [5, 8, 12, 81, 506])
+    def test_power_basis_round_trip(self, N):
+        rng = random.Random(N)
+        for _ in range(4):
+            v = rand_scalar(rng, N).with_grades(qgrade=rng.randint(-1, 1))
+            s = v.serialize()
+            assert E.parse(s) == v
+            assert E.parse(s).serialize() == s
+            # the direct placement agrees with the general grammar
+            body = v.with_grades(qgrade=0).serialize()
+            assert E.parse(body) == _parse_sum(body)
+
     def test_quad_round_trip(self):
         v = E.quad(7, Fraction(1, 2), -1, 0, Fraction(3, 5), qgrade=-1)
         assert E.parse(v.serialize()) == v
+
+
+class TestEqualityAndHash:
+    def test_all_zeros_hash_alike(self):
+        zeros = {E.zero(), E.rational(0, qgrade=1), E.zeta(5) - E.zeta(5)}
+        assert len(zeros) == 1
+
+    def test_equal_values_hash_alike(self):
+        rng = random.Random(29)
+        for N in (1, 5, 12):
+            for _ in range(4):
+                a, b = rand_scalar(rng, N), rand_scalar(rng, N)
+                if b.is_zero():
+                    continue
+                assert (a * b) / b == a
+                assert hash((a * b) / b) == hash(a)
+                assert hash(a + b - b) == hash(a)
+        x = E.quad(5, Fraction(1, 2), 3, 0, -1)
+        y = E.quad(5, 2, 0, Fraction(1, 3), 1)
+        assert hash(x * y / y) == hash(x)
+
+    def test_tower_checks_survive_dash_O(self):
+        code = ("from padr.exactnum import ExactScalar as E\n"
+                "print(E.zeta(8) == E.quad(3, 0, 1), "
+                "E.zeta(3) == E.quad(5, 0, 1))\n"
+                "try:\n"
+                "    E.one() / E.zero()\n"
+                "except AssertionError:\n"
+                "    print('raised')\n")
+        src = os.path.dirname(os.path.dirname(padr.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["False", "False", "raised"]
+
+
+def _sympy_value(sp, v, x=None, m=1):
+    """v as a sympy value: in Q(i, sqrtD) for kind quad, else the polynomial
+    sum c_k x^(k*m mod N) (for m = 1 the power basis itself)."""
+    c = [sp.Rational(f.numerator, f.denominator) for f in v.coeffs]
+    if v.kind == "quad":
+        s = sp.sqrt(v.D)
+        return c[0] + c[1] * sp.I + c[2] * s + c[3] * sp.I * s
+    N = v.N or 1
+    dense = [0] * N
+    for k, ck in enumerate(c):
+        dense[k * m % N] += ck
+    return sp.Poly(dense[::-1], x, domain="QQ")
+
+
+def _check_invariants(v):
+    assert v.den > 0
+    assert math.gcd(v.den, *v.nums) == 1
+    assert v.coeffs == tuple(Fraction(n, v.den) for n in v.nums)
+
+
+class TestSympyOracle:
+    """Differential test of the integer kernel against sympy."""
+
+    @pytest.fixture(scope="class")
+    def sp(self):
+        return pytest.importorskip("sympy")
+
+    @pytest.mark.parametrize("N", [1, 3, 8, 12, 27, 40, 81])
+    def test_cyclotomic(self, sp, N):
+        rng = random.Random(1000 + N)
+        x = sp.Symbol("x")
+        phi = sp.Poly(sp.cyclotomic_poly(N, x), x, domain="QQ")
+
+        def value(v, m=1):
+            # a rational result has dropped to kind "rat": lift it to N
+            v = v if v.kind == "cyc" else E("cyc", v.coeffs + (0,) * (
+                euler_phi(N) - 1), N=N)
+            return _sympy_value(sp, v, x, m).rem(phi)
+
+        for _ in range(3):
+            a, b = rand_scalar(rng, N), rand_scalar(rng, N)
+            A, B = value(a), value(b)
+            for v, want in ((a * b, (A * B).rem(phi)), (a + b, A + B)):
+                _check_invariants(v)
+                assert value(v) == want
+            # zeta -> zeta^m permutes the exponents mod N, as x^N == 1 mod Phi_N
+            m = rng.choice([k for k in range(1, N + 1) if math.gcd(k, N) == 1])
+            for v, k in ((a.galois(m), m), (a.conjugate(), N - 1)):
+                _check_invariants(v)
+                assert value(v) == value(a, k)
+            if not a.is_zero():
+                inv = a.inverse()
+                _check_invariants(inv)
+                assert a * inv == E.one()
+                assert (value(inv) * A).rem(phi) == sp.Poly(1, x, domain="QQ")
+
+    @pytest.mark.parametrize("D", [2, 3, 5, 7])
+    def test_quad(self, sp, D):
+        rng = random.Random(2000 + D)
+
+        def draw():
+            return E.quad(D, *(Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                               for _ in range(4)))
+
+        for _ in range(3):
+            a, b = draw(), draw()
+            A, B = _sympy_value(sp, a), _sympy_value(sp, b)
+            prod = a * b
+            _check_invariants(prod)
+            assert sp.expand(_sympy_value(sp, prod) - A * B) == 0
+            if not a.is_zero():
+                inv = a.inverse()
+                _check_invariants(inv)
+                assert sp.expand(_sympy_value(sp, inv) * A) == 1
 
 
 class TestSqrtPrime:
