@@ -17,7 +17,15 @@ rational-function identity, never numerically.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
+
+
+def _check(ok, what):
+    """Raise AssertionError(what) unless ok; unlike assert, this also runs
+    under python -O, so an identity check cannot pass by being skipped."""
+    if not ok:
+        raise AssertionError(what)
+
 
 # ---------------------------------------------------------------------------
 # the scalar field Q(i, sqrt(D))
@@ -25,35 +33,58 @@ from math import comb
 
 class QiD:
     """Element a + b*i + c*sqrt(D) + d*i*sqrt(D) of Q(i, sqrt(D)) for a
-    fixed positive non-square integer parameter D (delta = i*sqrt(D) is a
-    square root of -D)."""
+    fixed positive integer parameter D (delta = i*sqrt(D) is a square
+    root of -D).  sqrt(D) is a free symbol with square D, so for a square
+    D the ring has zero divisors, and inverting one raises.
 
-    __slots__ = ("D", "a", "b", "c", "d")
+    Representation: four integer numerators ``nums = (a, b, c, d)`` over
+    one denominator ``den``, with ``den > 0`` and
+    ``gcd(den, *nums) == 1``, so each value has exactly one (nums, den)
+    and zero is ``(0, 0, 0, 0)`` over 1.  ``a``, ``b``, ``c``, ``d`` give
+    the coordinates as Fractions."""
+
+    __slots__ = ("D", "nums", "den")
 
     def __init__(self, D, a=0, b=0, c=0, d=0):
         self.D = D
-        self.a, self.b = Fraction(a), Fraction(b)
-        self.c, self.d = Fraction(c), Fraction(d)
+        if type(a) is type(b) is type(c) is type(d) is int:
+            self.nums, self.den = (a, b, c, d), 1
+            return
+        fs = [Fraction(x) for x in (a, b, c, d)]
+        den = lcm(*(f.denominator for f in fs))
+        # each f is in lowest terms, so gcd(den, *nums) == 1 already
+        self.nums = tuple(f.numerator * (den // f.denominator) for f in fs)
+        self.den = den
 
-    def _like(self, a, b, c, d):
-        return QiD(self.D, a, b, c, d)
+    a = property(lambda self: Fraction(self.nums[0], self.den))
+    b = property(lambda self: Fraction(self.nums[1], self.den))
+    c = property(lambda self: Fraction(self.nums[2], self.den))
+    d = property(lambda self: Fraction(self.nums[3], self.den))
 
     def __add__(self, other):
         if not isinstance(other, (QiD, int, Fraction)):
             return NotImplemented
         other = self._coerce(other)
-        return self._like(self.a + other.a, self.b + other.b,
-                          self.c + other.c, self.d + other.d)
+        a1, b1, c1, d1 = self.nums
+        a2, b2, c2, d2 = other.nums
+        n1, n2 = self.den, other.den
+        if n1 == n2:
+            return _qid(self.D, a1 + a2, b1 + b2, c1 + c2, d1 + d2, n1)
+        return _qid(self.D, a1 * n2 + a2 * n1, b1 * n2 + b2 * n1,
+                    c1 * n2 + c2 * n1, d1 * n2 + d2 * n1, n1 * n2)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
     def __neg__(self):
-        return self._like(-self.a, -self.b, -self.c, -self.d)
+        a, b, c, d = self.nums
+        return _qid_raw(self.D, (-a, -b, -c, -d), self.den)
 
     def _coerce(self, other):
         if isinstance(other, QiD):
-            assert other.D == self.D
+            if other.D != self.D:
+                raise AssertionError(
+                    f"QiD with D={other.D} in Q(i, sqrt({self.D}))")
             return other
         return QiD(self.D, other)
 
@@ -62,49 +93,79 @@ class QiD:
             return NotImplemented
         other = self._coerce(other)
         D = self.D
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = other.a, other.b, other.c, other.d
-        return self._like(
+        a1, b1, c1, d1 = self.nums
+        a2, b2, c2, d2 = other.nums
+        return _qid(
+            D,
             a1 * a2 - b1 * b2 + D * (c1 * c2 - d1 * d2),
             a1 * b2 + b1 * a2 + D * (c1 * d2 + d1 * c2),
             a1 * c2 + c1 * a2 - b1 * d2 - d1 * b2,
-            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2)
+            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
+            self.den * other.den)
 
     __rmul__ = __mul__
 
     def conj(self):
         """Complex conjugation: i -> -i, sqrt(D) -> sqrt(D)."""
-        return self._like(self.a, -self.b, self.c, -self.d)
+        a, b, c, d = self.nums
+        return _qid_raw(self.D, (a, -b, c, -d), self.den)
 
     def inverse(self):
-        assert not self.is_zero(), "division by zero"
+        _check(not self.is_zero(), "division by zero")
+        D = self.D
         zc = self.conj()
         n1 = self * zc                       # lands in Q(sqrt(D))
-        assert n1.b == 0 and n1.d == 0
-        n2 = self._like(n1.a, 0, -n1.c, 0)
+        a1, b1, c1, d1 = n1.nums
+        _check(not (b1 or d1), "z * conj(z) not in Q(sqrt(D))")
+        n2 = _qid_raw(D, (a1, 0, -c1, 0), n1.den)
         n3 = n1 * n2                         # rational
-        assert n3.b == 0 and n3.c == 0 and n3.d == 0 and n3.a != 0
-        return zc * n2 * self._like(Fraction(1, 1) / n3.a, 0, 0, 0)
+        r, b3, c3, d3 = n3.nums
+        _check(not (b3 or c3 or d3), "norm not rational")
+        _check(r != 0, "division by a zero divisor")
+        # 1 / n3 = n3.den / r, already in lowest terms
+        s = 1 if r > 0 else -1
+        return zc * n2 * _qid_raw(D, (s * n3.den, 0, 0, 0), s * r)
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
 
     def is_zero(self):
-        return self.a == self.b == self.c == self.d == 0
+        return not any(self.nums)
 
     def is_rational(self):
-        return self.b == self.c == self.d == 0
+        _, b, c, d = self.nums
+        return not (b or c or d)
 
     def __eq__(self, other):
+        if not isinstance(other, (QiD, int, Fraction)):
+            return NotImplemented
         other = self._coerce(other)
-        return (self.a, self.b, self.c, self.d) == \
-            (other.a, other.b, other.c, other.d)
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
-        return hash((self.D, self.a, self.b, self.c, self.d))
+        return hash((self.D, self.nums, self.den))
 
     def __repr__(self):
         return f"QiD({self.a}+{self.b}i+{self.c}rD+{self.d}irD)"
+
+
+_new = object.__new__
+
+
+def _qid_raw(D, nums, den):
+    """QiD from a numerator tuple and den already in lowest terms."""
+    z = _new(QiD)
+    z.D, z.nums, z.den = D, nums, den
+    return z
+
+
+def _qid(D, a, b, c, d, den):
+    """QiD from integer numerators over den > 0, reduced here."""
+    if den != 1:
+        g = gcd(den, a, b, c, d)
+        if g != 1:
+            a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
+    return _qid_raw(D, (a, b, c, d), den)
 
 
 def qi(D):
@@ -548,7 +609,7 @@ def act_point(alpha, Z, D):
                 + RF.const(D, alpha[i][2]))
 
     mu = row(2, t, u)
-    assert not mu.is_zero(), "point not in the domain of alpha"
+    _check(not mu.is_zero(), "point not in the domain of alpha")
     tp, up = row(0, t, u) / mu, row(1, t, u) / mu
 
     # conjugate coordinates: apply the conjugated matrix to (tb, ub)
@@ -573,7 +634,8 @@ def act_point(alpha, Z, D):
              [-(M[1][0] / delta), -(M[1][1] / delta)]]
     # consistency of the top row pins down the transformed conjugates
     for j in range(2):
-        assert M[0][j] == tpb * lam_c[0][j] + upb * lam_c[1][j]
+        _check(M[0][j] == tpb * lam_c[0][j] + upb * lam_c[1][j],
+               "top row of the period matrix")
     lam = [[lam_c[i][j].conj() for j in range(2)] for i in range(2)]
     return (tp, tpb, up, upb), lam, mu
 
@@ -581,24 +643,26 @@ def act_point(alpha, Z, D):
 def automorphy_cocycle(alpha, beta, D):
     """Exact verification of the chain rules for lambda and mu and of the
     xi/eta equivariances, at a generic symbolic point.  Returns True when
-    every identity holds (each is asserted)."""
-    assert in_group(alpha, D) and in_group(beta, D), "input not in the group"
+    every identity holds; raises AssertionError (also under -O) naming the
+    first that fails."""
+    _check(in_group(alpha, D) and in_group(beta, D), "input not in the group")
     Z = symbolic_point(D)
     bZ, lam_b, mu_b = act_point(beta, Z, D)
     abZ, lam_ab, mu_ab = act_point(alpha, bZ, D)
     Z2, lam_prod, mu_prod = act_point(mat_mul(alpha, beta), Z, D)
 
-    assert mu_prod == mu_ab * mu_b
+    _check(mu_prod == mu_ab * mu_b, "mu chain rule")
     lam_chain = mat_mul(lam_ab, lam_b)
-    assert mat_eq(lam_prod, lam_chain)
+    _check(mat_eq(lam_prod, lam_chain), "lambda chain rule")
 
     # eta equivariance: conj(mu) eta(alpha Z) mu = eta(Z)
     aZ, lam_a, mu_a = act_point(alpha, Z, D)
-    assert mu_a.conj() * eta_of(aZ, D) * mu_a == eta_of(Z, D)
+    _check(mu_a.conj() * eta_of(aZ, D) * mu_a == eta_of(Z, D),
+           "eta equivariance")
     # xi equivariance: (conj lam)^t xi(alpha Z) lam = xi(Z)
     lam_ct = [[lam_a[j][i].conj() for j in range(2)] for i in range(2)]
     lhs = mat_mul(mat_mul(lam_ct, xi_of(aZ, D)), lam_a)
-    assert mat_eq(lhs, xi_of(Z, D))
+    _check(mat_eq(lhs, xi_of(Z, D)), "xi equivariance")
     return True
 
 
@@ -787,7 +851,7 @@ def coefficient_closed_form(f, n):
 def skew_pairing(w1, w2, D):
     """<<w1, w2>> = (conj(w2) w1 - conj(w1) w2) / delta, a rational."""
     s = (w2.conj() * w1 - w1.conj() * w2) * qdelta(D).inverse()
-    assert s.is_rational()
+    _check(s.is_rational(), "skew pairing not rational")
     return s.a
 
 
@@ -831,12 +895,6 @@ class HeisenbergElt:
         return f"HeisenbergElt({self.w}, {self.z}, phase={self.phase})"
 
 
-def heisenberg_ops(x, y, m=None):
-    """Group product; the optional m is accepted for interface symmetry
-    with the translation-operator layer (phases are rational already)."""
-    return x * y
-
-
 def am_commutator_phase(l1, l2, m, D):
     """Phase exponent r (meaning e^(pi i r)) with
     A_m(l1) A_m(l2) = e^(pi i r) A_m(l1 + l2), computed by composing the
@@ -848,16 +906,18 @@ def am_commutator_phase(l1, l2, m, D):
     c_sum = h0_pairing(l1 + l2, l1 + l2, D) * Fraction(1, 2)
     diff = c12 - c_sum
     # the difference must be purely imaginary: e^(-pi m * i b) phase
-    assert diff.a == 0 and diff.c == 0 and diff.d == 0
+    _check(diff.a == 0 and diff.c == 0 and diff.d == 0,
+           "canonical-form difference not purely imaginary")
     r = (-Fraction(m) * diff.b) % 2
-    assert r == (Fraction(m) * e0_pairing(l2, l1, D)) % 2
+    _check(r == (Fraction(m) * e0_pairing(l2, l1, D)) % 2,
+           "commutator phase differs from m E_0(l2, l1)")
     return r
 
 
 def e0_pairing(w1, w2, D):
     """E_0 = Im H_0; coincides with the skew pairing."""
     h = h0_pairing(w1, w2, D)
-    assert h.d == 0
+    _check(h.d == 0, "H_0 has an i*sqrt(D) part")
     return h.b
 
 

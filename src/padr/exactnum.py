@@ -847,13 +847,14 @@ def _spoly_divmod(a, b):
         b.pop()
     assert b, "polynomial division by zero"
     q = [ExactScalar.zero()] * max(0, len(a) - len(b) + 1)
+    lead_inv = _coerce(b[-1]).inverse()
     while True:
         while a and _coerce(a[-1]).is_zero():
             a.pop()
         if len(a) < len(b):
             break
         d = len(a) - len(b)
-        c = _coerce(a[-1]) / _coerce(b[-1])
+        c = _coerce(a[-1]) * lead_inv
         q[d] = q[d] + c
         for i, y in enumerate(b):
             a[i + d] = _coerce(a[i + d]) - c * y
@@ -872,8 +873,8 @@ def _spoly_gcd(a, b):
     while a and _coerce(a[-1]).is_zero():
         a.pop()
     if a:
-        lead = _coerce(a[-1])
-        a = [_coerce(x) / lead for x in a]
+        lead_inv = _coerce(a[-1]).inverse()
+        a = [_coerce(x) * lead_inv for x in a]
     return a
 
 
@@ -1051,9 +1052,9 @@ def _laurent_canonical(num, den):
     while pd and _coerce(pd[0]).is_zero():
         pd.pop(0)
         lead_shift += 1
-    c0 = _coerce(pd[0])
-    pd = [_coerce(x) / c0 for x in pd]
-    pn = [_coerce(x) / c0 for x in pn]
+    c0_inv = _coerce(pd[0]).inverse()
+    pd = [_coerce(x) * c0_inv for x in pd]
+    pn = [_coerce(x) * c0_inv for x in pn]
     num = _poly_to_lp(off_n - off_d - lead_shift, pn)
     den = _poly_to_lp(0, pd)
     return num, den

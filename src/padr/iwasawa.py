@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactnum import ExactScalar, _coerce
+from .plocal import vp_frac
 
 
 def _binom_int(a: int, k: int) -> Fraction:
@@ -131,11 +132,6 @@ class MeasureSeries:
             "prec_p": self.prec_p,
             "coeffs": [c.serialize() for c in self.coeffs],
         }
-
-    @staticmethod
-    def deserialize(d):
-        return MeasureSeries(d["p"], [ExactScalar.parse(c) for c in d["coeffs"]],
-                             d["prec_T"], d["prec_p"])
 
     def __eq__(self, other):
         return (self.p == other.p and self.prec_T == other.prec_T
@@ -283,24 +279,8 @@ def qexp_ops(f: QExpansion, op: str, p: int, N: int = 1) -> QExpansion:
     raise ValueError(f"unknown op {op!r}")
 
 
-def vp(x: Fraction, p: int) -> int:
-    """p-adic valuation of a non-zero rational."""
-    x = Fraction(x)
-    assert x != 0
-    v = 0
-    n = x.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
-
-
 def min_vp(f: QExpansion, p: int):
     """Minimum p-adic valuation over the coefficients (None if f = 0)."""
     if not f.coeffs:
         return None
-    return min(vp(c, p) for c in f.coeffs.values())
+    return min(vp_frac(c, p) for c in f.coeffs.values())

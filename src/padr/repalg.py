@@ -31,10 +31,6 @@ class HomPoly:
         self.kappa = kappa
         self.coeffs = {i: c for i, c in coeffs.items() if c != 0}
 
-    @staticmethod
-    def monomial(kappa, i, c=1):
-        return HomPoly(kappa, {i: c})
-
     def __add__(self, other):
         assert self.kappa == other.kappa
         out = dict(self.coeffs)
@@ -73,16 +69,6 @@ class HomPoly:
 
     def __repr__(self):
         return f"HomPoly({self.kappa}, {self.coeffs})"
-
-
-def v_std(n, i):
-    """The basis vector X^(n-i) Y^i."""
-    return HomPoly.monomial(n, i)
-
-
-def v_dual(n, j):
-    """The dual-side basis vector X^j (-Y)^(n-j)."""
-    return HomPoly.monomial(n, n - j, (-1) ** (n - j))
 
 
 def pair_ell(P, Q):

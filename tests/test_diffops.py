@@ -1,8 +1,13 @@
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import padr
 from padr.diffops import (
     RF,
     HeisenbergElt,
@@ -92,6 +97,89 @@ class TestQiD:
     def test_division_by_zero(self):
         with pytest.raises(AssertionError):
             QiD(3, 1) / QiD(3)
+
+    def test_zero_divisor_at_square_D(self):
+        # sqrt(4) is a free symbol, so (2 - sqrt 4)(2 + sqrt 4) = 0
+        z = QiD(4, 2, 0, -1)
+        assert z * QiD(4, 2, 0, 1) == 0
+        with pytest.raises(AssertionError):
+            z.inverse()
+
+    def test_eq_with_other_types(self):
+        assert QiD(3, Fraction(1, 2)) == Fraction(1, 2)
+        assert QiD(3, 2) == 2
+        assert not QiD(3) == None  # noqa: E711
+        assert QiD(3) != "0"
+        with pytest.raises(AssertionError):
+            QiD(3, 1) == QiD(4, 1)
+
+    def test_checks_survive_dash_O(self):
+        code = ("from padr.diffops import QiD\n"
+                "print(QiD(3) == None)\n"
+                "for f in (lambda: QiD(3, 1) == QiD(4, 1),\n"
+                "          lambda: QiD(3, 1) / QiD(3),\n"
+                "          lambda: QiD(4, 2, 0, -1).inverse()):\n"
+                "    try:\n"
+                "        f()\n"
+                "    except AssertionError:\n"
+                "        print('raised')\n")
+        assert _run_dash_O(code) == ["False", "raised", "raised", "raised"]
+
+
+def _run_dash_O(code):
+    """Stdout words of code run by python -O, with padr importable."""
+    src = os.path.dirname(os.path.dirname(padr.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.split()
+
+
+class TestQiDSympyOracle:
+    """Differential test of the integer-backed QiD against sympy."""
+
+    @pytest.fixture(scope="class")
+    def sp(self):
+        return pytest.importorskip("sympy")
+
+    @staticmethod
+    def value(sp, z):
+        a, b, c, d = (sp.Rational(n, z.den) for n in z.nums)
+        s = sp.sqrt(z.D)
+        return a + b * sp.I + c * s + d * sp.I * s
+
+    @staticmethod
+    def check_invariants(z):
+        assert z.den > 0
+        assert math.gcd(z.den, *z.nums) == 1
+        assert (z.a, z.b, z.c, z.d) == tuple(Fraction(n, z.den)
+                                             for n in z.nums)
+
+    @pytest.mark.parametrize("D", [2, 3, 5, 7])
+    def test_against_sympy(self, sp, D):
+        rng = random.Random(3000 + D)
+
+        def draw():
+            return QiD(D, *(Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                            for _ in range(4)))
+
+        for _ in range(4):
+            a, b = draw(), draw()
+            A, B = self.value(sp, a), self.value(sp, b)
+            for v, want in ((a + b, A + B), (a * b, A * B),
+                            (a.conj(), sp.conjugate(A)), (-a, -A)):
+                self.check_invariants(v)
+                assert sp.expand(self.value(sp, v) - want) == 0
+            if b.is_zero():
+                continue
+            inv = b.inverse()
+            self.check_invariants(inv)
+            assert b * inv == 1
+            assert sp.expand(self.value(sp, inv) * B) == 1
+            # equal values reached by different routes hash alike
+            assert (a * b) / b == a
+            assert hash((a * b) / b) == hash(a)
+            assert hash(a + b - b) == hash(a)
 
 
 class TestSymRF:
@@ -202,6 +290,16 @@ class TestCocycles:
         bad = [[o, o, zr], [zr, o, zr], [zr, zr, o]]
         with pytest.raises(AssertionError):
             automorphy_cocycle(bad, bad, D)
+
+    def test_non_member_rejected_under_dash_O(self):
+        code = ("from padr.diffops import QiD, automorphy_cocycle\n"
+                "z, o = QiD(3), QiD(3, 1)\n"
+                "g = [[QiD(3, 2), z, z], [z, o, z], [z, z, o]]\n"
+                "try:\n"
+                "    print(automorphy_cocycle(g, g, 3))\n"
+                "except AssertionError:\n"
+                "    print('raised')\n")
+        assert _run_dash_O(code) == ["raised"]
 
 
 def make_section(D, k, monos):
