@@ -6,127 +6,51 @@ and closed forms, criticality flags and the sign/weight bookkeeping for the
 interpolation formula, formal degrees, and the full two-route assembly
 check for the archimedean period identity.
 
-Everything is exact: scalars are rationals decorated with a power of pi
-(the PiScalar type), so no floating point ever enters.
+Everything is exact: each value is a rational ExactScalar whose pi-grade
+k stands for a factor pi^k.  The grade is an integer or, transiently
+(Gamma at a half-odd-integer, Gamma(1/2) = pi^(1/2)), a half-integer, so
+no floating point ever enters.
 """
 
 from fractions import Fraction
 from math import comb, factorial
 
+from padr.exactnum import ExactScalar, _check
 from padr.repalg import SignedHCSeq, ggp_check, trilinear_norm, trilinear_value
 
 
-# ---------------------------------------------------------------------------
-# rational multiples of integer powers of pi
-# ---------------------------------------------------------------------------
-
-class PiScalar:
-    """An exact scalar of the form value * pi^pigrade.
-
-    value is a Fraction and pigrade a Fraction with denominator 1 or 2
-    (half-integer powers arise transiently from Gamma at half-integers).
-    The zero scalar is normalized to grade 0.
-    """
-
-    __slots__ = ("value", "pigrade")
-
-    def __init__(self, value, pigrade=0):
-        self.value = Fraction(value)
-        self.pigrade = Fraction(pigrade)
-        assert self.pigrade.denominator in (1, 2)
-        if self.value == 0:
-            self.pigrade = Fraction(0)
-
-    @staticmethod
-    def one():
-        return PiScalar(1)
-
-    def __mul__(self, other):
-        if isinstance(other, PiScalar):
-            return PiScalar(self.value * other.value,
-                            self.pigrade + other.pigrade)
-        return PiScalar(self.value * other, self.pigrade)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, PiScalar):
-            assert other.value != 0, "division by zero"
-            return PiScalar(self.value / other.value,
-                            self.pigrade - other.pigrade)
-        return PiScalar(self.value / other, self.pigrade)
-
-    def __rtruediv__(self, other):
-        assert self.value != 0, "division by zero"
-        return PiScalar(other / self.value, -self.pigrade)
-
-    def __pow__(self, n):
-        assert isinstance(n, int)
-        if n < 0:
-            return 1 / self ** (-n)
-        out = PiScalar.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __add__(self, other):
-        # addition only makes sense inside a single pi-graded line
-        assert isinstance(other, PiScalar)
-        if self.value == 0:
-            return other
-        if other.value == 0:
-            return self
-        assert self.pigrade == other.pigrade, "mixed pi-grades"
-        return PiScalar(self.value + other.value, self.pigrade)
-
-    def __neg__(self):
-        return PiScalar(-self.value, self.pigrade)
-
-    def __eq__(self, other):
-        if isinstance(other, PiScalar):
-            return (self.value, self.pigrade) == (other.value, other.pigrade)
-        return self.pigrade == 0 and self.value == other
-
-    def __hash__(self):
-        return hash((self.value, self.pigrade))
-
-    def __repr__(self):
-        return f"PiScalar({self.value}, pi^{self.pigrade})"
-
-    def as_string(self):
-        """Serialization used by the CLI, e.g. '1/8*pi^-10'."""
-        if self.pigrade == 0:
-            return str(self.value)
-        return f"{self.value}*pi^{self.pigrade}"
+def _pi(value, k):
+    """The rational scalar value * pi^k."""
+    return ExactScalar.rational(value, pigrade=k)
 
 
 def gamma_plain(s):
     """Gamma(s) at a positive integer or positive half-odd-integer,
-    as an exact PiScalar (Gamma(1/2) = pi^(1/2))."""
+    as an exact scalar (Gamma(1/2) = pi^(1/2))."""
     s = Fraction(s)
-    assert s > 0, f"Gamma argument {s} not positive"
+    _check(s > 0, f"Gamma argument {s} not positive")
     if s.denominator == 1:
-        return PiScalar(factorial(s.numerator - 1))
-    assert s.denominator == 2
+        return ExactScalar.rational(factorial(s.numerator - 1))
+    _check(s.denominator == 2, f"Gamma argument {s} not half-integral")
     # Gamma(m + 1/2) = (2m)! / (4^m m!) * sqrt(pi)
     m = (s.numerator - 1) // 2
-    return PiScalar(Fraction(factorial(2 * m), 4 ** m * factorial(m)),
-                    Fraction(1, 2))
+    return _pi(Fraction(factorial(2 * m), 4 ** m * factorial(m)),
+               Fraction(1, 2))
 
 
 def gamma_R(s):
     """pi^(-s/2) Gamma(s/2) at a positive integer s."""
     s = Fraction(s)
-    assert s.denominator == 1 and s > 0
-    return PiScalar(1, -s / 2) * gamma_plain(s / 2)
+    _check(s.denominator == 1 and s > 0, f"Gamma_R argument {s}")
+    return _pi(1, -s / 2) * gamma_plain(s / 2)
 
 
 def gamma_C(s):
     """2 (2 pi)^(-s) Gamma(s) at a positive integer s."""
     s = Fraction(s)
-    assert s.denominator == 1 and s > 0
+    _check(s.denominator == 1 and s > 0, f"Gamma_C argument {s}")
     n = s.numerator
-    return PiScalar(Fraction(2 * factorial(n - 1), 2 ** n), -n)
+    return _pi(Fraction(2 * factorial(n - 1), 2 ** n), -n)
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +64,9 @@ class WeightTuple:
 
     def __init__(self, k, kp):
         k, kp = tuple(int(x) for x in k), tuple(int(x) for x in kp)
-        assert len(k) == 3 and len(kp) == 2
-        assert k[0] <= k[1] <= k[2], "k not weakly increasing"
-        assert kp[0] <= kp[1], "kp not weakly increasing"
+        _check(len(k) == 3 and len(kp) == 2, "need three k and two kp")
+        _check(k[0] <= k[1] <= k[2], "k not weakly increasing")
+        _check(kp[0] <= kp[1], "kp not weakly increasing")
         self.k, self.kp = k, kp
 
     def __eq__(self, other):
@@ -163,9 +87,9 @@ class HCParams:
     def __init__(self, lam, mu):
         lam = tuple(int(x) for x in lam)
         mu = tuple(Fraction(x) for x in mu)
-        assert len(lam) == 3 and len(mu) == 2
-        assert lam[0] > lam[1], "lam not descending"
-        assert all(m.denominator == 2 for m in mu), "mu not half-odd"
+        _check(len(lam) == 3 and len(mu) == 2, "need three lam and two mu")
+        _check(lam[0] > lam[1], "lam not descending")
+        _check(all(m.denominator == 2 for m in mu), "mu not half-odd")
         self.lam, self.mu = lam, mu
 
     def __eq__(self, other):
@@ -210,13 +134,13 @@ def einf_mq(w):
 
 def formal_degrees(arg):
     """Formal degree: for a pair mu returns (mu1 - mu2)/(4 pi) as a
-    PiScalar; for an integer n returns dim = n + 1."""
+    scalar; for an integer n returns dim = n + 1."""
     if isinstance(arg, int):
-        assert arg >= 0
+        _check(arg >= 0, f"negative dimension index {arg}")
         return arg + 1
     m1, m2 = (Fraction(x) for x in arg)
-    assert m1 > m2
-    return PiScalar(Fraction(m1 - m2, 4), -1)
+    _check(m1 > m2, "mu not descending")
+    return _pi((m1 - m2) / 4, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +158,7 @@ def arch_L(lam, mu, s, mode="rankin"):
     lam = tuple(Fraction(x) for x in lam)
     mu = tuple(Fraction(x) for x in mu)
     s = Fraction(s)
-    out = PiScalar.one()
+    out = ExactScalar.one()
     if mode == "rankin":
         for li in lam:
             for mj in mu:
@@ -271,7 +195,7 @@ def ratio_b1_closed(lam, mu):
     values times 2^(-3) (2 pi)^(6 - 2(lam3 - mu2))."""
     lam = tuple(Fraction(x) for x in lam)
     mu = tuple(Fraction(x) for x in mu)
-    out = PiScalar.one()
+    out = ExactScalar.one()
     for li in lam:
         for mj in mu:
             out = out * gamma_plain(Fraction(1, 2) + abs(li - mj))
@@ -280,9 +204,9 @@ def ratio_b1_closed(lam, mu):
             out = out / gamma_plain(1 + lam[i] - lam[j])
     out = out / gamma_plain(1 + mu[0] - mu[1])
     e = 6 - 2 * (lam[2] - mu[1])
-    assert e.denominator == 1
+    _check(e.denominator == 1, "lam3 - mu2 not half-integral")
     e = int(e)
-    return out * PiScalar(Fraction(2) ** e / 8, e)
+    return out * _pi(Fraction(2) ** e / 8, e)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +218,7 @@ def _interlace_data(lam, mu):
     interlaced pair: (lam, mu, n, nstars, b, c, k, kp)."""
     lam = tuple(int(x) for x in lam)
     mu = tuple(Fraction(x) for x in mu)
-    assert lam[0] > mu[0] > lam[1] >= lam[2] > mu[1], "interlacing violated"
+    _check(lam[0] > mu[0] > lam[1] >= lam[2] > mu[1], "interlacing violated")
     shift = lam[1]
     lam = tuple(x - shift for x in lam)
     mu = tuple(x - shift for x in mu)
@@ -302,17 +226,18 @@ def _interlace_data(lam, mu):
     n1 = lam[0] - lam[2] - 1
     n2 = mu[0] - mu[1] - 1
     n3 = lam[0] + lam[2] - mu[0] - mu[1] - 1
-    assert n2.denominator == 1 and n3.denominator == 1
+    _check(n2.denominator == 1 and n3.denominator == 1, "mu not half-odd")
     n = (n1, int(n2), int(n3))
     total = sum(n)
-    assert total % 2 == 0
+    _check(total % 2 == 0, "odd total degree")
     nstars = tuple(total // 2 - ni for ni in n)
-    assert min(n) >= 0 and min(nstars) >= 0
+    _check(min(n) >= 0 and min(nstars) >= 0, "negative degree")
 
     k = (-lam[0], -lam[1] - 1, 1 - lam[2])
     kp = (int(-mu[0] - Fraction(1, 2)), int(Fraction(1, 2) - mu[1]))
     b, c = -kp[0] - 1, kp[1] - 1
-    assert nstars[0] == kp[1] - k[2] and nstars[1] == kp[0] - k[0]
+    _check(nstars[0] == kp[1] - k[2] and nstars[1] == kp[0] - k[0],
+           "seesaw degrees disagree with the weights")
     return lam, mu, n, nstars, b, c, k, kp
 
 
@@ -334,12 +259,12 @@ def prop_b1_verify(lam, mu, use_haar=False):
     n1s = nstars[0]
     d_sigma = formal_degrees(mu)
 
-    total = PiScalar(0)
+    total = Fraction(0)
     for i in range(n1s + 1):
         for j in range(n1s + 1):
             if use_haar:
                 route_a, route_b = trilinear_value(n, i, j)
-                assert route_a == route_b
+                _check(route_a == route_b, "trilinear routes disagree")
                 val = route_a
             else:
                 def a_coef(t):
@@ -347,19 +272,19 @@ def prop_b1_verify(lam, mu, use_haar=False):
                                     comb(n[1], t) * comb(n[2], n1s - t))
                 val = (Fraction((-1) ** (i + j)) * a_coef(i) * a_coef(j)
                        / trilinear_norm(n))
-            total = total + PiScalar(
-                (-1) ** (i + j) * comb(n1s, i) * comb(n1s, j)) * PiScalar(val)
+            total += (-1) ** (i + j) * comb(n1s, i) * comb(n1s, j) * val
 
-    front = PiScalar(factorial(b) * factorial(c) * factorial(n[2])
-                     * (n[0] + 1)) / d_sigma \
+    front = ExactScalar.rational(factorial(b) * factorial(c) * factorial(n[2])
+                                 * (n[0] + 1)) / d_sigma \
         / (factorial(k[2] - 1) * factorial(-k[0] - 1))
     j_integral = front * total
 
     ell_k_pk = -k[0]  # dimension of the minimal K-type
-    lhs = j_integral / (PiScalar(4 ** n1s, 2 * n1s) * ell_k_pk)
+    lhs = j_integral / (_pi(4 ** n1s, 2 * n1s) * ell_k_pk)
 
     ratio = ratio_b1_direct(lam, mu)
-    assert ratio == ratio_b1_closed(lam, mu)
+    _check(ratio == ratio_b1_closed(lam, mu),
+           "central ratio: the two forms disagree")
     rhs = gamma_R(2) ** 2 * gamma_R(4) * ratio
     return lhs == rhs, lhs, rhs
 
@@ -367,7 +292,7 @@ def prop_b1_verify(lam, mu, use_haar=False):
 def i_inf(w, D=4):
     """The archimedean zeta-integral constant (-1)^m 2^(2 k3 - 2 k2') for
     discriminant D = 4, the one case where (2/|delta|)^m is rational."""
-    assert D == 4, "rational only for discriminant 4"
+    _check(D == 4, "rational only for discriminant 4")
     _, m = einf_mq(w)
     return Fraction((-1) ** m * 2 ** (2 * w.k[2]), 2 ** (2 * w.kp[1]))
 
@@ -383,7 +308,7 @@ def hc_ggp_seq(hc):
     entries = [(Fraction(hc.lam[0]), "+"), (Fraction(hc.lam[1]), "+"),
                (Fraction(hc.lam[2]), "-"),
                (hc.mu[0], "o+"), (hc.mu[1], "o-")]
-    assert len({v for v, _ in entries}) == 5, "tied parameters"
+    _check(len({v for v, _ in entries}) == 5, "tied parameters")
     entries.sort(key=lambda e: e[0], reverse=True)
     return SignedHCSeq(entries)
 

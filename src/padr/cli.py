@@ -33,6 +33,21 @@ def _parse_ints(s, n, label):
     return tuple(int(x) for x in parts)
 
 
+def _pi_string(x):
+    """A rational multiple of a power of pi as 'v*pi^k', or as 'v' when
+    k = 0 or v = 0, e.g. '1/8*pi^-10'."""
+    v = x.with_grades(pigrade=0).as_fraction()
+    return f"{v}*pi^{x.pigrade}" if v and x.pigrade else str(v)
+
+
+def _satake_chars(p, data, key, n):
+    vals = data.get(key) if isinstance(data, dict) else None
+    if not isinstance(vals, list) or len(vals) != n:
+        raise click.UsageError(f"--satake needs a list of {n} values "
+                               f"under {key!r}")
+    return tuple(PadicChar.unramified(p, _parse_fraction(u)) for u in vals)
+
+
 def _emit(report, fmt):
     if fmt == "json":
         click.echo(json.dumps(report, indent=2, sort_keys=False))
@@ -92,10 +107,8 @@ def interp(p, weights, kp, satake, fmt):
                 data = json.loads(satake)
             except json.JSONDecodeError as exc:
                 raise click.UsageError(f"bad --satake: {exc}")
-    pi_chars = tuple(PadicChar.unramified(p, _parse_fraction(u))
-                     for u in data["pi"])
-    sigma = tuple(PadicChar.unramified(p, _parse_fraction(u))
-                  for u in data["sigma"])
+    pi_chars = _satake_chars(p, data, "pi", 3)
+    sigma = _satake_chars(p, data, "sigma", 2)
 
     hc, xcrit, ycrit = arch.hc_from_weights(w)
     root, m_q = arch.einf_mq(w)
@@ -105,7 +118,7 @@ def interp(p, weights, kp, satake, fmt):
         "E_adjoint": plocal.adjoint_modified(sigma).serialize(),
         "E_inf": root,
         "m_Q": m_q,
-        "Gamma_VQ": arch.gamma_vq(w).as_string(),
+        "Gamma_VQ": _pi_string(arch.gamma_vq(w)),
         "criticality": {"x_critical": xcrit, "y_critical": ycrit},
     }
     try:
@@ -130,7 +143,7 @@ def _ident(name, ok, detail=None):
     return out
 
 
-def suite_gauss(p, rng):
+def suite_gauss(p):
     out = []
     for e in range(1, p - 1):
         chi = PadicChar(p, 1, 1, e)
@@ -195,7 +208,7 @@ def suite_tate(p, rng, count=50):
     return out
 
 
-def suite_thm81(p, ell, rng):
+def suite_thm81(p, ell):
     out = []
     chars = tuple(PadicChar.unramified(p, u) for u in (2, 1, 3))
     sigmas = [
@@ -212,7 +225,7 @@ def suite_thm81(p, ell, rng):
     return out
 
 
-def suite_trilinear(rng):
+def suite_trilinear():
     from padr.repalg import (do_binomial_sum, p_invariant, pair_ell,
                              trilinear_norm, trilinear_value)
     out = []
@@ -230,7 +243,7 @@ def suite_trilinear(rng):
     return out
 
 
-def suite_propb1(rng, lam1_max=3):
+def suite_propb1(lam1_max=3):
     out = []
     for l1 in range(1, lam1_max + 1):
         for l3 in range(-3, 1):
@@ -241,7 +254,7 @@ def suite_propb1(rng, lam1_max=3):
                     ok, lhs, rhs = arch.prop_b1_verify((l1, 0, l3), (m1, m2))
                     out.append(_ident(
                         f"assembly lam=({l1},0,{l3}) mu=({m1},{m2})", ok,
-                        {"lhs": lhs.as_string(), "rhs": rhs.as_string()}))
+                        {"lhs": _pi_string(lhs), "rhs": _pi_string(rhs)}))
                     m2 -= 1
                 m1 += 1
     return out
@@ -298,7 +311,7 @@ def suite_diffops(rng):
     return out
 
 
-def suite_measures(p, prec_t, prec_p, rng):
+def suite_measures(p, prec_t, rng):
     out = []
     for t in range(20):
         pts = [(rng.randint(0, prec_t), Fraction(rng.randint(-3, 3)))
@@ -330,48 +343,41 @@ def suite_measures(p, prec_t, prec_p, rng):
     return out
 
 
-_SUITES = ["gauss", "fourier", "tate", "thm81", "trilinear", "propb1",
-           "diffops", "measures"]
+#: suite name -> (suite function, the verify parameters it takes, in order)
+_SUITES = {
+    "gauss": (suite_gauss, ("p",)),
+    "fourier": (suite_fourier, ("p", "rng")),
+    "tate": (suite_tate, ("p", "rng")),
+    "thm81": (suite_thm81, ("p", "ell")),
+    "trilinear": (suite_trilinear, ()),
+    "propb1": (suite_propb1, ()),
+    "diffops": (suite_diffops, ("rng",)),
+    "measures": (suite_measures, ("p", "prec_t", "rng")),
+}
 
 
-def _run_suite(name, p, ell, prec_t, prec_p, seed):
-    rng = random.Random(seed)
-    if name == "gauss":
-        idents = suite_gauss(p, rng)
-    elif name == "fourier":
-        idents = suite_fourier(p, rng)
-    elif name == "tate":
-        idents = suite_tate(p, rng)
-    elif name == "thm81":
-        idents = suite_thm81(p, ell, rng)
-    elif name == "trilinear":
-        idents = suite_trilinear(rng)
-    elif name == "propb1":
-        idents = suite_propb1(rng)
-    elif name == "diffops":
-        idents = suite_diffops(rng)
-    elif name == "measures":
-        idents = suite_measures(p, prec_t, prec_p, rng)
-    else:  # pragma: no cover - guarded by click.Choice
-        raise click.UsageError(f"unknown suite {name!r}")
+def _run_suite(name, seed, params):
+    fn, names = _SUITES[name]
+    args = dict(params, rng=random.Random(seed))
+    idents = fn(*(args[n] for n in names))
     passed = sum(1 for i in idents if i["ok"])
     return {"suite": name, "seed": seed, "identities": idents,
             "passed": passed, "failed": len(idents) - passed}
 
 
 @main.command()
-@click.argument("suite", type=click.Choice(_SUITES + ["all"]))
+@click.argument("suite", type=click.Choice(list(_SUITES) + ["all"]))
 @click.option("--p", type=int, default=3, show_default=True)
 @click.option("--ell", type=int, default=3, show_default=True)
 @click.option("--prec-T", "prec_t", type=int, default=8, show_default=True)
-@click.option("--prec-p", "prec_p", type=int, default=0, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]),
               default="json", show_default=True)
-def verify(suite, p, ell, prec_t, prec_p, seed, fmt):
+def verify(suite, p, ell, prec_t, seed, fmt):
     """Run a named identity battery; exit 0 only if every identity holds."""
-    names = _SUITES if suite == "all" else [suite]
-    reports = [_run_suite(n, p, ell, prec_t, prec_p, seed) for n in names]
+    names = list(_SUITES) if suite == "all" else [suite]
+    params = {"p": p, "ell": ell, "prec_t": prec_t}
+    reports = [_run_suite(n, seed, params) for n in names]
     report = reports[0] if len(reports) == 1 else {"suites": reports}
     _emit(report, fmt)
     if any(r["failed"] for r in reports):

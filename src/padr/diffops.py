@@ -19,12 +19,7 @@ rational-function identity, never numerically.
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-
-def _check(ok, what):
-    """Raise AssertionError(what) unless ok; unlike assert, this also runs
-    under python -O, so an identity check cannot pass by being skipped."""
-    if not ok:
-        raise AssertionError(what)
+from padr.exactnum import _check
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +189,12 @@ class SymPoly:
 
     def __init__(self, D, coeffs=None):
         self.D = D
-        out = {}
+        self.coeffs = {}
         for e, c in (coeffs or {}).items():
             if not isinstance(c, QiD):
                 c = QiD(D, c)
             if not c.is_zero():
-                out[e] = out.get(e, QiD(D)) + c if e in out else c
-        self.coeffs = {e: c for e, c in out.items() if not c.is_zero()}
+                self.coeffs[e] = c
 
     @staticmethod
     def const(D, c):
@@ -215,7 +209,7 @@ class SymPoly:
     def __add__(self, other):
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, QiD(self.D)) + c
+            out[e] = out[e] + c if e in out else c
         return SymPoly(self.D, out)
 
     def __sub__(self, other):
@@ -226,15 +220,14 @@ class SymPoly:
 
     def __mul__(self, other):
         if isinstance(other, (QiD, int, Fraction)):
-            return SymPoly(self.D,
-                           {e: c * QiD(self.D)._coerce(other)
-                            for e, c in self.coeffs.items()})
+            k = QiD(self.D)._coerce(other)
+            return SymPoly(self.D, {e: c * k for e, c in self.coeffs.items()})
         out = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
                 v = c1 * c2
-                out[e] = out.get(e, QiD(self.D)) + v
+                out[e] = out[e] + v if e in out else v
         return SymPoly(self.D, out)
 
     __rmul__ = __mul__
@@ -294,7 +287,7 @@ class SymPoly:
             out[e] = q
             for fe, c in f.coeffs.items():
                 k = tuple(a + b for a, b in zip(e, fe))
-                v = rem.get(k, QiD(self.D)) - q * c
+                v = rem[k] - q * c if k in rem else -(q * c)
                 if v.is_zero():
                     rem.pop(k, None)
                 else:
@@ -458,19 +451,6 @@ class RF:
         return f"RF({self.num}/{self.fac})"
 
 
-def poly_compose(poly, args):
-    """Evaluate a SymPoly at four RF arguments."""
-    D = poly.D
-    total = RF.const(D, 0)
-    for e, c in poly.coeffs.items():
-        term = RF.const(D, c)
-        for idx, power in enumerate(e):
-            for _ in range(power):
-                term = term * args[idx]
-        total = total + term
-    return total
-
-
 # ---------------------------------------------------------------------------
 # matrices over QiD / RF
 # ---------------------------------------------------------------------------
@@ -515,8 +495,8 @@ def gen_n(D, w, z):
     """Unipotent generator n(w, z): w in Q(sqrt(-D)), z rational."""
     w = QiD(D)._coerce(w)
     z = QiD(D)._coerce(z)
-    assert w.b == w.c == 0, "w not in the quadratic field"
-    assert z.is_rational()
+    _check(w.b == w.c == 0, "w not in the quadratic field")
+    _check(z.is_rational(), "z not rational")
     d = qdelta(D)
     o = QiD(D, 1)
     zr = QiD(D)
@@ -530,7 +510,7 @@ def gen_m(D, a, b=1):
     requires b of norm one."""
     a = QiD(D)._coerce(a)
     b = QiD(D)._coerce(b)
-    assert (b * b.conj()) == 1, "b not norm one"
+    _check(b * b.conj() == 1, "b not norm one")
     zr = QiD(D)
     return [[a, zr, zr], [zr, b, zr],
             [zr, zr, a.conj().inverse() * b * b.conj()]]
@@ -868,7 +848,7 @@ class HeisenbergElt:
     def __init__(self, D, w, z, phase=0):
         self.D = D
         self.w = QiD(D)._coerce(w)
-        assert self.w.b == self.w.c == 0, "w not in the quadratic field"
+        _check(self.w.b == self.w.c == 0, "w not in the quadratic field")
         self.z = Fraction(z)
         self.phase = Fraction(phase) % 2
 
@@ -976,10 +956,10 @@ class QRExpansion:
 def maass_shimura(f, k, nu):
     """delta_k^nu f = sum_a binom(nu, a) Gamma(nu+k)/Gamma(a+k)
     (-1)^(a-nu) r^(nu-a) ((2 pi i)^(-1) d/dz)^a f."""
-    assert nu >= 0
+    _check(nu >= 0, "negative raising order")
     out = QRExpansion()
     for a in range(nu + 1):
-        assert a + k > 0, "non-positive Gamma argument"
+        _check(a + k > 0, "non-positive Gamma argument")
         ratio = 1
         for j in range(a + k, nu + k):
             ratio *= j
@@ -995,7 +975,7 @@ def d4_scaling_constant(i, n, k, D=4):
     """The component rescaling constant (-i)^(i + 2 k1 + k2) / (-2)^n *
     sqrt(2/|delta|)^(n - k2 + i); rational times a power of i only when
     D = 4 (where sqrt(2/|delta|) = 1)."""
-    assert D == 4, "irrational scaling outside discriminant 4"
+    _check(D == 4, "irrational scaling outside discriminant 4")
     k1, k2, _ = k
     mi = QiD(4, 0, -1)
     out = QiD(4, 1)

@@ -4,7 +4,11 @@ Scalars live in Q, in a cyclotomic field Q(zeta_N), or in the quadratic
 tower Q(i, sqrtD).  Every scalar additionally carries two formal grades:
 a q-grade h (a formal factor q^(h/2)) and a pi-grade k (a formal factor
 pi^k).  Multiplication adds grades; addition insists on equal grades,
-except that an exact zero is grade-polymorphic.
+except that an exact zero is grade-polymorphic.  The q-grade is an
+integer.  The pi-grade is an integer or a half-integer, since
+Gamma(1/2) = pi^(1/2): an integral grade is stored as a plain int, a
+half-integral one as a Fraction, and any other value raises ValueError.
+The archimedean Gamma factors are rational scalars with such grades.
 
 Representation.  A scalar is a tuple of integer numerators ``nums`` over
 one denominator ``den``, in the basis of its kind:
@@ -135,6 +139,26 @@ class GradeError(ArithmeticError):
     """Raised when adding scalars whose formal grades disagree."""
 
 
+def _check(ok, what):
+    """Raise AssertionError(what) unless ok; unlike assert, this also runs
+    under python -O, so an identity check cannot pass by being skipped."""
+    if not ok:
+        raise AssertionError(what)
+
+
+def _pigrade(k):
+    """A pi-grade as a plain int, or as a Fraction when it is half-odd;
+    any other value raises ValueError."""
+    if type(k) is int:
+        return k
+    k = Fraction(k)
+    if k.denominator == 1:
+        return k.numerator
+    if k.denominator != 2:
+        raise ValueError(f"pi-grade {k} is not a half-integer")
+    return k
+
+
 def _as_fraction(x):
     if isinstance(x, Fraction):
         return x
@@ -170,7 +194,7 @@ class ExactScalar:
         # over the lcm of reduced denominators the numerators are coprime
         den = math.lcm(*(c.denominator for c in coeffs))
         nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
-        _init(self, kind, nums, den, N, D, int(qgrade), int(pigrade))
+        _init(self, kind, nums, den, N, D, int(qgrade), _pigrade(pigrade))
 
     def __setattr__(self, *a):
         raise AttributeError("ExactScalar is immutable")
@@ -186,11 +210,12 @@ class ExactScalar:
     @staticmethod
     def rational(x, qgrade=0, pigrade=0):
         if type(x) is int:
-            return _build("rat", (x,), 1, None, None, int(qgrade), int(pigrade))
+            return _build("rat", (x,), 1, None, None, int(qgrade),
+                          _pigrade(pigrade))
         if type(x) is not Fraction:
             x = Fraction(x)
         return _build("rat", (x.numerator,), x.denominator, None, None,
-                      int(qgrade), int(pigrade))
+                      int(qgrade), _pigrade(pigrade))
 
     @staticmethod
     def zeta(N, k=1):
@@ -254,7 +279,7 @@ class ExactScalar:
     def with_grades(self, qgrade=None, pigrade=None):
         return _build(self.kind, self.nums, self.den, self.N, self.D,
                       self.qgrade if qgrade is None else int(qgrade),
-                      self.pigrade if pigrade is None else int(pigrade))
+                      self.pigrade if pigrade is None else _pigrade(pigrade))
 
     # -- promotion -----------------------------------------------------
 
@@ -347,6 +372,8 @@ class ExactScalar:
         other = _coerce(other)
         qg = self.qgrade + other.qgrade
         pg = self.pigrade + other.pigrade
+        if type(pg) is not int:
+            pg = _pigrade(pg)
         den = self.den * other.den
         # a rational factor scales the other's numerators: no promotion
         if other.kind == "rat":
@@ -680,7 +707,7 @@ def _parse_scalar(s: str) -> ExactScalar:
         if tail.startswith("q:"):
             qg = int(tail[2:])
         elif tail.startswith("pi:"):
-            pg = int(tail[3:])
+            pg = _pigrade(tail[3:])
         else:
             raise ValueError(f"bad grade annotation: @{tail}")
         s = s.strip()

@@ -19,8 +19,8 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import (ExactScalar, LaurentRF, _coerce, euler_phi,
-                       root_of_unity_sum, sqrt_prime)
+from .exactnum import (ExactScalar, GradeError, LaurentRF, _coerce,
+                       euler_phi, root_of_unity_sum, sqrt_prime)
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +173,6 @@ class PadicChar:
 
     def at_minus_one(self) -> ExactScalar:
         return self.value_unit(-1)
-
-    @property
-    def is_ramified(self):
-        return self.c > 0
 
     def is_trivial(self):
         return self.c == 0 and self.u == ExactScalar.one()
@@ -371,7 +367,10 @@ def zeta_local(p: int, k: int) -> Fraction:
 
 def realize_grades(x: ExactScalar, p: int) -> ExactScalar:
     """Fold formal grades into the value: q^(h/2) -> sqrt_prime(p)^h and
-    pi^k -> p^k."""
+    pi^k -> p^k.  A half-integral pi-grade has no rational value and
+    raises GradeError."""
+    if type(x.pigrade) is not int:
+        raise GradeError(f"pi-grade {x.pigrade} of {x} is not integral")
     out = x.with_grades(qgrade=0, pigrade=0)
     if x.qgrade:
         out = out * sqrt_prime(p) ** x.qgrade

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import pytest
 from click.testing import CliRunner
 
+import padr
 from padr import plocal
 from padr.cli import main
 from padr.plocal import PadicChar
@@ -10,6 +15,13 @@ from padr.plocal import PadicChar
 
 def run(*args):
     return CliRunner().invoke(main, list(args))
+
+
+def run_python(*args):
+    """python with these arguments, in a subprocess that imports this padr."""
+    src = os.path.dirname(os.path.dirname(padr.__file__))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
 
 
 class TestVerify:
@@ -69,6 +81,8 @@ class TestInterp:
         assert report["Gamma_VQ"] == "1/8*pi^-10"
         assert report["criticality"] == {"x_critical": True,
                                          "y_critical": True}
+        # lam2 = lam3 = -1 tie, so the branching test does not apply
+        assert report["ggp"] == "degenerate"
         pi = tuple(PadicChar.unramified(5, u) for u in (2, 1, 3))
         sigma = (PadicChar.unramified(5, 5),
                  PadicChar.unramified(5, Fraction(1, 2)))
@@ -91,6 +105,20 @@ class TestInterp:
         res = run("interp", "--satake", data)
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("data", [
+        {"pi": ["1"]},
+        {"sigma": ["5", "1/2"]},
+        {"pi": ["2", "1", "3"]},
+        {"pi": ["2", "1", "3", "4"], "sigma": ["5", "1/2"]},
+        {"pi": ["2", "1", "3"], "sigma": ["5"]},
+        {"pi": "213", "sigma": ["5", "1/2"]},
+        ["2", "1", "3"],
+    ])
+    def test_malformed_satake_shape(self, data):
+        res = run("interp", "--satake", json.dumps(data))
+        assert res.exit_code == 2
+        assert "--satake" in res.output
+
     def test_malformed_weights(self):
         res = run("interp", "--weights", "1,2")
         assert res.exit_code == 2
@@ -106,3 +134,15 @@ class TestInterp:
         res = run("interp", "--format", "text")
         assert res.exit_code == 0
         assert "Gamma_VQ: 1/8*pi^-10" in res.output
+
+    @pytest.mark.parametrize("args, code", [
+        ([], 0),
+        (["--weights", "0,0,1", "--kp", "1,1"], 0),
+        (["--weights", "1,0,2"], 2),
+    ])
+    def test_same_under_dash_O(self, args, code):
+        # the arch validators and the ggp degeneracy check are no asserts
+        plain = run_python("-m", "padr.cli", "interp", *args)
+        opt = run_python("-O", "-m", "padr.cli", "interp", *args)
+        assert plain.returncode == opt.returncode == code
+        assert (opt.stdout, opt.stderr) == (plain.stdout, plain.stderr)

@@ -114,16 +114,17 @@ class TestQiD:
             QiD(3, 1) == QiD(4, 1)
 
     def test_checks_survive_dash_O(self):
-        code = ("from padr.diffops import QiD\n"
+        code = ("from padr.diffops import QiD, gen_m\n"
                 "print(QiD(3) == None)\n"
                 "for f in (lambda: QiD(3, 1) == QiD(4, 1),\n"
                 "          lambda: QiD(3, 1) / QiD(3),\n"
-                "          lambda: QiD(4, 2, 0, -1).inverse()):\n"
+                "          lambda: QiD(4, 2, 0, -1).inverse(),\n"
+                "          lambda: gen_m(3, QiD(3, 2), QiD(3, 2))):\n"
                 "    try:\n"
                 "        f()\n"
                 "    except AssertionError:\n"
                 "        print('raised')\n")
-        assert _run_dash_O(code) == ["False", "raised", "raised", "raised"]
+        assert _run_dash_O(code) == ["False"] + ["raised"] * 4
 
 
 def _run_dash_O(code):

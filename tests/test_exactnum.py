@@ -73,6 +73,30 @@ class TestCycloArith:
         assert (a * b).pigrade == 1
         assert (a / b).pigrade == -5
 
+    def test_half_integral_pigrade(self):
+        h = E.rational(1, pigrade=Fraction(1, 2))
+        assert h.pigrade == Fraction(1, 2)
+        assert h.serialize() == "1 @pi:1/2"
+        assert (h * E.rational(3, pigrade=Fraction(-3, 2))).pigrade == -1
+        # an integral grade is a plain int, also when halves add up to it
+        sq = h * h
+        assert sq == E.rational(1, pigrade=1)
+        assert type(sq.pigrade) is int
+        assert type(E.rational(1, pigrade=Fraction(4, 2)).pigrade) is int
+        assert (h / h).pigrade == 0 and h / h == 1
+        assert h + h == E.rational(2, pigrade=Fraction(1, 2))
+        with pytest.raises(GradeError):
+            h + E.one()
+
+    @pytest.mark.parametrize("bad", [Fraction(1, 3), Fraction(5, 4), "1/6"])
+    def test_non_half_integral_pigrade_rejected(self, bad):
+        with pytest.raises(ValueError):
+            E.rational(1, pigrade=bad)
+        with pytest.raises(ValueError):
+            E.one().with_grades(pigrade=bad)
+        with pytest.raises(ValueError):
+            E.parse(f"1 @pi:{bad}")
+
 
 class TestConjugate:
     def test_zeta8(self):
@@ -110,7 +134,8 @@ class TestConjugate:
 class TestSerialization:
     CASES = ["3/4", "-2", "1/2*z8^3", "(1+i*sqrt5)/2 @q:1 @pi:-2",
              "0", "1", "2*z5^1-1*z5^3", "1*z8^5", "1*z4^1+1*z3^1",
-             "z8^3-1/2", "3/4*z12^2+-1*z12^1 @q:-1"]
+             "z8^3-1/2", "3/4*z12^2+-1*z12^1 @q:-1", "3/4 @pi:1/2",
+             "-2*z5^1 @pi:-7/2"]
 
     def test_round_trip(self):
         for s in self.CASES:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from padr.exactnum import ExactScalar as E, LaurentRF, sqrt_prime
+from padr.exactnum import ExactScalar as E, GradeError, LaurentRF, sqrt_prime
 from padr.plocal import (
     GL3Vector,
     PadicChar,
@@ -347,6 +347,13 @@ class TestUpEigenvalues:
         chars = tuple(unram(5, u) for u in (2, 7, 11))
         ev = up_eigenvalues(chars, 3, 1, "alpha")
         assert realize_grades(ev, 5) == E.rational(Fraction(5, 2))
+
+    def test_half_integral_pigrade_not_realized(self):
+        # p^(1/2) is not rational: no float may stand in for it
+        with pytest.raises(GradeError):
+            realize_grades(E.rational(2, pigrade=Fraction(1, 2)), 5)
+        assert realize_grades(E.rational(2, pigrade=-1), 5) == \
+            E.rational(Fraction(2, 5))
 
     def test_beta_example(self):
         chars = (unram(5, 7), unram(5, 3))
