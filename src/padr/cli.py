@@ -7,6 +7,7 @@ identities and exits 0 only when every identity holds.
 """
 
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -31,6 +32,11 @@ def _parse_ints(s, n, label):
     if len(parts) != n or not all(x.lstrip("-").isdigit() for x in parts):
         raise click.UsageError(f"{label} must be {n} comma-separated integers")
     return tuple(int(x) for x in parts)
+
+
+def _check_prime(p):
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise click.UsageError(f"--p must be a prime, got {p}")
 
 
 def _pi_string(x):
@@ -90,6 +96,7 @@ def main():
               default="json", show_default=True)
 def interp(p, weights, kp, satake, fmt):
     """Assemble the local interpolation factors for one configuration."""
+    _check_prime(p)
     k = _parse_ints(weights, 3, "--weights")
     kprime = _parse_ints(kp, 2, "--kp")
     try:
@@ -376,6 +383,17 @@ def _run_suite(name, seed, params):
 def verify(suite, p, ell, prec_t, seed, fmt):
     """Run a named identity battery; exit 0 only if every identity holds."""
     names = list(_SUITES) if suite == "all" else [suite]
+    used = {n for name in names for n in _SUITES[name][1]}
+    if "p" in used:
+        _check_prime(p)
+    if p == 2 and {"gauss", "thm81"} & set(names):
+        raise click.UsageError("gauss and thm81 need an odd prime --p")
+    # thm81's conductor-1 case needs ell >= n + n' = 2
+    if "ell" in used and ell < 2:
+        raise click.UsageError(f"--ell must be at least 2, got {ell}")
+    # the Mellin moments of the measures suite go up to T^3
+    if "prec_t" in used and prec_t < 3:
+        raise click.UsageError(f"--prec-T must be at least 3, got {prec_t}")
     params = {"p": p, "ell": ell, "prec_t": prec_t}
     reports = [_run_suite(n, seed, params) for n in names]
     report = reports[0] if len(reports) == 1 else {"suites": reports}

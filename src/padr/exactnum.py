@@ -146,6 +146,16 @@ def _check(ok, what):
         raise AssertionError(what)
 
 
+def _qgrade(k):
+    """A q-grade as a plain int; any other value raises ValueError."""
+    if type(k) is int:
+        return k
+    k = Fraction(k)
+    if k.denominator != 1:
+        raise ValueError(f"q-grade {k} is not an integer")
+    return k.numerator
+
+
 def _pigrade(k):
     """A pi-grade as a plain int, or as a Fraction when it is half-odd;
     any other value raises ValueError."""
@@ -194,7 +204,7 @@ class ExactScalar:
         # over the lcm of reduced denominators the numerators are coprime
         den = math.lcm(*(c.denominator for c in coeffs))
         nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
-        _init(self, kind, nums, den, N, D, int(qgrade), _pigrade(pigrade))
+        _init(self, kind, nums, den, N, D, _qgrade(qgrade), _pigrade(pigrade))
 
     def __setattr__(self, *a):
         raise AttributeError("ExactScalar is immutable")
@@ -210,12 +220,12 @@ class ExactScalar:
     @staticmethod
     def rational(x, qgrade=0, pigrade=0):
         if type(x) is int:
-            return _build("rat", (x,), 1, None, None, int(qgrade),
+            return _build("rat", (x,), 1, None, None, _qgrade(qgrade),
                           _pigrade(pigrade))
         if type(x) is not Fraction:
             x = Fraction(x)
         return _build("rat", (x.numerator,), x.denominator, None, None,
-                      int(qgrade), _pigrade(pigrade))
+                      _qgrade(qgrade), _pigrade(pigrade))
 
     @staticmethod
     def zeta(N, k=1):
@@ -278,7 +288,7 @@ class ExactScalar:
 
     def with_grades(self, qgrade=None, pigrade=None):
         return _build(self.kind, self.nums, self.den, self.N, self.D,
-                      self.qgrade if qgrade is None else int(qgrade),
+                      self.qgrade if qgrade is None else _qgrade(qgrade),
                       self.pigrade if pigrade is None else _pigrade(pigrade))
 
     # -- promotion -----------------------------------------------------
@@ -705,7 +715,7 @@ def _parse_scalar(s: str) -> ExactScalar:
         s, _, tail = s.rpartition("@")
         tail = tail.strip()
         if tail.startswith("q:"):
-            qg = int(tail[2:])
+            qg = _qgrade(tail[2:])
         elif tail.startswith("pi:"):
             pg = _pigrade(tail[3:])
         else:

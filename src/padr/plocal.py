@@ -19,7 +19,7 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import (ExactScalar, GradeError, LaurentRF, _coerce,
+from .exactnum import (ExactScalar, GradeError, LaurentRF, _check, _coerce,
                        euler_phi, root_of_unity_sum, sqrt_prime)
 
 
@@ -398,54 +398,91 @@ class SchwartzFn:
 
     @staticmethod
     def _canonical(p, terms):
-        terms = [(Fraction(a), int(k), _coerce(c)) for a, k, c in terms]
-        terms = [(a, k, c) for a, k, c in terms if not c.is_zero()]
-        if not terms:
-            return ()
-        m = max(k for _, k, _ in terms)
-        fine = {}
+        """The maximal balls on which the function is constant and non-zero,
+        sorted by level, then by centre; each centre is the element of
+        Z[1/p] in [0, p^k) of its ball.
+
+        One scale D puts every centre and every radius in p^(-D) Z_p, so the
+        ball a + p^k Z_p is the key (k, r), r the residue of a p^D mod
+        p^(k+D).  Coefficients are summed per key; only the ancestors of the
+        keys are split into their p children, carrying the running sum down;
+        then complete families of p equal siblings merge bottom-up.
+        """
+        live = []
+        D = 0
         for a, k, c in terms:
-            step = Fraction(p) ** k
-            for t in range(p ** (m - k)):
-                key = frac_mod(a + t * step, Fraction(p) ** m)
-                fine[key] = fine.get(key, ExactScalar.zero()) + c
-        levels = {m: {a: c for a, c in fine.items() if not c.is_zero()}}
+            c = _coerce(c)
+            if c.is_zero():
+                continue
+            if type(a) is not Fraction and type(a) is not int:
+                a = Fraction(a)
+            k = int(k)
+            num, den, e = a.numerator, a.denominator, 0
+            while den % p == 0:
+                den //= p
+                e += 1
+            live.append((num, den, e, k, c))
+            D = max(D, e, -k)
+        own = {}
+        for num, den, e, k, c in live:
+            q = p ** (k + D)
+            key = (k, num * p ** (D - e) * pow(den, -1, q) % q)
+            own[key] = own[key] + c if key in own else c
+        own = {key: c for key, c in own.items() if not c.is_zero()}
+        if not own:
+            return ()
+        # the ancestors of the keys, up to the coarsest level among them
+        top = min(k for k, _ in own)
+        inner = set()
+        for k, r in own:
+            while k > top:
+                k -= 1
+                r %= p ** (k + D)
+                if (k, r) in inner:
+                    break
+                inner.add((k, r))
+        # split the inner nodes; every other node is a ball of constancy
+        leaves = {}
+        todo = [(key, own.get(key)) for key in own.keys() | inner
+                if key[0] == top]
+        while todo:
+            (k, r), v = todo.pop()
+            if (k, r) not in inner:
+                if v is not None and not v.is_zero():
+                    leaves.setdefault(k, {})[r] = v
+                continue
+            step = p ** (k + D)
+            for j in range(p):
+                child = (k + 1, r + j * step)
+                c = own.get(child)
+                todo.append((child, v if c is None else
+                             c if v is None else v + c))
         # merge complete equal families of p siblings into coarser balls
-        level = m
-        while levels.get(level):
-            cur = levels[level]
-            coarse_step = Fraction(p) ** (level - 1)
-            groups = {}
-            for a, c in cur.items():
-                groups.setdefault(frac_mod(a, coarse_step), []).append((a, c))
-            merged = {}
-            rest = {}
-            for base, members in groups.items():
-                if len(members) == p and all(
-                        members[0][1] == c for _, c in members[1:]):
-                    merged[base] = members[0][1]
-                else:
-                    for a, c in members:
-                        rest[a] = c
-            levels[level] = rest
-            if merged:
-                lower = levels.setdefault(level - 1, {})
-                for a, c in merged.items():
-                    assert a not in lower
-                    lower[a] = c
-                level -= 1
-            elif not rest:
-                del levels[level]
-                level -= 1
-            else:
-                break
         out = []
-        for k in sorted(levels):
-            for a in sorted(levels[k].keys()):
-                c = levels[k][a]
-                if not c.is_zero():
-                    out.append((a, k, c))
-        return tuple(out)
+        merged = {}
+        level = max(leaves, default=top - 1)
+        while level >= top or merged:
+            cur = leaves.get(level, {})
+            cur.update(merged)
+            merged = {}
+            if level + D == 0:
+                # p^(-D) Z_p holds the whole support: it has no siblings
+                out.extend((level, r, c) for r, c in cur.items())
+                break
+            mod = p ** (level - 1 + D)
+            groups = {}
+            for r, c in cur.items():
+                groups.setdefault(r % mod, []).append((r, c))
+            for base, members in groups.items():
+                c0 = members[0][1]
+                if len(members) == p and all(c0 == c for _, c in members[1:]):
+                    merged[base] = c0
+                else:
+                    out.extend((level, r, c) for r, c in members)
+            level -= 1
+        out.sort()  # the keys (level, r) are distinct
+        scale = p ** D
+        return tuple((Fraction(r, scale), k, c) for k, r, c in out)
 
     # -- constructors ------------------------------------------------------
 
@@ -1124,13 +1161,13 @@ def gl2_up_oracle(phi2: SchwartzFn, chars2) -> ExactScalar:
             b = Fraction(unit) * Fraction(p) ** v
             w = w_val(b)
             if w.is_zero():
-                assert (coset_sum(b) * w_val(p * b)).is_zero(), \
-                    "support leaked under the operator"
+                _check((coset_sum(b) * w_val(p * b)).is_zero(),
+                       "support leaked under the operator")
                 continue
             r = coset_sum(b) * w_val(p * b) / w
             if ratio is None:
                 ratio = r
             else:
-                assert r == ratio, "non-constant eigenvalue ratio"
-    assert ratio is not None, "empty support"
+                _check(r == ratio, "non-constant eigenvalue ratio")
+    _check(ratio is not None, "empty support")
     return ratio

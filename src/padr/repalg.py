@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .exactnum import solve_linear
+from .exactnum import _check, solve_linear
 
 
 # ---------------------------------------------------------------------------
@@ -421,12 +421,13 @@ def wp_compare(P: BiPoly, Q: BiPoly):
     against Q to the degree-(b+c) pairing of the two substituted images.
     The magnitude must be b! c!; the sign is reported, not asserted."""
     b, c = P.b, P.c
-    assert (Q.b, Q.c) == (c, b)
+    _check((Q.b, Q.c) == (c, b), "bidegree mismatch")
     lhs = bipoly_pair(bipoly_project(P), Q)
     rhs = pair_ell(bipoly_wp(P), bipoly_wp(Q))
-    assert rhs != 0, "degenerate pair"
+    _check(rhs != 0, "degenerate pair")
     ratio = lhs / rhs
-    assert abs(ratio) == factorial(b) * factorial(c), f"bad magnitude {ratio}"
+    _check(abs(ratio) == factorial(b) * factorial(c),
+           f"bad magnitude {ratio}")
     return ratio
 
 
@@ -451,9 +452,10 @@ class SignedHCSeq:
 
     def __init__(self, entries):
         entries = [(Fraction(v), t) for v, t in entries]
-        assert all(t in _GGP_TAGS for _, t in entries), "malformed tag"
-        assert all(entries[k][0] > entries[k + 1][0]
-                   for k in range(len(entries) - 1)), "not strictly descending"
+        _check(all(t in _GGP_TAGS for _, t in entries), "malformed tag")
+        _check(all(entries[k][0] > entries[k + 1][0]
+                   for k in range(len(entries) - 1)),
+               "not strictly descending")
         self.entries = tuple(entries)
 
     def tags(self):

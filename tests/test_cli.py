@@ -70,6 +70,37 @@ class TestVerify:
         assert [f.name for f in tmp_path.iterdir()] == ["gauss_sums.json"]
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("args, message", [
+        (["interp", "--p", "4"], "--p must be a prime, got 4"),
+        (["interp", "--p", "9"], "--p must be a prime, got 9"),
+        (["verify", "gauss", "--p", "2"], "odd prime"),
+        (["verify", "thm81", "--p", "2"], "odd prime"),
+        (["verify", "all", "--p", "2"], "odd prime"),
+        (["verify", "gauss", "--p", "9"], "--p must be a prime, got 9"),
+        (["verify", "thm81", "--ell", "0"], "--ell must be at least 2"),
+        (["verify", "thm81", "--ell", "1"], "--ell must be at least 2"),
+        (["verify", "measures", "--prec-T", "0"], "--prec-T must be at least"),
+        (["verify", "measures", "--prec-T", "1"], "--prec-T must be at least"),
+        (["verify", "measures", "--prec-T", "2"], "--prec-T must be at least"),
+    ])
+    def test_exit_2_with_message(self, args, message):
+        res = run(*args)
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        last = res.output.splitlines()[-1]
+        assert last.startswith("Error: ") and message in last
+
+    @pytest.mark.parametrize("args", [
+        ["interp", "--p", "2"],
+        ["verify", "fourier", "--p", "2"],
+        ["verify", "thm81", "--ell", "2"],
+        ["verify", "measures", "--prec-T", "3"],
+    ])
+    def test_boundary_values_run(self, args):
+        assert run(*args).exit_code == 0
+
+
 class TestInterp:
     def test_default_report(self):
         res = run("interp")

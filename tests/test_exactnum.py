@@ -97,6 +97,21 @@ class TestCycloArith:
         with pytest.raises(ValueError):
             E.parse(f"1 @pi:{bad}")
 
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(-3, 4), "1/2"])
+    def test_non_integral_qgrade_rejected(self, bad):
+        with pytest.raises(ValueError):
+            E.rational(1, qgrade=bad)
+        with pytest.raises(ValueError):
+            E("rat", [1], qgrade=bad)
+        with pytest.raises(ValueError):
+            E.one().with_grades(qgrade=bad)
+        with pytest.raises(ValueError):
+            E.parse(f"1 @q:{bad}")
+
+    def test_integral_qgrade_accepted(self):
+        assert E.rational(1, qgrade=Fraction(4, 2)).qgrade == 2
+        assert E.parse("1 @q:-3").qgrade == -3
+
 
 class TestConjugate:
     def test_zeta8(self):

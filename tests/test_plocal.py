@@ -14,6 +14,7 @@ from padr.plocal import (
     depletion_pipeline,
     euler_modified,
     fourier_transform,
+    frac_mod,
     gamma_gl_pair,
     gauss_sum,
     gauss_sum_twisted,
@@ -155,6 +156,72 @@ class TestSchwartzFn:
         f = SchwartzFn.indicator(3, 1, 2)
         assert f.translate(1) == SchwartzFn.indicator(3, 0, 2)
         assert f.dilate(3) == SchwartzFn.indicator(3, Fraction(1, 3), 1)
+
+    def test_centre_with_prime_to_p_denominator(self):
+        # 1/2 = 2 mod 3, so 2 * (1/2 + 3Z_3) is the ball 1 + 3Z_3
+        f = SchwartzFn.indicator(3, 1, 1).dilate(2)
+        assert f == SchwartzFn.indicator(3, 2, 1)
+        assert f.terms == ((Fraction(2), 1, E.one()),)
+
+    def test_same_ball_cancels(self):
+        assert SchwartzFn(3, [(Fraction(1, 2), 0, 1), (0, 0, -1)]).is_zero()
+
+    def test_fourier_of_prime_to_p_centre(self):
+        f = SchwartzFn.indicator(3, 1, 1).dilate(2)
+        assert fourier_transform(f) == \
+            fourier_transform(SchwartzFn.indicator(3, 2, 1))
+        assert fourier_transform(fourier_transform(f)) == f.dilate(-1)
+
+    def test_canonical_form_properties(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        ball = st.tuples(st.integers(-20, 20), st.integers(0, 1),
+                         st.sampled_from([1, 2, 3, 5, 7]), st.integers(-1, 1),
+                         st.integers(-2, 2))
+
+        @hyp.settings(max_examples=100, deadline=None)
+        @hyp.given(st.sampled_from([2, 3, 5, 7]), st.lists(ball, max_size=6),
+                   st.data())
+        def check(p, raw, data):
+            terms = [(Fraction(n, p ** e * u), k, c) for n, e, u, k, c in raw]
+            # complete families of p equal siblings must merge
+            if raw and data.draw(st.booleans()):
+                a, k, _ = terms[0]
+                c = data.draw(st.integers(-2, 2))
+                terms += [(a + j * Fraction(p) ** k, k + 1, c)
+                          for j in range(p)]
+            f = SchwartzFn(p, terms)
+            for a, k, c in f.terms:
+                # the denominator is a power of p
+                assert p ** a.denominator.bit_length() % a.denominator == 0
+                assert 0 <= a < Fraction(p) ** k
+                assert not c.is_zero()
+            for i, (a, k, _) in enumerate(f.terms):
+                for b, j, _ in f.terms[i + 1:]:
+                    assert a != b and vp_frac(a - b, p) < min(k, j)
+            families = {}
+            for a, k, c in f.terms:
+                families.setdefault((k, frac_mod(a, Fraction(p) ** (k - 1))),
+                                    []).append(c)
+            for cs in families.values():
+                assert not (len(cs) == p and all(c == cs[0] for c in cs))
+            # every ball lies in p^-D Z_p and is a union of p^m-balls:
+            # the points j / p^D with j < p^(m + D) meet each of them
+            live = [(a, k) for a, k, c in terms if c]
+            if not live:
+                assert f.is_zero()
+                return
+            D = max([0] + [-k for _, k in live] +
+                    [-vp_frac(a, p) for a, _ in live if a])
+            m = max(k for _, k in live)
+            points = [Fraction(j, p ** D) for j in range(p ** (m + D))]
+            points.append(Fraction(1, p ** (D + 1)))
+            for x in points:
+                want = sum(c for a, k, c in terms
+                           if a == x or vp_frac(x - a, p) >= k)
+                assert f.evaluate(x) == E.rational(want)
+
+        check()
 
 
 class TestFourier:
