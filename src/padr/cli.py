@@ -15,7 +15,7 @@ from fractions import Fraction
 import click
 
 from padr import arch, diffops, iwasawa, plocal
-from padr.exactnum import ExactScalar, sqrt_prime
+from padr.exactnum import ExactScalar, PoleError, sqrt_prime
 from padr.plocal import PadicChar, SchwartzFn, fourier_transform, \
     gauss_sum, gauss_sum_twisted, tate_factors, tate_integral
 
@@ -52,6 +52,13 @@ def _satake_chars(p, data, key, n):
         raise click.UsageError(f"--satake needs a list of {n} values "
                                f"under {key!r}")
     return tuple(PadicChar.unramified(p, _parse_fraction(u)) for u in vals)
+
+
+def _adjoint_or_pole(sigma):
+    try:
+        return plocal.adjoint_modified(sigma).serialize()
+    except PoleError:
+        return "pole"
 
 
 def _emit(report, fmt):
@@ -122,7 +129,7 @@ def interp(p, weights, kp, satake, fmt):
     report = {
         "p": p,
         "E_p": plocal.euler_modified(pi_chars, sigma).serialize(),
-        "E_adjoint": plocal.adjoint_modified(sigma).serialize(),
+        "E_adjoint": _adjoint_or_pole(sigma),
         "E_inf": root,
         "m_Q": m_q,
         "Gamma_VQ": _pi_string(arch.gamma_vq(w)),

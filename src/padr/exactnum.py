@@ -1,7 +1,10 @@
-"""Exact scalar towers and Laurent rational functions.
+"""Exact cyclotomic scalars and Laurent rational functions.
 
-Scalars live in Q, in a cyclotomic field Q(zeta_N), or in the quadratic
-tower Q(i, sqrtD).  Every scalar additionally carries two formal grades:
+Every scalar lies in one field family: a cyclotomic field Q(zeta_N),
+N >= 1, where Q(zeta_1) = Q.  Square roots of integers need no field of
+their own: by Kronecker-Weber sqrt D lies in Q(zeta_4D), and sqrtD(D) is
+built there from quadratic Gauss sums (sqrt_prime).  Every scalar
+additionally carries two formal grades:
 a q-grade h (a formal factor q^(h/2)) and a pi-grade k (a formal factor
 pi^k).  Multiplication adds grades; addition insists on equal grades,
 except that an exact zero is grade-polymorphic.  The q-grade is an
@@ -11,18 +14,19 @@ half-integral one as a Fraction, and any other value raises ValueError.
 The archimedean Gamma factors are rational scalars with such grades.
 
 Representation.  A scalar is a tuple of integer numerators ``nums`` over
-one denominator ``den``, in the basis of its kind:
-
-  * "rat":  (n,), the rational n/den;
-  * "cyc":  the power basis 1, zeta_N, ..., zeta_N^(phi(N)-1), i.e. the
-    coefficients of a polynomial of degree < phi(N) reduced mod Phi_N;
-  * "quad": the basis 1, i, sqrtD, i*sqrtD (D > 1 squarefree).
+one denominator ``den`` in the power basis 1, zeta_N, ...,
+zeta_N^(phi(N)-1), i.e. the coefficients of a polynomial of degree
+< phi(N) reduced mod Phi_N; a rational is the case N = 1, nums = (n,).
+Two operands of different conductors meet in Q(zeta_lcm).
 
 Invariants, kept by every constructor and operation: ``den > 0`` and
-``gcd(den, *nums) == 1``, so each value of one kind and conductor has
-exactly one (nums, den); zero is ``nums == (0, ...)`` with ``den == 1``.
-Arithmetic runs on Python ints and reduces mod Phi_N once per product;
-``coeffs`` gives the coefficients as Fractions.
+``gcd(den, *nums) == 1``, so each value of one conductor has exactly one
+(nums, den); a value whose only non-zero numerator is the constant one
+has N = 1; zero is ``nums == (0,)`` with ``den == 1``.  Arithmetic runs
+on Python ints and reduces mod Phi_N once per product; ``coeffs`` gives
+the coefficients as Fractions.  ``hash`` reduces to the smallest
+conductor that holds the value, so equal values hash alike whatever
+field they were computed in.
 
 Laurent rational functions in X (= q^(-s)) over these scalars carry the
 local L/epsilon/gamma factors and zeta integrals built on top.
@@ -85,30 +89,21 @@ def _pseudo_divmod(a, b):
 
 @functools.lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    assert n >= 1
-    out, m, p = 1, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            out *= p - 1
-            m //= p
-            while m % p == 0:
-                out *= p
-                m //= p
-        p += 1
-    if m > 1:
-        out *= m - 1
-    return out
+    _check(n >= 1, f"bad conductor {n}")
+    for p in _prime_divisors(n):
+        n = n // p * (p - 1)
+    return n
 
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic_poly(n: int):
     """Coefficients (degree-ascending, integers) of the n-th cyclotomic polynomial."""
-    assert n >= 1
+    _check(n >= 1, f"bad conductor {n}")
     num = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
             num, r, _ = _pseudo_divmod(num, list(cyclotomic_poly(d)))
-            assert not r
+            _check(not r, f"Phi_{d} does not divide x^{n} - 1")
     return tuple(num)
 
 
@@ -137,6 +132,10 @@ def _cyc_reduce(acc, N):
 
 class GradeError(ArithmeticError):
     """Raised when adding scalars whose formal grades disagree."""
+
+
+class PoleError(ArithmeticError):
+    """Raised when a factor is evaluated at one of its poles."""
 
 
 def _check(ok, what):
@@ -178,40 +177,33 @@ def _as_fraction(x):
 
 
 class ExactScalar:
-    """Immutable element of Q, Q(zeta_N) or Q(i, sqrtD) with formal grades,
-    stored as integer numerators ``nums`` over one positive ``den``."""
+    """Immutable element of Q(zeta_N), N >= 1 (N = 1 is Q), with formal
+    grades, stored as integer numerators ``nums`` in the power basis over
+    one positive ``den``."""
 
-    __slots__ = ("kind", "N", "D", "nums", "den", "qgrade", "pigrade")
+    __slots__ = ("N", "nums", "den", "qgrade", "pigrade")
 
-    def __init__(self, kind, coeffs, N=None, D=None, qgrade=0, pigrade=0):
+    def __init__(self, coeffs, N=1, qgrade=0, pigrade=0):
         coeffs = [c if type(c) is Fraction else _as_fraction(c)
                   for c in coeffs]
-        if kind == "rat":
-            size = 1
-        elif kind == "cyc":
-            if N is None or N < 1:
-                raise ValueError(f"bad conductor N={N}")
-            size = euler_phi(N)
-        elif kind == "quad":
-            if D is None or D <= 1 or not _squarefree(D):
-                raise ValueError(f"D={D} is not a squarefree integer > 1")
-            size = 4
-        else:
-            raise ValueError(kind)
-        if len(coeffs) != size:
-            raise ValueError(f"{kind} scalar needs {size} coefficients, "
-                             f"got {len(coeffs)}")
+        if N < 1:
+            raise ValueError(f"bad conductor N={N}")
+        if len(coeffs) != euler_phi(N):
+            raise ValueError(f"Q(zeta_{N}) scalar needs {euler_phi(N)} "
+                             f"coefficients, got {len(coeffs)}")
+        if not any(coeffs[1:]):
+            N, coeffs = 1, coeffs[:1]
         # over the lcm of reduced denominators the numerators are coprime
         den = math.lcm(*(c.denominator for c in coeffs))
         nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
-        _init(self, kind, nums, den, N, D, _qgrade(qgrade), _pigrade(pigrade))
+        _init(self, N, nums, den, _qgrade(qgrade), _pigrade(pigrade))
 
     def __setattr__(self, *a):
         raise AttributeError("ExactScalar is immutable")
 
     @property
     def coeffs(self):
-        """The coefficients in the basis of the kind, as Fractions."""
+        """The power-basis coefficients, as Fractions."""
         den = self.den
         return tuple(Fraction(n, den) for n in self.nums)
 
@@ -220,11 +212,10 @@ class ExactScalar:
     @staticmethod
     def rational(x, qgrade=0, pigrade=0):
         if type(x) is int:
-            return _build("rat", (x,), 1, None, None, _qgrade(qgrade),
-                          _pigrade(pigrade))
+            return _build(1, (x,), 1, _qgrade(qgrade), _pigrade(pigrade))
         if type(x) is not Fraction:
             x = Fraction(x)
-        return _build("rat", (x.numerator,), x.denominator, None, None,
+        return _build(1, (x.numerator,), x.denominator,
                       _qgrade(qgrade), _pigrade(pigrade))
 
     @staticmethod
@@ -235,8 +226,7 @@ class ExactScalar:
         k %= N
         acc = [0] * max(k + 1, euler_phi(N))
         acc[k] = 1
-        return _build("cyc", tuple(_cyc_reduce(acc, N)), 1, N, None,
-                      0, 0)._demote()
+        return _build(N, tuple(_cyc_reduce(acc, N)), 1, 0, 0)._demote()
 
     @staticmethod
     def i_unit():
@@ -244,16 +234,14 @@ class ExactScalar:
 
     @staticmethod
     def sqrtD(D):
-        return ExactScalar("quad", (0, 0, 1, 0), D=D)
-
-    @staticmethod
-    def i_sqrtD(D):
-        return ExactScalar("quad", (0, 0, 0, 1), D=D)
-
-    @staticmethod
-    def quad(D, a=0, b=0, c=0, d=0, qgrade=0, pigrade=0):
-        """a + b i + c sqrtD + d i sqrtD."""
-        return ExactScalar("quad", (a, b, c, d), D=D, qgrade=qgrade, pigrade=pigrade)
+        """The positive square root of a squarefree integer D > 1, in
+        Q(zeta_4D): the product of sqrt_prime(p) over the primes p | D."""
+        if type(D) is not int or D <= 1 or math.prod(_prime_divisors(D)) != D:
+            raise ValueError(f"D={D} is not a squarefree integer > 1")
+        out = ExactScalar.one()
+        for p in _prime_divisors(D):
+            out = out * sqrt_prime(p)
+        return out
 
     @staticmethod
     def zero():
@@ -269,77 +257,51 @@ class ExactScalar:
         return not any(self.nums)
 
     def is_rational(self):
-        return self._demote().kind == "rat"
+        return self._demote().N == 1
 
     def as_fraction(self):
         d = self._demote()
-        assert d.kind == "rat", f"not rational: {self}"
-        assert d.qgrade == 0 and d.pigrade == 0, f"graded scalar: {self}"
+        # constant messages: an f-string would serialize self on every call
+        _check(d.N == 1, "not rational")
+        _check(d.qgrade == 0 and d.pigrade == 0, "graded scalar")
         return Fraction(d.nums[0], d.den)
 
     # -- canonicalization ----------------------------------------------
 
     def _demote(self):
-        """Drop to kind 'rat' when the element is a plain rational."""
-        if self.kind == "rat" or any(self.nums[1:]):
+        """Drop to N = 1 when the element is a plain rational."""
+        if self.N == 1 or any(self.nums[1:]):
             return self
-        return _build("rat", self.nums[:1], self.den, None, None,
-                      self.qgrade, self.pigrade)
+        return _build(1, self.nums[:1], self.den, self.qgrade, self.pigrade)
 
     def with_grades(self, qgrade=None, pigrade=None):
-        return _build(self.kind, self.nums, self.den, self.N, self.D,
+        return _build(self.N, self.nums, self.den,
                       self.qgrade if qgrade is None else _qgrade(qgrade),
                       self.pigrade if pigrade is None else _pigrade(pigrade))
 
     # -- promotion -----------------------------------------------------
 
     def _to_cyc(self, N):
-        """Embed into Q(zeta_N); requires self rational or cyclotomic with self.N | N."""
-        if self.kind == "rat":
-            nums = self.nums + (0,) * (euler_phi(N) - 1)
-            return _build("cyc", nums, self.den, N, None,
-                          self.qgrade, self.pigrade)
-        if self.kind != "cyc" or N % self.N:
-            raise AssertionError(f"cannot embed {self} into Q(zeta_{N})")
+        """Embed into Q(zeta_N); requires self.N | N."""
         if N == self.N:
             return self
+        if self.N == 1:
+            nums = self.nums + (0,) * (euler_phi(N) - 1)
+            return _build(N, nums, self.den, self.qgrade, self.pigrade)
         step = N // self.N
         acc = [0] * N
         for k, c in enumerate(self.nums):
             if c:
                 acc[k * step] = c
-        return _make("cyc", _cyc_reduce(acc, N), self.den, N, None,
+        return _make(N, _cyc_reduce(acc, N), self.den,
                      self.qgrade, self.pigrade)
-
-    def _to_quad(self, D):
-        if self.kind == "rat":
-            return _build("quad", self.nums + (0, 0, 0), self.den, None, D,
-                          self.qgrade, self.pigrade)
-        if self.kind == "cyc":
-            # only Gaussian rationals embed: N | 4
-            s = self._demote()
-            if s.kind == "rat":
-                return s._to_quad(D)
-            if s.N != 4:
-                raise AssertionError(
-                    f"cannot embed Q(zeta_{s.N}) into the quadratic tower")
-            return _build("quad", s.nums + (0, 0), s.den, None, D,
-                          self.qgrade, self.pigrade)
-        if self.D != D:
-            raise AssertionError(
-                f"incompatible quadratic towers D={self.D} vs D={D}")
-        return self
 
     @staticmethod
     def _promote_pair(a, b):
-        if a.kind == b.kind and a.N == b.N and a.D == b.D:
+        """a and b in one field: Q(zeta_lcm(a.N, b.N))."""
+        if a.N == b.N:
             return a, b
-        if a.kind == "quad" or b.kind == "quad":
-            D = a.D if a.kind == "quad" else b.D
-            return a._to_quad(D), b._to_quad(D)
-        Na = a.N if a.kind == "cyc" else 1
-        Nb = b.N if b.kind == "cyc" else 1
-        N = Na * Nb // math.gcd(Na, Nb)
+        N = math.lcm(a.N, b.N)
         return a._to_cyc(N), b._to_cyc(N)
 
     # -- arithmetic ----------------------------------------------------
@@ -363,14 +325,13 @@ class ExactScalar:
             fa, fb = db // g, da // g
             nums = [x * fa + y * fb for x, y in zip(a.nums, b.nums)]
             da *= fa
-        return _make(a.kind, nums, da, a.N, a.D,
-                     a.qgrade, a.pigrade)._demote()
+        return _make(a.N, nums, da, a.qgrade, a.pigrade)._demote()
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _build(self.kind, tuple([-x for x in self.nums]), self.den,
-                      self.N, self.D, self.qgrade, self.pigrade)
+        return _build(self.N, tuple([-x for x in self.nums]), self.den,
+                      self.qgrade, self.pigrade)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -386,19 +347,15 @@ class ExactScalar:
             pg = _pigrade(pg)
         den = self.den * other.den
         # a rational factor scales the other's numerators: no promotion
-        if other.kind == "rat":
+        if other.N == 1:
             a, c = self, other.nums[0]
-        elif self.kind == "rat":
+        elif self.N == 1:
             a, c = other, self.nums[0]
         else:
             a, b = ExactScalar._promote_pair(self, other)
-            if a.kind == "cyc":
-                nums = _cyc_mul(a.nums, b.nums, a.N)
-            else:
-                nums = _quad_mul(a.nums, b.nums, a.D)
-            return _make(a.kind, nums, den, a.N, a.D, qg, pg)._demote()
-        return _make(a.kind, [x * c for x in a.nums], den, a.N, a.D,
-                     qg, pg)._demote()
+            return _make(a.N, _cyc_mul(a.nums, b.nums, a.N), den,
+                         qg, pg)._demote()
+        return _make(a.N, [x * c for x in a.nums], den, qg, pg)._demote()
 
     __rmul__ = __mul__
 
@@ -406,14 +363,11 @@ class ExactScalar:
         if self.is_zero():
             raise AssertionError("division by zero")
         qg, pg = -self.qgrade, -self.pigrade
-        if self.kind == "rat":
-            return _make("rat", (self.den,), self.nums[0], None, None, qg, pg)
-        if self.kind == "cyc":
-            inv, den = _cyc_inverse(self.nums, self.N)
-        else:
-            inv, den = _quad_inverse(self.nums, self.D)
-        return _make(self.kind, [x * self.den for x in inv], den,
-                     self.N, self.D, qg, pg)._demote()
+        if self.N == 1:
+            return _make(1, (self.den,), self.nums[0], qg, pg)
+        inv, den = _cyc_inverse(self.nums, self.N)
+        return _make(self.N, [x * self.den for x in inv], den,
+                     qg, pg)._demote()
 
     def __truediv__(self, other):
         return self * _coerce(other).inverse()
@@ -443,83 +397,50 @@ class ExactScalar:
             return True
         if (self.qgrade, self.pigrade) != (other.qgrade, other.pigrade):
             return False
-        try:
-            a, b = ExactScalar._promote_pair(self, other)
-        except AssertionError:
-            return False
+        a, b = ExactScalar._promote_pair(self, other)
         return a.den == b.den and a.nums == b.nums
 
     def __hash__(self):
-        d = self._demote()
-        if d.kind == "rat" and not (d.nums[0] and (d.qgrade or d.pigrade)):
-            # every zero, and every ungraded rational, hashes as its Fraction
-            return hash(Fraction(d.nums[0], d.den))
-        return hash((d.kind, d.N, d.D, d.nums, d.den, d.qgrade, d.pigrade))
+        if self.is_zero():
+            return hash(Q0)
+        N, nums = _minimal_field(self.N, self.nums)
+        if N == 1 and not (self.qgrade or self.pigrade):
+            # every ungraded rational hashes as its Fraction
+            return hash(Fraction(nums[0], self.den))
+        return hash((N, nums, self.den, self.qgrade, self.pigrade))
 
     # -- Galois --------------------------------------------------------
 
     def galois(self, m):
         """The automorphism zeta_N -> zeta_N^m (gcd(m, N) = 1); identity on Q."""
-        if self.kind == "rat":
-            return self
         N = self.N
-        if self.kind != "cyc" or math.gcd(m, N) != 1:
+        if N == 1:
+            return self
+        if math.gcd(m, N) != 1:
             raise AssertionError(f"zeta_{N} -> zeta_{N}^{m} is no automorphism"
                                  f" of {self}")
         acc = [0] * N
         for k, c in enumerate(self.nums):
             if c:
                 acc[(k * m) % N] += c
-        return _make("cyc", _cyc_reduce(acc, N), self.den, N, None,
+        return _make(N, _cyc_reduce(acc, N), self.den,
                      self.qgrade, self.pigrade)._demote()
 
     def conjugate(self):
-        """Complex conjugation: zeta_N -> zeta_N^(-1), i -> -i, sqrtD -> sqrtD."""
-        if self.kind == "rat":
-            return self
-        if self.kind == "cyc":
-            return self.galois(self.N - 1)
-        a, b, c, d = self.nums
-        return _build("quad", (a, -b, c, -d), self.den, None, self.D,
-                      self.qgrade, self.pigrade)
+        """Complex conjugation: zeta_N -> zeta_N^(-1)."""
+        return self if self.N == 1 else self.galois(self.N - 1)
 
     # -- serialization --------------------------------------------------
 
     def serialize(self):
         d = self._demote()
-        den = d.den
-        if d.kind == "rat":
-            body = str(Fraction(d.nums[0], den))
-        elif d.kind == "cyc":
-            terms = []
-            for k, n in enumerate(d.nums):
-                if n == 0:
-                    continue
-                c = Fraction(n, den)
-                if k == 0:
-                    terms.append(str(c))
-                else:
-                    terms.append(f"{c}*z{d.N}^{k}")
-            body = "+".join(terms) if terms else "0"
-            body = body.replace("+-", "-")
-        else:
-            names = (None, "i", f"sqrt{d.D}", f"i*sqrt{d.D}")
-            terms = []
-            for cc, name in zip(d.nums, names):
-                if cc == 0:
-                    continue
-                if name is None:
-                    terms.append(str(cc))
-                elif cc == 1:
-                    terms.append(name)
-                elif cc == -1:
-                    terms.append(f"-{name}")
-                else:
-                    terms.append(f"{cc}*{name}")
-            num = "+".join(terms) if terms else "0"
-            num = num.replace("+-", "-")
-            body = f"({num})/{den}" if den != 1 else (
-                f"({num})" if len(terms) > 1 else num)
+        terms = []
+        for k, n in enumerate(d.nums):
+            if n == 0:
+                continue
+            c = Fraction(n, d.den)
+            terms.append(f"{c}*z{d.N}^{k}" if k else str(c))
+        body = "+".join(terms).replace("+-", "-") if terms else "0"
         if d.qgrade:
             body += f" @q:{d.qgrade}"
         if d.pigrade:
@@ -538,24 +459,22 @@ _set = object.__setattr__
 _new = object.__new__
 
 
-def _init(x, kind, nums, den, N, D, qgrade, pigrade):
-    _set(x, "kind", kind)
+def _init(x, N, nums, den, qgrade, pigrade):
     _set(x, "N", N)
-    _set(x, "D", D)
     _set(x, "nums", nums)
     _set(x, "den", den)
     _set(x, "qgrade", qgrade)
     _set(x, "pigrade", pigrade)
 
 
-def _build(kind, nums, den, N, D, qgrade, pigrade):
+def _build(N, nums, den, qgrade, pigrade):
     """ExactScalar from a numerator tuple and den already in lowest terms."""
     x = _new(ExactScalar)
-    _init(x, kind, nums, den, N, D, qgrade, pigrade)
+    _init(x, N, nums, den, qgrade, pigrade)
     return x
 
 
-def _make(kind, nums, den, N, D, qgrade, pigrade):
+def _make(N, nums, den, qgrade, pigrade):
     """ExactScalar from integer numerators over den != 0, in lowest terms."""
     g = math.gcd(den, *nums)
     if den < 0:
@@ -563,13 +482,12 @@ def _make(kind, nums, den, N, D, qgrade, pigrade):
     if g != 1:
         nums = [x // g for x in nums]
         den //= g
-    return _build(kind, tuple(nums), den, N, D, qgrade, pigrade)
+    return _build(N, tuple(nums), den, qgrade, pigrade)
 
 
 def root_of_unity_sum(acc, N):
     """The scalar sum_j acc[j] zeta_N^j of dense integer counts acc."""
-    return _build("cyc", tuple(_cyc_reduce(list(acc), N)), 1, N, None,
-                  0, 0)._demote()
+    return _build(N, tuple(_cyc_reduce(list(acc), N)), 1, 0, 0)._demote()
 
 
 def _coerce(x):
@@ -580,15 +498,58 @@ def _coerce(x):
     raise TypeError(f"cannot coerce {x!r} to ExactScalar")
 
 
-def _squarefree(D):
-    d, p = D, 2
-    while p * p <= d:
-        if d % (p * p) == 0:
-            return False
-        if d % p == 0:
-            d //= p
+def _prime_divisors(n):
+    """The distinct primes dividing n >= 1, ascending."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
         p += 1
-    return True
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _minimal_field(N, nums):
+    """(M, nums') with M the smallest conductor M | N such that the element
+    sum nums[k] zeta_N^k lies in Q(zeta_M), and nums' its numerators in the
+    power basis of Q(zeta_M).  Since these power bases span the rings of
+    integers, the common denominator stays in lowest terms."""
+    while True:
+        for q in _prime_divisors(N):
+            smaller = _descend(N, q, nums)
+            if smaller is not None:
+                N, nums = N // q, smaller
+                break
+        else:
+            return N, nums
+
+
+def _descend(N, q, nums):
+    """The numerators in Q(zeta_(N/q)) of sum nums[k] zeta_N^k, for a prime
+    q | N, or None when the element does not lie in that subfield."""
+    M = N // q
+    if M % q == 0:
+        # 1, zeta_N, ..., zeta_N^(q-1) is a basis over Q(zeta_M), zeta_N^q = zeta_M
+        if any(nums[k] for k in range(len(nums)) if k % q):
+            return None
+        return nums[::q]
+    # q coprime to M: zeta_N^k = zeta_M^(k u) zeta_q^(k v) by CRT; with
+    # x = sum_r Y_r zeta_q^r and 1 + zeta_q + ... + zeta_q^(q-1) = 0,
+    # x = sum_(r>0) (Y_r - Y_0) zeta_q^r, which lies in Q(zeta_M) iff
+    # every Y_r - Y_0 is one value Z, and then x = -Z
+    u, v = pow(q, -1, M), pow(M, -1, q)
+    Y = [[0] * M for _ in range(q)]
+    for k, c in enumerate(nums):
+        if c:
+            Y[k * v % q][k * u % M] += c
+    Y = [_cyc_reduce(y, M) for y in Y]
+    Z = [y - y0 for y, y0 in zip(Y[1], Y[0])]
+    if any([y - y0 for y, y0 in zip(Yr, Y[0])] != Z for Yr in Y[2:]):
+        return None
+    return tuple(-z for z in Z)
 
 
 def _cyc_mul(a, b, N):
@@ -629,25 +590,6 @@ def _cyc_inverse(nums, N):
         r0, r1 = r1, r
         s0, c0, s1, c1 = s1, c1, [x // h for x in s], c // h
     return s1 + [0] * (deg - len(s1)), c1 * r1[0]
-
-
-def _quad_mul(a, b, D):
-    a1, b1, c1, d1 = a
-    a2, b2, c2, d2 = b
-    return (a1 * a2 - b1 * b2 + D * (c1 * c2 - d1 * d2),
-            a1 * b2 + b1 * a2 + D * (c1 * d2 + d1 * c2),
-            a1 * c2 + c1 * a2 - b1 * d2 - d1 * b2,
-            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2)
-
-
-def _quad_inverse(nums, D):
-    """(inv, den) for the inverse of u + v sqrtD (u, v in Z[i]): it is
-    (u - v sqrtD) / w with w = u^2 - D v^2 in Z[i], and 1/w = conj(w)/|w|^2."""
-    a, b, c, d = nums
-    e = a * a - b * b - D * (c * c - d * d)
-    f = 2 * (a * b - D * c * d)
-    return (a * e + b * f, b * e - a * f, -(c * e + d * f), c * f - d * e), \
-        e * e + f * f
 
 
 def solve_linear(mat, rhs):
@@ -700,7 +642,7 @@ def sqrt_prime(p: int) -> ExactScalar:
             s = g0
         else:
             s = -ExactScalar.i_unit() * g0
-    assert s * s == ExactScalar.rational(p)
+    _check(s * s == ExactScalar.rational(p), f"sqrt_prime({p})^2 != {p}")
     return s
 
 
@@ -761,12 +703,12 @@ def _parse_power_basis(s):
         pos = m.end()
     if not terms:
         return None
+    N = N or 1
     den = math.lcm(*(d for _, d, _ in terms))
-    nums = [0] * (euler_phi(N) if N else 1)
+    nums = [0] * euler_phi(N)
     for num, d, k in terms:
         nums[k] += num * (den // d)
-    kind = "cyc" if N else "rat"
-    return _make(kind, nums, den, N, None, 0, 0)._demote()
+    return _make(N, nums, den, 0, 0)._demote()
 
 
 def _split_top(s, seps):
@@ -860,10 +802,6 @@ def _lp_mul(a, b):
     return _lp_clean(out)
 
 
-def _lp_scale(a, c):
-    return _lp_clean({e: x * c for e, x in a.items()})
-
-
 def _lp_to_poly(a):
     """Return (offset, dense list) with list[0] the X^offset coefficient."""
     if not a:
@@ -882,7 +820,7 @@ def _spoly_divmod(a, b):
     b = list(b)
     while b and _coerce(b[-1]).is_zero():
         b.pop()
-    assert b, "polynomial division by zero"
+    _check(b, "polynomial division by zero")
     q = [ExactScalar.zero()] * max(0, len(a) - len(b) + 1)
     lead_inv = _coerce(b[-1]).inverse()
     while True:
@@ -925,7 +863,7 @@ class LaurentRF:
             den = {0: ExactScalar.one()}
         num = _lp_clean({int(e): _coerce(c) for e, c in num.items()})
         den = _lp_clean({int(e): _coerce(c) for e, c in den.items()})
-        assert den, "zero denominator"
+        _check(den, "zero denominator")
         if normalize:
             num, den = _laurent_canonical(num, den)
         object.__setattr__(self, "num", num)
@@ -985,7 +923,7 @@ class LaurentRF:
     __rmul__ = __mul__
 
     def inverse(self):
-        assert self.num, "division by zero rational function"
+        _check(self.num, "division by zero rational function")
         return LaurentRF(self.den, self.num)
 
     def __truediv__(self, other):
@@ -1031,12 +969,13 @@ class LaurentRF:
         den = ExactScalar.zero()
         for e, c in self.den.items():
             den = den + c * x ** e
-        assert not den.is_zero(), "evaluation at a pole"
+        if den.is_zero():
+            raise PoleError(f"evaluation of {self} at the pole X = {x}")
         return num / den
 
     def subst_X(self, scale, power=1):
         """Substitute X -> scale * X^power (power = +-1)."""
-        assert power in (1, -1)
+        _check(power in (1, -1), f"power {power} is not +-1")
         scale = _coerce(scale)
         num = {power * e: c * scale ** e for e, c in self.num.items()}
         den = {power * e: c * scale ** e for e, c in self.den.items()}
@@ -1082,8 +1021,8 @@ def _laurent_canonical(num, den):
     if len(g) > 1:
         pn, rn = _spoly_divmod(pn, g)
         pd, rd = _spoly_divmod(pd, g)
-        assert not any(not _coerce(x).is_zero() for x in rn)
-        assert not any(not _coerce(x).is_zero() for x in rd)
+        _check(all(_coerce(x).is_zero() for x in rn + rd),
+               "the gcd does not divide both sides")
     # strip trailing/leading zeros of den, make constant term 1
     lead_shift = 0
     while pd and _coerce(pd[0]).is_zero():
@@ -1095,25 +1034,3 @@ def _laurent_canonical(num, den):
     num = _poly_to_lp(off_n - off_d - lead_shift, pn)
     den = _poly_to_lp(0, pd)
     return num, den
-
-
-# ----------------------------------------------------------------------
-# named operation wrappers
-# ----------------------------------------------------------------------
-
-def cyclo_arith(a: ExactScalar, b: ExactScalar, op: str) -> ExactScalar:
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def conjugate(a: ExactScalar) -> ExactScalar:
-    return a.conjugate()
-
-
-def laurent_normalize(f: LaurentRF) -> LaurentRF:
-    return LaurentRF(f.num, f.den)

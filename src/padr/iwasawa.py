@@ -32,8 +32,7 @@ def _reduce_mod(x: ExactScalar, p: int, m: int) -> ExactScalar:
         assert c.denominator % p != 0, f"non p-integral coefficient {c}"
         num = (c.numerator * pow(c.denominator, -1, q)) % q
         coeffs.append(Fraction(num))
-    return ExactScalar(x.kind, coeffs, N=x.N, D=x.D,
-                       qgrade=x.qgrade, pigrade=x.pigrade)._demote()
+    return ExactScalar(coeffs, N=x.N, qgrade=x.qgrade, pigrade=x.pigrade)
 
 
 class MeasureSeries:

@@ -19,8 +19,8 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import (ExactScalar, GradeError, LaurentRF, _check, _coerce,
-                       euler_phi, root_of_unity_sum, sqrt_prime)
+from .exactnum import (ExactScalar, GradeError, LaurentRF, PoleError, _check,
+                       _coerce, euler_phi, root_of_unity_sum, sqrt_prime)
 
 
 # ---------------------------------------------------------------------------
@@ -1064,7 +1064,7 @@ def adjoint_modified(sigma, c_sigma=None) -> ExactScalar:
     """1/E(sigma, Ad, psi) = L(1, sigma_u x sigma_u^dual) gamma(1, mu^(-1)nu,
     psi) x {1/zeta_F(1)^2 if c(sigma) = 0, q^c(sigma)/zeta_F(1) if c > 0},
     with sigma_u the pair of unramified characters carrying the values at p.
-    Returns E."""
+    Returns E; raises PoleError when a factor has a pole there."""
     mu, nu = sigma
     p = mu.p
     if c_sigma is None:
@@ -1074,9 +1074,10 @@ def adjoint_modified(sigma, c_sigma=None) -> ExactScalar:
     values = (mu.u, nu.u)
     for ua in values:
         for ub in values:
-            L_ad = L_ad * (ExactScalar.one()
-                           - ua * ub.inverse() * ExactScalar.rational(x1)
-                           ).inverse()
+            f = ExactScalar.one() - ua * ub.inverse() * ExactScalar.rational(x1)
+            if f.is_zero():
+                raise PoleError("L(s, sigma x sigma^dual) has a pole at s = 1")
+            L_ad = L_ad * f.inverse()
     g = tate_factors(mu.inverse() * nu)[2].evaluate(x1)
     z1 = ExactScalar.rational(zeta_local(p, 1))
     if c_sigma == 0:

@@ -150,6 +150,17 @@ class TestInterp:
         assert res.exit_code == 2
         assert "--satake" in res.output
 
+    @pytest.mark.parametrize("sigma", [["1", "1"], ["5", "1"], ["1/5", "1"]])
+    def test_pole_is_reported(self, sigma):
+        data = json.dumps({"pi": ["5", "1", "1"], "sigma": sigma})
+        res = run("interp", "--p", "5", "--satake", data)
+        assert res.exit_code == 0
+        report = json.loads(res.output)
+        assert report["E_adjoint"] == "pole"
+        pi = tuple(PadicChar.unramified(5, u) for u in (5, 1, 1))
+        chars = tuple(PadicChar.unramified(5, Fraction(u)) for u in sigma)
+        assert report["E_p"] == plocal.euler_modified(pi, chars).serialize()
+
     def test_malformed_weights(self):
         res = run("interp", "--weights", "1,2")
         assert res.exit_code == 2

@@ -12,12 +12,11 @@ from padr.exactnum import (
     ExactScalar as E,
     GradeError,
     LaurentRF,
-    cyclo_arith,
-    conjugate,
+    PoleError,
     cyclotomic_poly,
     euler_phi,
-    laurent_normalize,
     sqrt_prime,
+    _minimal_field,
     _parse_sum,
 )
 
@@ -25,31 +24,37 @@ from padr.exactnum import (
 def rand_scalar(rng, N):
     deg = euler_phi(N)
     coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(deg)]
-    return E("cyc", coeffs, N=N)._demote()
+    return E(coeffs, N=N)
+
+
+def quad(D, a=0, b=0, c=0, d=0, qgrade=0):
+    """a + b i + c sqrtD + d i sqrtD, in Q(zeta_4D)."""
+    i, s = E.i_unit(), E.sqrtD(D)
+    return (a + b * i + c * s + d * i * s).with_grades(qgrade=qgrade)
 
 
 class TestCycloArith:
     def test_root_of_unity_order(self):
-        assert cyclo_arith(E.zeta(5), E.zeta(5, 4), "mul") == E.one()
+        assert E.zeta(5) * E.zeta(5, 4) == E.one()
 
     def test_phi3_relation(self):
-        assert cyclo_arith(E.one() + E.zeta(3), E.zeta(3, 2), "add") == E.zero()
+        assert (E.one() + E.zeta(3)) + E.zeta(3, 2) == E.zero()
 
     def test_grade_addition_under_mul(self):
         a = E.rational(2, qgrade=1)
         b = E.rational(3, qgrade=1)
-        assert cyclo_arith(a, b, "mul") == E.rational(6, qgrade=2)
+        assert a * b == E.rational(6, qgrade=2)
 
     def test_grade_mismatch_on_add(self):
         with pytest.raises(GradeError):
-            cyclo_arith(E.rational(1, qgrade=1), E.rational(1), "add")
+            E.rational(1, qgrade=1) + E.rational(1)
 
     def test_zero_is_grade_polymorphic(self):
         assert E.zero() + E.rational(5, qgrade=3) == E.rational(5, qgrade=3)
 
     def test_division_by_zero(self):
         with pytest.raises(AssertionError):
-            cyclo_arith(E.one(), E.zero(), "div")
+            E.one() / E.zero()
 
     def test_mixed_level_embedding(self):
         # zeta_6 = -zeta_3^2
@@ -102,7 +107,7 @@ class TestCycloArith:
         with pytest.raises(ValueError):
             E.rational(1, qgrade=bad)
         with pytest.raises(ValueError):
-            E("rat", [1], qgrade=bad)
+            E([1], qgrade=bad)
         with pytest.raises(ValueError):
             E.one().with_grades(qgrade=bad)
         with pytest.raises(ValueError):
@@ -115,35 +120,35 @@ class TestCycloArith:
 
 class TestConjugate:
     def test_zeta8(self):
-        assert conjugate(E.zeta(8)) == E.zeta(8, 7)
+        assert E.zeta(8).conjugate() == E.zeta(8, 7)
 
     def test_i_sqrtD(self):
-        assert conjugate(E.i_sqrtD(5)) == -E.i_sqrtD(5)
-        assert conjugate(E.sqrtD(5)) == E.sqrtD(5)
+        assert quad(5, d=1).conjugate() == -quad(5, d=1)
+        assert E.sqrtD(5).conjugate() == E.sqrtD(5)
 
     def test_involution(self):
         rng = random.Random(11)
         for N in (5, 8, 12):
             a = rand_scalar(rng, N)
-            assert conjugate(conjugate(a)) == a
+            assert a.conjugate().conjugate() == a
 
     def test_ring_automorphism(self):
         rng = random.Random(13)
         for _ in range(10):
             a = rand_scalar(rng, 15)
             b = rand_scalar(rng, 15)
-            assert conjugate(a * b) == conjugate(a) * conjugate(b)
-            assert conjugate(a + b) == conjugate(a) + conjugate(b)
+            assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+            assert (a + b).conjugate() == a.conjugate() + b.conjugate()
 
     def test_quad_tower_arith(self):
-        x = E.quad(5, 1, 2, Fraction(1, 3), -1)
-        y = E.quad(5, 0, 1, 1, 2)
-        assert (x * y).D == 5
+        x = quad(5, 1, 2, Fraction(1, 3), -1)
+        y = quad(5, 0, 1, 1, 2)
+        assert (x * y).N == 20
         assert x * x.inverse() == E.one()
-        assert conjugate(x * y) == conjugate(x) * conjugate(y)
+        assert (x * y).conjugate() == x.conjugate() * y.conjugate()
         # sqrtD^2 = D, (i sqrtD)^2 = -D
         assert E.sqrtD(5) * E.sqrtD(5) == E.rational(5)
-        assert E.i_sqrtD(5) ** 2 == E.rational(-5)
+        assert quad(5, d=1) ** 2 == E.rational(-5)
 
 
 class TestSerialization:
@@ -177,7 +182,7 @@ class TestSerialization:
             assert E.parse(body) == _parse_sum(body)
 
     def test_quad_round_trip(self):
-        v = E.quad(7, Fraction(1, 2), -1, 0, Fraction(3, 5), qgrade=-1)
+        v = quad(7, Fraction(1, 2), -1, 0, Fraction(3, 5), qgrade=-1)
         assert E.parse(v.serialize()) == v
 
 
@@ -196,14 +201,14 @@ class TestEqualityAndHash:
                 assert (a * b) / b == a
                 assert hash((a * b) / b) == hash(a)
                 assert hash(a + b - b) == hash(a)
-        x = E.quad(5, Fraction(1, 2), 3, 0, -1)
-        y = E.quad(5, 2, 0, Fraction(1, 3), 1)
+        x = quad(5, Fraction(1, 2), 3, 0, -1)
+        y = quad(5, 2, 0, Fraction(1, 3), 1)
         assert hash(x * y / y) == hash(x)
 
     def test_tower_checks_survive_dash_O(self):
         code = ("from padr.exactnum import ExactScalar as E\n"
-                "print(E.zeta(8) == E.quad(3, 0, 1), "
-                "E.zeta(3) == E.quad(5, 0, 1))\n"
+                "print(E.zeta(8, 2) == E.parse('i'), "
+                "(E.zeta(8) * E.sqrtD(3)) ** 2 == 3 * E.zeta(4))\n"
                 "try:\n"
                 "    E.one() / E.zero()\n"
                 "except AssertionError:\n"
@@ -212,17 +217,80 @@ class TestEqualityAndHash:
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.split() == ["False", "False", "raised"]
+        assert out.stdout.split() == ["True", "True", "raised"]
+
+    def test_embedded_values_are_equal(self):
+        i = E.parse("i")
+        assert E.zeta(8, 2) == i and hash(E.zeta(8, 2)) == hash(i)
+        assert E.zeta(8, 2) * i == -1
+        assert (E.zeta(8) * E.sqrtD(3)) ** 2 == 3 * E.zeta(4)
+        assert len({E.zeta(4), E.zeta(8, 2), i, E.zeta(12, 3)}) == 1
+
+    @pytest.mark.parametrize("D", [2, 3, 5, 6, 7, 15, 30])
+    def test_sqrtD_squares_to_D(self, D):
+        s = E.sqrtD(D)
+        assert s * s == D and s.conjugate() == s
+        assert (4 * D) % s.N == 0
+
+    @pytest.mark.parametrize("D", [0, 1, 4, 12, -3, "5"])
+    def test_sqrtD_rejects_bad_D(self, D):
+        with pytest.raises(ValueError):
+            E.sqrtD(D)
+
+    def test_hash_is_a_function_of_the_value(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @st.composite
+        def embedded(draw):
+            """A value of Q(zeta_N) and the same value computed in
+            Q(zeta_(N m)) and in Q(zeta_(N m')) by multiplying by a root of
+            unity of that order and back."""
+            N = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12, 15]))
+            nums = draw(st.lists(st.integers(-3, 3), min_size=euler_phi(N),
+                                 max_size=euler_phi(N)))
+            den = draw(st.integers(1, 4))
+            a = E([Fraction(n, den) for n in nums], N=N)
+            out = [a]
+            for m in draw(st.lists(st.sampled_from([2, 3, 4, 5, 6]),
+                                   min_size=2, max_size=2)):
+                k = draw(st.integers(1, N * m - 1))
+                z = E.zeta(N * m, k)
+                out.append((a * z) * z.inverse())
+            return out
+
+        @hyp.settings(max_examples=60, deadline=None)
+        @hyp.given(embedded())
+        def prop(values):
+            a, b, c = values
+            assert a == b and b == c and a == c
+            assert hash(a) == hash(b) == hash(c)
+            for v in values:
+                assert _in_minimal_field(v) == a
+
+        prop()
+
+    @pytest.mark.parametrize("v, M", [
+        (E.zeta(12, 3), 4), (E.zeta(15), 15), (E.zeta(6), 3),
+        (E.sqrtD(3), 12), (E.sqrtD(5) * E.zeta(9, 3), 15),
+        (E.zeta(8) + E.zeta(8, 2) - E.zeta(8), 4)])
+    def test_minimal_field(self, v, M):
+        w = _in_minimal_field(v)
+        assert w.N == M and w == v
 
 
-def _sympy_value(sp, v, x=None, m=1):
-    """v as a sympy value: in Q(i, sqrtD) for kind quad, else the polynomial
-    sum c_k x^(k*m mod N) (for m = 1 the power basis itself)."""
+def _in_minimal_field(v):
+    """v rebuilt in the power basis of its smallest cyclotomic field."""
+    M, nums = _minimal_field(v.N, v.nums)
+    return E([Fraction(n, v.den) for n in nums], N=M, qgrade=v.qgrade,
+             pigrade=v.pigrade)
+
+
+def _sympy_value(sp, v, x, m=1):
+    """v as the sympy polynomial sum c_k x^(k*m mod N) (for m = 1 the power
+    basis itself)."""
     c = [sp.Rational(f.numerator, f.denominator) for f in v.coeffs]
-    if v.kind == "quad":
-        s = sp.sqrt(v.D)
-        return c[0] + c[1] * sp.I + c[2] * s + c[3] * sp.I * s
-    N = v.N or 1
+    N = v.N
     dense = [0] * N
     for k, ck in enumerate(c):
         dense[k * m % N] += ck
@@ -249,9 +317,7 @@ class TestSympyOracle:
         phi = sp.Poly(sp.cyclotomic_poly(N, x), x, domain="QQ")
 
         def value(v, m=1):
-            # a rational result has dropped to kind "rat": lift it to N
-            v = v if v.kind == "cyc" else E("cyc", v.coeffs + (0,) * (
-                euler_phi(N) - 1), N=N)
+            # a rational result has dropped to N = 1, with the basis (x^0,)
             return _sympy_value(sp, v, x, m).rem(phi)
 
         for _ in range(3):
@@ -273,22 +339,37 @@ class TestSympyOracle:
 
     @pytest.mark.parametrize("D", [2, 3, 5, 7])
     def test_quad(self, sp, D):
+        """Products and inverses computed by sympy in Q(i, sqrtD) (as
+        polynomials in i and s reduced by i^2 + 1 and s^2 - D), mapped into
+        Q(zeta_4D) through quad(), agree with the kernel's."""
         rng = random.Random(2000 + D)
+        i, s = sp.symbols("i s")
+        rels = [i ** 2 + 1, s ** 2 - D]
+        basis = (1, i, s, i * s)
 
-        def draw():
-            return E.quad(D, *(Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-                               for _ in range(4)))
+        def coords(expr):
+            r = sp.Poly(sp.reduced(sp.expand(expr), rels, i, s)[1], i, s)
+            return [r.coeff_monomial(m) for m in basis]
+
+        def to_scalar(c):
+            return quad(D, *(Fraction(int(x.p), int(x.q)) for x in c))
 
         for _ in range(3):
-            a, b = draw(), draw()
-            A, B = _sympy_value(sp, a), _sympy_value(sp, b)
+            ca, cb = ([sp.Rational(rng.randint(-5, 5), rng.randint(1, 4))
+                       for _ in range(4)] for _ in range(2))
+            a, b = to_scalar(ca), to_scalar(cb)
+            A, B = (sum(x * m for x, m in zip(c, basis)) for c in (ca, cb))
             prod = a * b
             _check_invariants(prod)
-            assert sp.expand(_sympy_value(sp, prod) - A * B) == 0
+            assert prod == to_scalar(coords(A * B))
             if not a.is_zero():
+                w = sp.symbols("w0:4")
+                W = sum(x * m for x, m in zip(w, basis))
+                sol = sp.solve([x - y for x, y in
+                                zip(coords(A * W), (1, 0, 0, 0))], w)
                 inv = a.inverse()
                 _check_invariants(inv)
-                assert sp.expand(_sympy_value(sp, inv) * A) == 1
+                assert inv == to_scalar([sol[x] for x in w])
 
 
 class TestSqrtPrime:
@@ -317,7 +398,7 @@ class TestLaurentRF:
         assert f == one + LaurentRF.monomial(u, 1)
 
     def test_canonical_den_constant_one(self):
-        f = laurent_normalize(LaurentRF({1: 2, 3: 5}, {2: 4, 3: 8}))
+        f = LaurentRF({1: 2, 3: 5}, {2: 4, 3: 8})
         assert f.den.get(0) == E.one()
 
     def test_equality_vs_evaluation(self):
@@ -330,6 +411,13 @@ class TestLaurentRF:
             assert f == g
             for pt in (Fraction(1, 7), Fraction(3, 2), Fraction(-5, 4)):
                 assert f.evaluate(pt) == g.evaluate(pt)
+
+    def test_evaluation_at_a_pole(self):
+        one = LaurentRF.one()
+        f = one / (one - LaurentRF.monomial(Fraction(1, 3), 1))
+        assert f.evaluate(Fraction(1, 2)) == Fraction(6, 5)
+        with pytest.raises(PoleError):
+            f.evaluate(3)
 
     def test_subst_X_inverse(self):
         u = Fraction(1, 2)
