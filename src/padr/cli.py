@@ -51,7 +51,11 @@ def _satake_chars(p, data, key, n):
     if not isinstance(vals, list) or len(vals) != n:
         raise click.UsageError(f"--satake needs a list of {n} values "
                                f"under {key!r}")
-    return tuple(PadicChar.unramified(p, _parse_fraction(u)) for u in vals)
+    vals = [_parse_fraction(u) for u in vals]
+    if not all(vals):
+        raise click.UsageError(f"--satake values under {key!r} must be "
+                               f"non-zero")
+    return tuple(PadicChar.unramified(p, u) for u in vals)
 
 
 def _adjoint_or_pole(sigma):

@@ -28,6 +28,14 @@ the coefficients as Fractions.  ``hash`` reduces to the smallest
 conductor that holds the value, so equal values hash alike whatever
 field they were computed in.
 
+Sums of roots of unity.  Gauss sums, Fourier transforms and Tate integrals
+add up scalars times roots of unity.  ``root_of_unity_sum`` takes each
+term as r * x * zeta_M^j: a rational, a scalar and an exponent pair.
+Multiplying by zeta_M^j is then an exponent shift of x's numerators into
+one dense integer list, and the list is reduced mod Phi_N once for the
+whole sum, with no product of two scalars formed.  Its result has the
+value and the conductor that the chain of * and + would give.
+
 Laurent rational functions in X (= q^(-s)) over these scalars carry the
 local L/epsilon/gamma factors and zeta integrals built on top.
 """
@@ -485,9 +493,137 @@ def _make(N, nums, den, qgrade, pigrade):
     return _build(N, tuple(nums), den, qgrade, pigrade)
 
 
-def root_of_unity_sum(acc, N):
-    """The scalar sum_j acc[j] zeta_N^j of dense integer counts acc."""
-    return _build(N, tuple(_cyc_reduce(list(acc), N)), 1, 0, 0)._demote()
+def root_of_unity_sum(terms):
+    """The scalar sum of r * x * zeta_M^j over terms (r, x, M, j), with r a
+    rational, x an ExactScalar and M >= 1.
+
+    Each root of unity is an exponent shift: x's numerators go into one
+    dense integer list at the lcm N of the terms' conductors, scaled to one
+    common denominator, and the list is reduced mod Phi_N once.  No product
+    of two scalars is formed.  The result equals the left-to-right chain
+    of + over the scalars r * x * ExactScalar.zeta(M, j), in value and in
+    conductor: a term's conductor is that of its product (1 when the
+    product is rational), and a rational partial sum restarts the lcm at
+    the terms after it.  Zero terms are skipped; the non-zero ones must
+    share one grade, else GradeError.
+    """
+    conds, items, dens = [], [], []
+    qg = pg = last = None
+    for r, x, M, j in terms:
+        if not r:
+            continue
+        if x is not last:  # runs of terms often share x
+            if not any(x.nums):
+                continue
+            if x.qgrade != qg or x.pigrade != pg:
+                if qg is not None:
+                    raise GradeError(f"grade mismatch in a root-of-unity sum: "
+                                     f"(q:{qg},pi:{pg}) vs "
+                                     f"(q:{x.qgrade},pi:{x.pigrade})")
+                qg, pg = x.qgrade, x.pigrade
+            last, X = x, x.N
+        if type(r) is int:
+            rn, rd = r, 1
+        else:
+            rn, rd = r.numerator, r.denominator
+        # zeta_M^j as ExactScalar.zeta builds it: conductor M, or 1 for +-1
+        j %= M
+        if 2 * j % M:
+            Z = M
+        else:
+            if j:
+                rn = -rn
+            Z, j = 1, 0
+        if Z == 1 or X == 1:
+            T = X * Z
+        else:
+            g = math.gcd(X, Z)
+            T = X * Z // g
+            # x * zeta can be rational only if x lies in Q(zeta_g), g > 2
+            if g > 2:
+                c = _dense_rational(_accumulate([(1, 1, x, Z, j)], T, x.den),
+                                    T)
+                if c is not None:
+                    T, x, Z, j = 1, _make(1, [c], x.den, qg, pg), 1, 0
+        conds.append(T)
+        items.append((rn, rd, x, Z, j))
+        dens.append(rd * x.den)
+    if not items:
+        return ExactScalar.zero()
+    N = math.lcm(*conds)
+    D = math.lcm(*dens)
+    nums = _cyc_reduce(_accumulate(items, N, D), N)
+    if conds[-1] != N and any(nums[1:]):
+        # The chain restarts its conductor at a rational partial sum.  Only
+        # a partial sum followed by terms of a smaller lcm A[i] > 1 can
+        # change the result: with A[i] = 1 a rational partial sum would
+        # make the whole sum rational.
+        n = len(items)
+        A = conds + [1]  # A[i]: the lcm of the conductors of items[i:]
+        for i in range(n - 1, -1, -1):
+            A[i] = math.lcm(A[i + 1], A[i])
+        first = next(i for i in range(1, n) if A[i] < N)
+        acc = _accumulate(items[:first], N, D)
+        cut = head = 0
+        for i in range(first, n):
+            if A[i] == 1:
+                break
+            c = _dense_rational(acc, N)
+            if c is not None:
+                cut, head = i, c
+            _accumulate(items[i:i + 1], N, D, acc)
+        if cut:
+            N = A[cut]
+            acc = _accumulate(items[cut:], N, D)
+            acc[0] += head
+            nums = _cyc_reduce(acc, N)
+    return _make(N, nums, D, qg, pg)._demote()
+
+
+def _accumulate(items, N, D, acc=None):
+    """Add r * x * zeta_Z^j, for items (r numerator, r denominator, x, Z, j)
+    with x.N | N and Z | N, into the dense list acc (acc[e] multiplies
+    zeta_N^e) as numerators over the common denominator D."""
+    if acc is None:
+        acc = [0] * N
+    for rn, rd, x, Z, j in items:
+        f = rn * (D // (rd * x.den))
+        pos = j * (N // Z)
+        if x.N == 1:
+            acc[pos] += x.nums[0] * f
+            continue
+        stride = N // x.N
+        for c in x.nums:
+            if c:
+                acc[pos] += c * f
+            pos += stride
+            if pos >= N:
+                pos -= N
+    return acc
+
+
+@functools.lru_cache(maxsize=None)
+def _radical(N):
+    return math.prod(_prime_divisors(N))
+
+
+def _dense_rational(acc, N):
+    """The numerator of sum acc[e] zeta_N^e (a dense list of length N) when
+    that sum is rational, else None.
+
+    Phi_N(x) = Phi_R(x^s) for R the radical of N and s = N / R, so each
+    residue class e = t mod s is a polynomial in zeta_N^s = zeta_R that
+    reduces mod Phi_R on its own: the sum is rational iff every class t > 0
+    reduces to zero and class 0 to a constant.  A sum that is not rational
+    usually shows it in the first non-zero class."""
+    R = _radical(N)
+    s = N // R
+    for t in range(s - 1, 0, -1):
+        cls = acc[t::s]
+        if any(cls) and any(_cyc_reduce(cls, R)):
+            return None
+    red = _cyc_reduce(acc[::s], R)
+    return None if any(red[1:]) else red[0]
 
 
 def _coerce(x):

@@ -9,6 +9,17 @@ Conventions fixed throughout:
   * X stands for q^(-s), so q^(-(1-s)) = q^(-1) X^(-1);
   * half-integral powers of q are realized exactly via sqrt_prime(p) when a
     value (rather than a formal grade) is required.
+
+Roots of unity as exponents.  Every value of psi and every value of a
+character on units is a root of unity, so it is carried as an exponent pair
+(M, j) for zeta_M^j: psi_exponent(num, den, p) gives psi(num/den) from
+integer arithmetic, and PadicChar.unit_exponent(a) gives chi(a).  Gauss
+sums, Fourier transforms and Tate integrals pass (r, x, M, j) terms to
+exactnum.root_of_unity_sum, one call per output value: one per Gauss sum,
+one per output ball of a transform, and one per valuation shell of a zeta
+integral.  The coefficients are shifted by the exponents into one integer
+accumulator that is reduced once.  psi_value and PadicChar.value_unit wrap
+the exponent forms for callers that want a scalar.
 """
 
 from __future__ import annotations
@@ -28,9 +39,10 @@ from .exactnum import (ExactScalar, GradeError, LaurentRF, PoleError, _check,
 # ---------------------------------------------------------------------------
 
 def vp_frac(x, p: int) -> int:
-    """p-adic valuation of a non-zero rational."""
-    x = Fraction(x)
-    assert x != 0
+    """p-adic valuation of a non-zero rational (an int or a Fraction)."""
+    if type(x) is not int and type(x) is not Fraction:
+        x = Fraction(x)
+    _check(x != 0, "the valuation of 0")
     v = 0
     n = x.numerator
     while n % p == 0:
@@ -51,36 +63,38 @@ def frac_mod(x, m):
 
 def unit_residue(x, p: int, c: int) -> int:
     """The residue mod p^c of a rational x that is a p-adic unit."""
-    x = Fraction(x)
+    if type(x) is not int:
+        x = Fraction(x)
+    n, d = x.numerator, x.denominator
+    _check(n % p and d % p, "not a p-adic unit")
     q = p ** c
-    assert x.numerator % p != 0 and x.denominator % p != 0
-    return (x.numerator * pow(x.denominator, -1, q)) % q
+    return n * pow(d, -1, q) % q
 
 
-def psi_value(r, p: int) -> ExactScalar:
-    """psi(r) for rational r with p-power-bounded denominator at p.
+def psi_exponent(num: int, den: int, p: int):
+    """(q, j) with psi(num/den) = zeta_q^j, for integers num and den > 0,
+    den a power of p: q = p^t is the denominator of num/den in lowest
+    terms, and j is a unit mod q (q = 1, j = 0 on Z_p).  Integer
+    arithmetic only.
 
     psi is trivial on Z_p and psi(b/p^k) = zeta_{p^k}^(-b).
     """
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    _check(den == p ** vp_frac(den, p), "psi needs a p-power denominator")
+    return den, -num % den
+
+
+def psi_value(r, p: int) -> ExactScalar:
+    """psi(r) for rational r with p-power denominator, as a scalar."""
     r = Fraction(r)
-    d = r.denominator
-    t = 0
-    while d % p == 0:
-        d //= p
-        t += 1
-    assert d == 1, f"psi_value needs a p-power denominator, got {r}"
-    if t == 0:
-        return ExactScalar.one()
-    q = p ** t
-    b = (r.numerator * pow(r.denominator // q, -1, q)) % q if r.denominator != q \
-        else r.numerator % q
-    return ExactScalar.zeta(q, (-b) % q)
+    return ExactScalar.zeta(*psi_exponent(r.numerator, r.denominator, p))
 
 
 @lru_cache(maxsize=None)
 def _primitive_root(p: int) -> int:
     """Smallest primitive root mod p^c valid for every c >= 1 (p odd)."""
-    assert p % 2 == 1 and p > 1
+    _check(p % 2 == 1 and p > 1, f"no cyclic unit group mod p^c for p={p}")
     for g in range(2, p):
         seen, x = set(), 1
         for _ in range(p - 1):
@@ -117,18 +131,18 @@ class PadicChar:
 
     def __init__(self, p, u=1, c=0, e=0):
         u = _coerce(u)
-        assert not u.is_zero()
+        _check(not u.is_zero(), "a character's value at p must be non-zero")
         c = int(c)
-        assert c >= 0
+        _check(c >= 0, "negative conductor exponent")
         if c > 0:
-            assert p % 2 == 1, "ramified characters require odd p"
+            _check(p % 2 == 1, "ramified characters require odd p")
             m = euler_phi(p ** c)
             e = int(e) % m
             # primitivity: the finite part must not factor through level c-1
             if c == 1:
-                assert e != 0, "conductor 1 requires a non-trivial finite part"
+                _check(e != 0, "conductor 1 requires a non-trivial finite part")
             else:
-                assert e % p != 0, f"exponent {e} has conductor below {c}"
+                _check(e % p != 0, "the exponent has a smaller conductor")
         else:
             e = 0
         self.p, self.u, self.c, self.e = p, u, c, e
@@ -154,19 +168,21 @@ class PadicChar:
 
     # -- values ------------------------------------------------------------
 
+    def unit_exponent(self, a):
+        """(m, k) with chi(a) = zeta_m^k at a p-adic unit a (integer or
+        rational): m = phi(p^c), and (1, 0) when chi is unramified."""
+        if self.c == 0:
+            return 1, 0
+        m = euler_phi(self.p ** self.c)
+        a = unit_residue(a, self.p, self.c)
+        return m, self.e * _dlog_table(self.p, self.c)[a] % m
+
     def value_unit(self, a) -> ExactScalar:
         """Value at a p-adic unit a (integer or rational)."""
-        if self.c == 0:
-            return ExactScalar.one()
-        q = self.p ** self.c
-        m = euler_phi(q)
-        a = unit_residue(a, self.p, self.c)
-        k = (self.e * _dlog_table(self.p, self.c)[a]) % m
-        return ExactScalar.zeta(m, k)
+        return ExactScalar.zeta(*self.unit_exponent(a))
 
     def __call__(self, x) -> ExactScalar:
         x = Fraction(x)
-        assert x != 0
         v = vp_frac(x, self.p)
         unit = x / Fraction(self.p) ** v
         return self.u ** v * self.value_unit(unit)
@@ -180,7 +196,7 @@ class PadicChar:
     # -- algebra -------------------------------------------------------------
 
     def __mul__(self, other):
-        assert self.p == other.p
+        _check(self.p == other.p, "characters at different primes")
         p = self.p
         C = max(self.c, other.c)
         if C == 0:
@@ -272,21 +288,7 @@ def gauss_sum(chi: PadicChar) -> ExactScalar:
     key = f"{chi.p}_{chi.c}_{chi.e}"
     if key in memo:
         return memo[key]
-    p, c = chi.p, chi.c
-    q = p ** c
-    inv = chi.inverse()
-    # every term is a single root of unity zeta_m^k * zeta_q^a, so collect
-    # exponents in Z/N, N = lcm(m, q), and reduce the sum mod Phi_N once
-    m = euler_phi(q)
-    N = m * q // math.gcd(m, q)
-    dlog = _dlog_table(p, c)
-    acc = [0] * N
-    for a in range(1, q):
-        if a % p == 0:
-            continue
-        k = (inv.e * dlog[a]) % m
-        acc[(N // m * k + N // q * a) % N] += 1
-    total = root_of_unity_sum(acc, N)
+    total = _gauss_sum_at(chi, 1)
     memo[key] = total
     _gauss_cache_store()
     return total
@@ -299,23 +301,28 @@ def gauss_sum_twisted(chi: PadicChar, y) -> ExactScalar:
     """
     if chi.c == 0:
         return ExactScalar.one()
+    y = Fraction(y)
+    _check(y == 0 or vp_frac(y, chi.p) >= 0, "twist must be integral")
+    q = chi.p ** chi.c
+    return _gauss_sum_at(chi, -y.numerator * pow(y.denominator, -1, q))
+
+
+def _gauss_sum_at(chi: PadicChar, t: int) -> ExactScalar:
+    """sum over units a mod q = p^c of chi(a)^(-1) zeta_q^(t a), c >= 1.
+
+    Each term is the single root of unity zeta_m^k zeta_q^(t a), i.e. the
+    exponent N/m k + N/q t a at N = lcm(m, q): one root_of_unity_sum with
+    x = 1 and r = 1, reduced mod Phi_N once."""
     p, c = chi.p, chi.c
     q = p ** c
-    inv = chi.inverse()
-    y = Fraction(y)
-    assert y == 0 or vp_frac(y, p) >= 0, "twist must be integral"
-    # same sparse accumulation as gauss_sum: psi(ya/q) = zeta_q^(-ya)
-    yq = y.numerator * pow(y.denominator, -1, q) % q
+    e = chi.inverse().e
     m = euler_phi(q)
     N = m * q // math.gcd(m, q)
     dlog = _dlog_table(p, c)
-    acc = [0] * N
-    for a in range(1, q):
-        if a % p == 0:
-            continue
-        k = (inv.e * dlog[a]) % m
-        acc[(N // m * k + N // q * (-yq * a)) % N] += 1
-    return root_of_unity_sum(acc, N)
+    one = ExactScalar.one()
+    return root_of_unity_sum([(1, one, N, N // m * (e * dlog[a] % m)
+                               + N // q * t * a)
+                              for a in range(1, q) if a % p])
 
 
 def _gauss_inverse(chi: PadicChar) -> ExactScalar:
@@ -512,7 +519,7 @@ class SchwartzFn:
     # -- algebra -------------------------------------------------------------
 
     def __add__(self, other):
-        assert self.p == other.p
+        _check(self.p == other.p, "Schwartz functions at different primes")
         return SchwartzFn(self.p, list(self.terms) + list(other.terms))
 
     def __sub__(self, other):
@@ -559,24 +566,36 @@ def fourier_transform(phi: SchwartzFn) -> SchwartzFn:
     """phi_hat(y) = integral of phi(x) psi(-xy) dx with vol(Z_p) = 1, so that
     the double transform is phi(-x).
 
-    The transform of 1_{a + p^k Z_p} is p^(-k) psi(-a y) 1_{p^(-k) Z_p},
-    re-expanded into balls at level max(denominator exponent of a, -k).
+    The transform of c 1_{a + p^k Z_p} is c p^(-k) psi(-a y) 1_{p^(-k) Z_p},
+    re-expanded into the balls b + p^m Z_p, b = j p^(-k), at the level
+    m = max(denominator exponent of a, -k).  On them psi(-a b) = zeta_Q^(e j)
+    for one exponent pair (Q, e) = psi_exponent(-a p^(-k)) per input ball,
+    so the value on an output ball is one root_of_unity_sum over the input
+    balls that reach it: the coefficients c are shifted by these exponents
+    into one integer accumulator and reduced once, with no product formed.
     """
     p = phi.p
-    out = []
+    # output centres b are kept as integers b p^K
+    K = max([0] + [k for _, k, _ in phi.terms])
+    balls = {}
     for a, k, c in phi.terms:
-        d = 0
-        den = Fraction(a).denominator
-        while den % p == 0:
-            den //= p
-            d += 1
-        m = max(d, -k)
-        weight = c * ExactScalar.rational(Fraction(p) ** (-k))
-        step = Fraction(p) ** (-k)
+        num, den = a.numerator, a.denominator  # den is a power of p
+        m = max(vp_frac(den, p), -k)
+        if k >= 0:
+            Q, e = psi_exponent(-num, den * p ** k, p)
+            weight = Fraction(1, p ** k)
+        else:
+            Q, e = psi_exponent(-num * p ** -k, den, p)
+            weight = p ** -k
+        shift = p ** (K - k)
         for j in range(p ** (m + k)):
-            b = j * step
-            out.append((b, m, weight * psi_value(-a * b, p)))
-    return SchwartzFn(p, out)
+            # zeta_Q^(e j) in lowest terms, as psi_exponent gives it
+            g = math.gcd(j, Q)
+            balls.setdefault((m, j * shift), []).append(
+                (weight, c, Q // g, e * (j // g)))
+    scale = p ** K
+    return SchwartzFn(p, [(Fraction(b, scale), m, root_of_unity_sum(terms))
+                          for (m, b), terms in balls.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +609,7 @@ class PeriodicFn:
 
     def __init__(self, p, level, values):
         level = int(level)
-        assert level >= 0
+        _check(level >= 0, "negative level")
         q = p ** level
         vals = {}
         for j, v in values.items():
@@ -619,7 +638,7 @@ class PeriodicFn:
         while den % self.p == 0:
             den //= self.p
             t += 1
-        assert den == 1, f"{x} is not in p^(-M) Z_p mod Z_p"
+        _check(den == 1, "the point is not in Z[1/p] mod Z_p")
         if t > self.level:
             return ExactScalar.zero()
         j = r.numerator * self.p ** (self.level - t) % self.p ** self.level
@@ -644,7 +663,7 @@ class PeriodicFn:
                           {j: v * c for j, v in self.values.items()})
 
     def __add__(self, other):
-        assert self.p == other.p
+        _check(self.p == other.p, "periodic functions at different primes")
         n = max(self.level, other.level)
         q = self.p ** n
         out = {}
@@ -668,7 +687,7 @@ class PeriodicFn:
         p = phi.p
         expanded = []
         for a, k, c in phi.terms:
-            assert k <= 0, "not Z_p-periodic"
+            _check(k <= 0, "not Z_p-periodic")
             step = Fraction(p) ** k
             for t in range(p ** (-k)):
                 expanded.append((frac_mod(a + t * step, 1), c))
@@ -714,7 +733,7 @@ def schwartz_theta(phi, chi: PadicChar, mode: str):
                 total = t if total is None else total + t
             return total
         return schwartz_theta(phi, chi.inverse(), "theta_p")
-    assert mode == "theta_p"
+    _check(mode == "theta_p", f"unknown mode {mode!r}")
     if chi.c == 0:
         total = None
         for a in range(p):
@@ -740,7 +759,7 @@ def theta_p_level(phi, chi: PadicChar, n: int):
     "theta_p").
     """
     p = chi.p
-    assert n >= max(1, chi.c)
+    _check(n >= max(1, chi.c), f"level {n} below max(1, c(chi))")
     q = p ** n
     total = None
     for x0 in range(q):
@@ -754,7 +773,7 @@ def theta_p_level(phi, chi: PadicChar, n: int):
             continue
         t = phi.translate(Fraction(x0, q)).scale(coeff)
         total = t if total is None else total + t
-    assert total is not None
+    _check(total is not None, "theta_p annihilated every translate")
     return total
 
 
@@ -782,26 +801,33 @@ def tate_integral(phi: SchwartzFn, chi: PadicChar) -> LaurentRF:
     with v = v(a) < k has measure p^(v-k) q/(q-1), and the ball p^k Z_p
     contributes the exact geometric tail u^k X^k / (1 - u X) when chi is
     unramified (zero when ramified).
+
+    On the shell p^v Z_p^x, chi(b) = u^v zeta_m^k with (m, k) the exponent
+    form of chi at the unit b p^(-v).  Each shell is one root_of_unity_sum
+    of the terms (vol, c, m, k) over the sub-balls b + p^klev Z_p at the
+    conductor level, times u^v once.
     """
     p = chi.p
-    q = Fraction(p)
     total = LaurentRF.zero()
     shells = {}
-    shell_vol = q / (q - 1)
+    level = max(chi.c, 1)
     for a, k, c in phi.terms:
-        if a != 0 and vp_frac(a, p) < k:
-            v = vp_frac(a, p)
-            need = v + max(chi.c, 1)
+        num = a.numerator
+        v = vp_frac(a, p) if num else k
+        if v < k:
+            need = v + level
+            # the units b p^(-v), integers, of the sub-balls b + p^klev Z_p
+            unit = num // p ** (v + vp_frac(a.denominator, p))
             if k >= need:
-                subcenters, klev = [a], k
+                units, klev = [unit], k
             else:
-                step = Fraction(p) ** k
-                subcenters = [a + t * step for t in range(p ** (need - k))]
+                step = p ** (k - v)
+                units = [unit + t * step for t in range(p ** (need - k))]
                 klev = need
-            vol = ExactScalar.rational(Fraction(p) ** (v - klev) * shell_vol)
-            for b in subcenters:
-                term = c * chi(b) * vol
-                shells[v] = term if v not in shells else shells[v] + term
+            vol = Fraction(p, (p - 1) * p ** (klev - v))
+            terms = shells.setdefault(v, [])
+            for b in units:
+                terms.append((vol, c) + chi.unit_exponent(b))
         else:
             # the ball is p^k Z_p itself
             if chi.c > 0:
@@ -810,9 +836,13 @@ def tate_integral(phi: SchwartzFn, chi: PadicChar) -> LaurentRF:
             one = LaurentRF.one()
             tail = LaurentRF.monomial(u ** k, k) / (one - LaurentRF.monomial(u, 1))
             total = total + tail * c
-    shells = {v: s for v, s in shells.items() if not s.is_zero()}
-    if shells:
-        total = total + LaurentRF(shells)
+    sums = {}
+    for v, terms in shells.items():
+        s = root_of_unity_sum(terms)
+        if not s.is_zero():
+            sums[v] = s * chi.u ** v
+    if sums:
+        total = total + LaurentRF(sums)
     return total
 
 
@@ -828,7 +858,7 @@ class GL3Vector:
 
     def __init__(self, p, chars, phi1: PeriodicFn, phi2: SchwartzFn,
                  phi3: SchwartzFn):
-        assert len(chars) == 3
+        _check(len(chars) == 3, "GL3 needs three characters")
         self.p = p
         self.chars = tuple(chars)
         self.phi1 = phi1
@@ -882,7 +912,7 @@ def depletion_pipeline(h: GL3Vector, chi: PadicChar, chi_prime: PadicChar,
     """
     n = max(1, chi.c)
     n_prime = max(1, chi_prime.c)
-    assert ell >= n + n_prime, "averaging level too small"
+    _check(ell >= n + n_prime, "averaging level too small")
     phi2 = schwartz_theta(h.phi2, chi_prime, "theta_pc")
     phi1 = schwartz_theta(h.phi1, chi, "theta_p")
     phi3 = w_operator(h.phi3, ell)
@@ -983,7 +1013,7 @@ def thm81_two_route(pi_chars, sigma, ell: int):
     chi_prime = (mu * nu_p.inverse()).restrict_units()
     n = max(1, chi.c)
     n_prime = max(1, chi_prime.c)
-    assert ell >= n + n_prime
+    _check(ell >= n + n_prime, "averaging level too small")
 
     h_ord = GL3Vector.ordinary(p, pi_chars)
     h_dep, prefactor = depletion_pipeline(h_ord, chi, chi_prime, ell)
@@ -1089,7 +1119,7 @@ def adjoint_modified(sigma, c_sigma=None) -> ExactScalar:
 
 def subgroup_index(p: int, c: int, ell: int) -> int:
     """[K_0(p^c) : I_0(p^l)] inside GL_2(Z_p) for l >= max(1, c)."""
-    assert ell >= max(1, c)
+    _check(ell >= max(1, c), f"level {ell} below max(1, {c})")
     if c == 0:
         return p ** (ell - 1) * (p + 1)
     return p ** (ell - c)
@@ -1117,15 +1147,15 @@ def up_eigenvalues(chars, n: int, index: int, mode: str) -> ExactScalar:
     vector of I(mu_1, ..., mu_n): alpha gives q^(i(n-i)/2) / prod_{l<=i}
     mu_l(p), beta gives q^(j(n-j)/2) prod_{l>n-j} mu_l(p); the half power of
     q is a formal grade."""
-    assert len(chars) == n
+    _check(len(chars) == n, f"{len(chars)} characters for GL_{n}")
     if mode == "alpha":
-        assert 1 <= index <= n
+        _check(1 <= index <= n, f"alpha index {index} outside 1..{n}")
         val = ExactScalar.one()
         for l in range(1, index + 1):
             val = val * chars[l - 1].u.inverse()
         return val.with_grades(qgrade=index * (n - index))
     if mode == "beta":
-        assert 1 <= index <= n - 1
+        _check(1 <= index <= n - 1, f"beta index {index} outside 1..{n - 1}")
         val = ExactScalar.one()
         for l in range(n - index + 1, n + 1):
             val = val * chars[l - 1].u

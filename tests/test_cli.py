@@ -150,6 +150,15 @@ class TestInterp:
         assert res.exit_code == 2
         assert "--satake" in res.output
 
+    @pytest.mark.parametrize("data", [
+        {"pi": ["2", "1", "3"], "sigma": ["0", "1"]},
+        {"pi": ["2", "0/7", "3"], "sigma": ["5", "1/2"]},
+    ])
+    def test_zero_satake_value_usage_error(self, data):
+        res = run("interp", "--satake", json.dumps(data))
+        assert res.exit_code == 2
+        assert "non-zero" in res.output
+
     @pytest.mark.parametrize("sigma", [["1", "1"], ["5", "1"], ["1/5", "1"]])
     def test_pole_is_reported(self, sigma):
         data = json.dumps({"pi": ["5", "1", "1"], "sigma": sigma})

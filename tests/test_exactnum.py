@@ -15,6 +15,7 @@ from padr.exactnum import (
     PoleError,
     cyclotomic_poly,
     euler_phi,
+    root_of_unity_sum,
     sqrt_prime,
     _minimal_field,
     _parse_sum,
@@ -116,6 +117,72 @@ class TestCycloArith:
     def test_integral_qgrade_accepted(self):
         assert E.rational(1, qgrade=Fraction(4, 2)).qgrade == 2
         assert E.parse("1 @q:-3").qgrade == -3
+
+
+class TestRootOfUnitySum:
+    POOL = [E.zero(), E.one(), E.rational(Fraction(-2, 3)), E.zeta(3),
+            E.zeta(4, 3), E.zeta(6, 2), 1 + E.zeta(6), E.zeta(9, 3),
+            E.zeta(12, 5), E.rational(3, qgrade=1)]
+
+    @staticmethod
+    def chain(terms):
+        total = E.zero()
+        for r, x, M, j in terms:
+            total = total + r * x * E.zeta(M, j)
+        return total
+
+    def test_equals_chain_of_products(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        # the grade-1 scalar is drawn only when every term has grade 1
+        term = st.tuples(
+            st.sampled_from([0, 1, -1, 2, Fraction(1, 3), Fraction(-5, 2)]),
+            st.integers(0, len(self.POOL) - 2),
+            st.sampled_from([1, 2, 3, 4, 6, 9, 12, 18]),
+            st.integers(-20, 20))
+
+        @hyp.settings(max_examples=300, deadline=None)
+        @hyp.given(st.lists(term, max_size=6), st.booleans())
+        def check(raw, graded):
+            terms = [(r, self.POOL[-1] if graded else self.POOL[i], M, j)
+                     for r, i, M, j in raw]
+            want = self.chain(terms)
+            got = root_of_unity_sum(terms)
+            assert got == want
+            # a zero is grade-polymorphic: only a non-zero sum shows its grade
+            if not want.is_zero():
+                assert got.serialize() == want.serialize()
+
+        check()
+
+    def test_rational_partial_sum_restarts_the_conductor(self):
+        # zeta_9^3 + zeta_9^6 = -1, so the chain continues in Q(zeta_3)
+        one = E.one()
+        terms = [(1, one, 9, 3), (1, one, 9, 6), (1, one, 3, 1)]
+        assert root_of_unity_sum(terms).serialize() == "-1+1*z3^1"
+        assert self.chain(terms).serialize() == "-1+1*z3^1"
+
+    def test_rational_product_term(self):
+        # zeta_6^2 * zeta_3^2 = 1 is rational, so it adds no conductor 6
+        terms = [(1, E.zeta(6, 2), 3, 2), (1, E.one(), 3, 1)]
+        assert root_of_unity_sum(terms).serialize() == "1+1*z3^1"
+        assert self.chain(terms).serialize() == "1+1*z3^1"
+
+    def test_zero_terms_and_empty_sum(self):
+        assert root_of_unity_sum([]) == E.zero()
+        assert root_of_unity_sum([(0, E.zeta(4), 4, 1),
+                                  (2, E.zero(), 3, 1)]) == E.zero()
+        assert root_of_unity_sum([(1, E.one(), 4, 1),
+                                  (1, E.one(), 4, 3)]) == E.zero()
+
+    def test_mixed_grades_raise(self):
+        graded = E.rational(2, qgrade=1)
+        with pytest.raises(GradeError):
+            root_of_unity_sum([(1, E.one(), 3, 1), (1, graded, 3, 2)])
+        # a zero term is grade-polymorphic
+        got = root_of_unity_sum([(1, graded, 3, 1), (0, E.one(), 3, 2),
+                                 (1, E.zero(), 5, 1)])
+        assert got == E.zeta(3) * graded
 
 
 class TestConjugate:

@@ -21,6 +21,8 @@ from padr.plocal import (
     gl2_up_oracle,
     l_gl_pair,
     phi_prime_chi,
+    psi_exponent,
+    psi_value,
     pstab_ratio,
     realize_grades,
     schwartz_theta,
@@ -38,6 +40,62 @@ from padr.plocal import (
 from padr.plocal import _gamma_gl3_twist
 
 
+# The per-ball product routes that fourier_transform and tate_integral
+# replaced by exponent accumulation: every factor psi(-ab) and chi(b) is
+# built as a scalar and multiplied in.  Kept as the oracle of the new
+# route, which must agree in value and in conductor.
+
+def _fourier_by_products(phi):
+    p = phi.p
+    out = []
+    for a, k, c in phi.terms:
+        d = 0
+        den = Fraction(a).denominator
+        while den % p == 0:
+            den //= p
+            d += 1
+        m = max(d, -k)
+        weight = c * E.rational(Fraction(p) ** (-k))
+        step = Fraction(p) ** (-k)
+        for j in range(p ** (m + k)):
+            b = j * step
+            out.append((b, m, weight * psi_value(-a * b, p)))
+    return SchwartzFn(p, out)
+
+
+def _tate_by_products(phi, chi):
+    p = chi.p
+    q = Fraction(p)
+    total = LaurentRF.zero()
+    shells = {}
+    shell_vol = q / (q - 1)
+    for a, k, c in phi.terms:
+        if a != 0 and vp_frac(a, p) < k:
+            v = vp_frac(a, p)
+            need = v + max(chi.c, 1)
+            if k >= need:
+                subcenters, klev = [a], k
+            else:
+                step = Fraction(p) ** k
+                subcenters = [a + t * step for t in range(p ** (need - k))]
+                klev = need
+            vol = E.rational(Fraction(p) ** (v - klev) * shell_vol)
+            for b in subcenters:
+                term = c * chi(b) * vol
+                shells[v] = term if v not in shells else shells[v] + term
+        else:
+            if chi.c > 0:
+                continue
+            u = chi.u
+            one = LaurentRF.one()
+            tail = LaurentRF.monomial(u ** k, k) / (one - LaurentRF.monomial(u, 1))
+            total = total + tail * c
+    shells = {v: s for v, s in shells.items() if not s.is_zero()}
+    if shells:
+        total = total + LaurentRF(shells)
+    return total
+
+
 def ramified_chars(p, c, limit=None):
     m = (p - 1) * p ** (c - 1)
     out = []
@@ -53,6 +111,36 @@ def unram(p, u):
 
 
 class TestPadicChar:
+    def test_exponent_forms(self):
+        # psi(-1/9) = zeta_9, psi(3/9) = psi(1/3) = zeta_3^2
+        assert psi_exponent(-1, 9, 3) == (9, 1)
+        assert psi_exponent(3, 9, 3) == (3, 2)
+        assert psi_exponent(5, 1, 3) == (1, 0)
+        assert psi_value(Fraction(3, 9), 3) == E.zeta(3, 2)
+        chi = PadicChar(5, 2, 2, 3)
+        for a in (1, 2, Fraction(3, 7), -1):
+            assert chi.value_unit(a) == E.zeta(*chi.unit_exponent(a))
+        assert unram(5, 3).unit_exponent(2) == (1, 0)
+
+    # each of these looped forever, or returned a value, under python -O
+    def test_valuation_of_zero_raises(self):
+        with pytest.raises(AssertionError):
+            vp_frac(0, 3)
+
+    def test_character_at_zero_raises(self):
+        with pytest.raises(AssertionError):
+            PadicChar.unramified(5, 2)(0)
+
+    def test_psi_of_non_p_power_denominator_raises(self):
+        with pytest.raises(AssertionError):
+            psi_value(Fraction(1, 6), 3)
+        with pytest.raises(AssertionError):
+            psi_exponent(1, 6, 3)
+
+    def test_zero_value_at_p_raises(self):
+        with pytest.raises(AssertionError):
+            PadicChar.unramified(5, 0)
+
     def test_trivial(self):
         chi = unram(5, 1)
         assert chi.is_trivial()
@@ -245,6 +333,73 @@ class TestFourier:
             f = SchwartzFn(p, [(Fraction(rng.randint(-4, 4), p), rng.randint(-1, 1),
                                 rng.randint(-2, 2)) for _ in range(2)])
             assert fourier_transform(fourier_transform(f)) == f.dilate(-1)
+
+
+class TestExponentRoute:
+    """fourier_transform and tate_integral against the product route."""
+
+    @staticmethod
+    def same(got, want):
+        assert got == want
+        assert repr(got) == repr(want)
+
+    def test_products_oracle(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        # coefficients in Q, Q(zeta_3), Q(zeta_4) and Q(zeta_p), kept small
+        # so that the product route stays fast
+        coeff = st.tuples(st.sampled_from([1, -1, 2, -3]),
+                          st.integers(1, 3),
+                          st.sampled_from(["1", "z3", "z4", "zp", "1+zp"]),
+                          st.integers(1, 5))
+        ball = st.tuples(st.integers(-9, 9), st.integers(0, 1),
+                         st.sampled_from([1, 2, 5]), st.integers(-1, 1),
+                         coeff)
+
+        @hyp.settings(max_examples=60, deadline=None)
+        @hyp.given(st.sampled_from([2, 3, 5, 7]),
+                   st.lists(ball, min_size=1, max_size=4), st.data())
+        def check(p, raw, data):
+            grade = data.draw(st.integers(-1, 1))
+
+            def scalar(n, d, kind, k):
+                base = {"1": E.one(), "z3": E.zeta(3, k), "z4": E.zeta(4, k),
+                        "zp": E.zeta(p, k), "1+zp": 1 + E.zeta(p, k)}[kind]
+                return (Fraction(n, d) * base).with_grades(qgrade=grade)
+
+            phi = SchwartzFn(p, [(Fraction(n, p ** e * u), k, scalar(*cf))
+                                 for n, e, u, k, cf in raw])
+            hat = fourier_transform(phi)
+            self.same(hat, _fourier_by_products(phi))
+            # conductor 0 to 2 (p odd; 1 for p = 7, to keep Q(zeta_2058))
+            c = 0 if p == 2 else data.draw(st.integers(0, 1 if p == 7 else 2))
+            u = data.draw(st.sampled_from(
+                [E.one(), E.rational(2), E.rational(Fraction(1, 3)),
+                 E.rational(2, qgrade=1)]))
+            m = (p - 1) * p ** max(c - 1, 0)
+            e = data.draw(st.sampled_from(
+                [x for x in range(1, m) if c != 2 or x % p])) if c else 0
+            chi = PadicChar(p, u, c, e)
+            for f in (phi, hat):
+                got, want = tate_integral(f, chi), _tate_by_products(f, chi)
+                assert got == want and got.serialize() == want.serialize()
+
+        check()
+
+    @pytest.mark.parametrize("p, c", [(3, 2), (5, 2), (7, 1)])
+    def test_character_coefficients(self, p, c):
+        # coefficients chi(a) share the psi conductor's prime: some
+        # products chi(a) psi(-ab) are rational, and the conductors must
+        # still follow the product route
+        for chi in ramified_chars(p, c, 3):
+            phi = SchwartzFn.from_char_on_units(chi)
+            hat = fourier_transform(phi)
+            self.same(hat, _fourier_by_products(phi))
+            self.same(fourier_transform(hat), _fourier_by_products(hat))
+            for psi_chi in (chi, chi.inverse(), unram(p, 2)):
+                got = tate_integral(hat, psi_chi)
+                want = _tate_by_products(hat, psi_chi)
+                assert got == want and got.serialize() == want.serialize()
 
 
 class TestTateIntegral:
