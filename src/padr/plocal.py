@@ -805,7 +805,10 @@ def tate_integral(phi: SchwartzFn, chi: PadicChar) -> LaurentRF:
     On the shell p^v Z_p^x, chi(b) = u^v zeta_m^k with (m, k) the exponent
     form of chi at the unit b p^(-v).  Each shell is one root_of_unity_sum
     of the terms (vol, c, m, k) over the sub-balls b + p^klev Z_p at the
-    conductor level, times u^v once.
+    conductor level, times u^v once.  The shell value is the sum of the
+    products c chi(b) vol; it also has their conductor when u is rational,
+    as for every character padr builds.  For a cyclotomic u only the value
+    is the same, since u^v multiplies the sum and not each term.
     """
     p = chi.p
     total = LaurentRF.zero()

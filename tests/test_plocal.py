@@ -43,7 +43,8 @@ from padr.plocal import _gamma_gl3_twist
 # The per-ball product routes that fourier_transform and tate_integral
 # replaced by exponent accumulation: every factor psi(-ab) and chi(b) is
 # built as a scalar and multiplied in.  Kept as the oracle of the new
-# route, which must agree in value and in conductor.
+# route, which must agree in value, and in conductor too when the
+# character's u is rational.
 
 def _fourier_by_products(phi):
     p = phi.p
@@ -375,14 +376,18 @@ class TestExponentRoute:
             c = 0 if p == 2 else data.draw(st.integers(0, 1 if p == 7 else 2))
             u = data.draw(st.sampled_from(
                 [E.one(), E.rational(2), E.rational(Fraction(1, 3)),
-                 E.rational(2, qgrade=1)]))
+                 E.rational(2, qgrade=1), E.zeta(3), 2 * E.zeta(4, 3)]))
             m = (p - 1) * p ** max(c - 1, 0)
             e = data.draw(st.sampled_from(
                 [x for x in range(1, m) if c != 2 or x % p])) if c else 0
             chi = PadicChar(p, u, c, e)
             for f in (phi, hat):
                 got, want = tate_integral(f, chi), _tate_by_products(f, chi)
-                assert got == want and got.serialize() == want.serialize()
+                assert got == want
+                # u^v multiplies each shell's sum, not each term, so the
+                # conductors agree only for a rational u
+                if u.is_rational():
+                    assert got.serialize() == want.serialize()
 
         check()
 

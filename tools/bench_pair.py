@@ -2,12 +2,14 @@
 
     python3 tools/bench_pair.py --parent HEAD --pairs 10 --out BENCH_7.json
 
-Exports the parent revision with ``git archive`` into a scratch directory
-(no worktree is registered) and runs the unmodified ``perfbench/run.py``
+Exports the parent revision with ``git archive`` into a temporary
+directory, removed at exit (no worktree is registered), and runs the unmodified ``perfbench/run.py``
 of each side, alternately, for every workload of ``BENCHMARK.json``.  Pair i
 runs both sides with seed ``--seed + i``; even pairs start with the parent,
 odd pairs with the working tree.  Then one traced run (``--trace 1``) per
-side and workload at ``--trace-seed`` gives the per-layer counts.
+side and workload at seed 7 gives the per-layer counts, so that every
+benchmark file traces the same inputs.  At least 10 pairs are run: fewer
+cannot show a gain on nine of ten pairs.
 
 The output file holds, per workload and end-to-end metric, each side's
 runs, median and quartiles, and the number of pairs the working tree won
@@ -27,6 +29,8 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACE_SEED = 7
+MIN_PAIRS = 10
 
 
 def git(*args):
@@ -67,16 +71,13 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", default="HEAD",
                     help="git revision to compare the working tree with")
-    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--pairs", type=int, default=MIN_PAIRS)
     ap.add_argument("--seed", type=int, default=1,
                     help="seed of the first pair")
-    ap.add_argument("--trace-seed", type=int, default=7)
     ap.add_argument("--out", required=True)
-    ap.add_argument("--workdir", default=None,
-                    help="where to unpack the parent (default: a temp dir)")
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2, for quartiles")
+    if args.pairs < MIN_PAIRS:
+        ap.error(f"--pairs must be at least {MIN_PAIRS}")
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
@@ -87,9 +88,9 @@ def main(argv=None):
         sys.exit(f"{' '.join(paths)} differ from {args.parent}: "
                  "the sides would not run the same benchmark")
     parent_sha = git("rev-parse", args.parent).strip()
-    workdir = args.workdir or tempfile.mkdtemp(prefix="bench_pair_")
-    parent_tree = os.path.join(workdir, "parent")
-    os.makedirs(parent_tree, exist_ok=True)
+    # removed with its contents when the script exits
+    workdir = tempfile.TemporaryDirectory(prefix="bench_pair_")
+    parent_tree = workdir.name
     export(parent_sha, parent_tree)
     trees = {"parent": parent_tree, "change": ROOT}
     seconds = bench["run_seconds"]
@@ -117,7 +118,7 @@ def main(argv=None):
            "run_seconds": seconds,
            "host": {"python": platform.python_version(),
                     "nproc": os.cpu_count(), "machine": platform.machine()},
-           "workloads": {}, "trace": {"seed": args.trace_seed}}
+           "workloads": {}, "trace": {"seed": TRACE_SEED}}
     for w in workloads:
         entry = {}
         for m, better in metrics.items():
@@ -137,7 +138,7 @@ def main(argv=None):
     for w in workloads:
         out["trace"][w] = {}
         for side, tree in trees.items():
-            res = run(tree, w, args.trace_seed, seconds, True)
+            res = run(tree, w, TRACE_SEED, seconds, True)
             out["trace"][w][side] = {k: v["value"]
                                      for k, v in res["metrics"].items()}
     with open(args.out, "w") as fh:
