@@ -163,6 +163,10 @@ def _qid(D, a, b, c, d, den):
     return _qid_raw(D, (a, b, c, d), den)
 
 
+def _is_one(z):
+    return z.den == 1 and z.nums == (1, 0, 0, 0)
+
+
 def qi(D):
     """The imaginary unit."""
     return QiD(D, 0, 1)
@@ -261,12 +265,12 @@ class SymPoly:
         return all(e == (0, 0, 0, 0) for e in self.coeffs)
 
     def constant_value(self):
-        assert self.is_constant()
+        _check(self.is_constant(), "constant_value of a non-constant")
         return self.coeffs.get((0, 0, 0, 0), QiD(self.D))
 
     def lead(self):
         """Largest exponent tuple in lexicographic order."""
-        assert self.coeffs
+        _check(self.coeffs, "lead of the zero polynomial")
         return max(self.coeffs)
 
     def div_exact(self, f):
@@ -277,13 +281,13 @@ class SymPoly:
         out = {}
         fl = f.lead()
         fc = f.coeffs[fl]
-        fci = fc.inverse()
+        fci = None if _is_one(fc) else fc.inverse()
         while rem:
             lead = max(rem)
             e = tuple(a - b for a, b in zip(lead, fl))
             if any(x < 0 for x in e):
                 return None
-            q = rem[lead] * fci
+            q = rem[lead] if fci is None else rem[lead] * fci
             out[e] = q
             for fe, c in f.coeffs.items():
                 k = tuple(a + b for a, b in zip(e, fe))
@@ -315,8 +319,10 @@ def _fac_expand(D, fac):
 class RF:
     """Rational function: SymPoly numerator over a factored denominator
     (a dict of monic non-constant SymPoly factors with positive integer
-    exponents).  Every constructor call cancels factors that divide the
-    numerator exactly, which keeps intermediate expressions small."""
+    exponents).  The constructor cancels the factors that divide the
+    numerator exactly.  So the value is reduced once per constructor call
+    or `rf_sum`, not once per operation: a product or sum of many RFs is
+    one `rf_sum`, and `+`, `-`, `*` and `deriv` are each one such sum."""
 
     __slots__ = ("num", "fac")
 
@@ -324,27 +330,31 @@ class RF:
         fac = {}
         if den is not None:
             if isinstance(den, dict):
-                fac = dict(den)
+                fac = den
             else:
-                assert not den.is_zero(), "zero denominator"
+                _check(not den.is_zero(), "zero denominator")
                 fac = {den: 1}
-        self.num = num
+        # product of the inverted constant factors and leading coefficients
+        scale = None
         self.fac = {}
         for f, e in fac.items():
             if e == 0:
                 continue
-            assert e > 0 and not f.is_zero()
+            _check(e > 0 and not f.is_zero(), "bad denominator factor")
             if f.is_constant():
                 c = f.constant_value().inverse()
+            else:
+                c = f.coeffs[f.lead()]
+                if _is_one(c):
+                    c = None
+                else:
+                    c = c.inverse()
+                    f = f * c
+                self.fac[f] = self.fac.get(f, 0) + e
+            if c is not None:
                 for _ in range(e):
-                    self.num = self.num * c
-                continue
-            lc = f.coeffs[f.lead()]
-            if lc != QiD(num.D, 1):
-                f = f * lc.inverse()
-                for _ in range(e):
-                    self.num = self.num * lc.inverse()
-            self.fac[f] = self.fac.get(f, 0) + e
+                    scale = c if scale is None else scale * c
+        self.num = num if scale is None else num * scale
         self._reduce()
 
     def _reduce(self):
@@ -374,19 +384,12 @@ class RF:
         return RF(SymPoly.var(D, idx))
 
     def __add__(self, other):
-        other = self._coerce(other)
-        D = self.num.D
-        lcm = dict(self.fac)
-        for f, e in other.fac.items():
-            lcm[f] = max(lcm.get(f, 0), e)
-        n1 = self.num * _fac_expand(
-            D, {f: e - self.fac.get(f, 0) for f, e in lcm.items()})
-        n2 = other.num * _fac_expand(
-            D, {f: e - other.fac.get(f, 0) for f, e in lcm.items()})
-        return RF(n1 + n2, lcm)
+        return rf_sum(((1, (self,)), (1, (self._coerce(other),))),
+                      self.num.D)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return rf_sum(((1, (self,)), (-1, (self._coerce(other),))),
+                      self.num.D)
 
     def __neg__(self):
         return RF(-self.num, dict(self.fac))
@@ -398,34 +401,27 @@ class RF:
 
     def __mul__(self, other):
         if isinstance(other, (QiD, int, Fraction)):
-            return RF(self.num * other, dict(self.fac))
-        fac = dict(self.fac)
-        for f, e in other.fac.items():
-            fac[f] = fac.get(f, 0) + e
-        return RF(self.num * other.num, fac)
+            return rf_sum(((other, (self,)),), self.num.D)
+        return rf_sum(((1, (self, other)),), self.num.D)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = self._coerce(other)
-        assert not other.num.is_zero(), "division by zero"
+        _check(not other.num.is_zero(), "division by zero")
         fac = dict(self.fac)
         fac[other.num] = fac.get(other.num, 0) + 1
-        out = RF(self.num, fac)
-        if other.fac:
-            out = out * RF(_fac_expand(self.num.D, other.fac))
-        return out
+        return RF(self.num * _fac_expand(self.num.D, other.fac), fac)
 
     def deriv(self, idx):
-        out = RF(self.num.deriv(idx), dict(self.fac))
+        """d/d(variable idx), summed over the denominator with each factor
+        whose derivative is non-zero raised by one."""
+        parts = [(self.num.deriv(idx), self.fac)]
         for f, e in self.fac.items():
             df = f.deriv(idx)
-            if df.is_zero():
-                continue
-            fac = dict(self.fac)
-            fac[f] = e + 1
-            out = out - Fraction(e) * RF(self.num * df, fac)
-        return out
+            if not df.is_zero():
+                parts.append((self.num * df * (-e), {**self.fac, f: e + 1}))
+        return _rf_from_parts(parts, self.num.D)
 
     def conj(self):
         return RF(self.num.conj(),
@@ -436,7 +432,7 @@ class RF:
         num = self.num.subst_w0()
         for f, e in self.fac.items():
             f0 = f.subst_w0()
-            assert not f0.is_zero(), "pole along w = 0"
+            _check(not f0.is_zero(), "pole along w = 0")
             fac[f0] = fac.get(f0, 0) + e
         return RF(num, fac)
 
@@ -449,6 +445,51 @@ class RF:
 
     def __repr__(self):
         return f"RF({self.num}/{self.fac})"
+
+
+def rf_sum(terms, D):
+    """The RF sum of c * x_1 * ... * x_m over terms (c, (x_1, ..., x_m)),
+    with c a scalar (QiD, int or Fraction) and the x_j RFs in Q(i, sqrt D).
+
+    Each term's numerators are multiplied as SymPolys and the exponents of
+    its factored denominators added; the terms are summed over the lcm of
+    those denominators, and one RF is built, so the sum is reduced once
+    instead of once per product and per partial sum.  Its value is that of
+    the left-to-right chain of RF `*` and `+`."""
+    parts = []
+    for c, xs in terms:
+        num, fac = None, {}
+        for x in xs:
+            num = x.num if num is None else num * x.num
+            for f, e in x.fac.items():
+                fac[f] = fac.get(f, 0) + e
+        if num is None:
+            num = SymPoly.const(D, c)
+        elif not (c.__class__ is int and c == 1):
+            num = num * c
+        parts.append((num, fac))
+    return _rf_from_parts(parts, D)
+
+
+def _rf_from_parts(parts, D):
+    """The RF sum of num / prod f^e over parts (num, {f: e}), every f monic
+    and non-constant: the numerators are brought over the lcm of the
+    denominators of the non-zero parts, added, and one RF is built."""
+    parts = [(num, fac) for num, fac in parts if not num.is_zero()]
+    lcm = {}
+    for _, fac in parts:
+        for f, e in fac.items():
+            if e > lcm.get(f, 0):
+                lcm[f] = e
+    total = {}
+    for num, fac in parts:
+        missing = {f: e - fac.get(f, 0) for f, e in lcm.items()
+                   if e > fac.get(f, 0)}
+        if missing:
+            num = num * _fac_expand(D, missing)
+        for e, c in num.coeffs.items():
+            total[e] = total[e] + c if e in total else c
+    return RF(SymPoly(D, total), lcm)
 
 
 # ---------------------------------------------------------------------------
@@ -660,8 +701,8 @@ class SectionPoly:
         self.D = D
         self.k = tuple(k)
         kappa = self.k[1] - self.k[0]
-        assert kappa >= 0
-        assert len(comps) == kappa + 1
+        _check(kappa >= 0, "negative kappa = k2 - k1")
+        _check(len(comps) == kappa + 1, "need kappa + 1 components")
         self.comps = list(comps)
 
     @property
@@ -671,29 +712,32 @@ class SectionPoly:
 
 def _vec_subst(vec, M, D):
     """Substitute (X, Y) -> ((X, Y) M) in sum_i vec[i] X^i Y^(kappa-i);
-    vec is a list of RFs, M a 2x2 RF matrix."""
+    vec is a list of RFs, M a 2x2 RF matrix.  Each output component is
+    one rf_sum over the expanded binomials."""
     kappa = len(vec) - 1
-    out = [RF.const(D, 0) for _ in range(kappa + 1)]
     # X -> m00 X + m10 Y,  Y -> m01 X + m11 Y
+    p00, p10, p01, p11 = (_rf_powers(m, kappa)
+                          for m in (M[0][0], M[1][0], M[0][1], M[1][1]))
+    terms = [[] for _ in range(kappa + 1)]
     for i, coeff in enumerate(vec):
         if coeff.is_zero():
             continue
         # expand (m00 X + m10 Y)^i (m01 X + m11 Y)^(kappa - i)
         for a in range(i + 1):
-            xa = (comb(i, a) * coeff * _rf_pow(M[0][0], a)
-                  * _rf_pow(M[1][0], i - a))
             for b in range(kappa - i + 1):
-                xdeg = a + b
-                term = (comb(kappa - i, b) * xa * _rf_pow(M[0][1], b)
-                        * _rf_pow(M[1][1], kappa - i - b))
-                out[xdeg] = out[xdeg] + term
-    return out
+                # the zeroth powers, 1, are left out of the product
+                xs = (coeff,) + tuple(
+                    p[j] for p, j in ((p00, a), (p10, i - a), (p01, b),
+                                      (p11, kappa - i - b)) if j)
+                terms[a + b].append((comb(i, a) * comb(kappa - i, b), xs))
+    return [rf_sum(t, D) for t in terms]
 
 
-def _rf_pow(x, n):
-    out = RF.const(x.num.D, 1)
+def _rf_powers(x, n):
+    """[x^0, ..., x^n]."""
+    out = [RF.const(x.num.D, 1)]
     for _ in range(n):
-        out = out * x
+        out.append(out[-1] * x)
     return out
 
 
@@ -722,8 +766,8 @@ def rho_xi(vec, k, Z, D, inverse=False):
 
 def _sym_power(x, n):
     if n >= 0:
-        return _rf_pow(x, n)
-    return RF.const(x.num.D, 1) / _rf_pow(x, -n)
+        return _rf_powers(x, n)[n]
+    return RF.const(x.num.D, 1) / _rf_powers(x, -n)[-n]
 
 
 def _mat2_inv(M, D):
@@ -737,7 +781,7 @@ def drho_n(f, n):
     C f(u) = Df(xi(Z)^t u eta(Z)) iterated on formal multilinear slots,
     conjugated by rho_k(Xi).  Returns the list of X^i Y^(kappa-i)
     components as RFs in (tau, conj tau, w, conj w)."""
-    assert n >= 0
+    _check(n >= 0, "negative order")
     D, k = f.D, f.k
     Z = symbolic_point(D)
     # start: rho(Xi) f as a 0-linear table
@@ -755,8 +799,9 @@ def drho_n(f, n):
             dvec_t = [c.deriv(0) for c in vec]
             dvec_u = [c.deriv(2) for c in vec]
             for j in range(2):
-                new[key + (j,)] = [args[j][0] * a + args[j][1] * b
-                                   for a, b in zip(dvec_t, dvec_u)]
+                new[key + (j,)] = [
+                    rf_sum(((1, (args[j][0], a)), (1, (args[j][1], b))), D)
+                    for a, b in zip(dvec_t, dvec_u)]
         table = new
 
     # contract every slot with (xi^t)^(-1) v0 eta^(-1)
@@ -765,14 +810,9 @@ def drho_n(f, n):
     c0 = xit_inv[0][1] / eta     # coefficient on e_0
     c1 = xit_inv[1][1] / eta     # coefficient on e_1
     coeffs = (c0, c1)
-    kappa = f.kappa
-    total = [RF.const(D, 0) for _ in range(kappa + 1)]
-    for key, vec in table.items():
-        weight = RF.const(D, 1)
-        for j in key:
-            weight = weight * coeffs[j]
-        for i in range(kappa + 1):
-            total[i] = total[i] + weight * vec[i]
+    total = [rf_sum([(1, tuple(coeffs[j] for j in key) + (vec[i],))
+                     for key, vec in table.items()], D)
+             for i in range(f.kappa + 1)]
     return rho_xi(total, k, Z, D, inverse=True)
 
 
@@ -787,9 +827,10 @@ def conjugated_derivative_form(f, n):
     D, k = f.D, f.k
     Z = symbolic_point(D)
     vec = rho_xi([RF(c) for c in f.comps], k, Z, D)
-    dinv = RF.const(D, qdelta(D).inverse())
+    mdinv = -qdelta(D).inverse()
     for _ in range(n):
-        vec = [c.deriv(2) - dinv * Z[3] * c.deriv(0) for c in vec]
+        vec = [rf_sum(((1, (c.deriv(2),)), (mdinv, (Z[3], c.deriv(0)))), D)
+               for c in vec]
     out = rho_xi(vec, k, Z, D, inverse=True)
     return [c.subst_w0() for c in out]
 
@@ -818,7 +859,7 @@ def coefficient_closed_form(f, n):
             for t in range(j):
                 fac *= i - t
             term = (RF(g.subst_w0()) * Fraction(fac * comb(n, j))
-                    / _rf_pow(mi * eta_t, j))
+                    / _rf_powers(mi * eta_t, j)[j])
             total = total + term
         out.append(total.subst_w0())
     return out
@@ -853,7 +894,7 @@ class HeisenbergElt:
         self.phase = Fraction(phase) % 2
 
     def __mul__(self, other):
-        assert self.D == other.D
+        _check(self.D == other.D, "Heisenberg elements with different D")
         return HeisenbergElt(
             self.D, self.w + other.w,
             self.z + other.z +

@@ -1,5 +1,6 @@
 import math
 import os
+from math import comb
 import random
 import subprocess
 import sys
@@ -34,10 +35,18 @@ from padr.diffops import (
     qdelta,
     qi,
     d4_scaling_constant,
+    drho_n,
+    eta_of,
+    rf_sum,
     rho_xi,
     s_delta,
     skew_pairing,
     symbolic_point,
+    xi_of,
+    _mat2_inv,
+    _rho_factors,
+    _sym_power,
+    _vec_subst,
 )
 
 
@@ -224,6 +233,71 @@ class TestSymRF:
             (RF.const(D, 1) / u).subst_w0()
 
 
+class TestRFSum:
+    def test_equals_chain_of_products_and_sums(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @st.composite
+        def sums(draw):
+            """D and terms (c, (x_1, ..., x_m)) whose RFs have factored
+            denominators drawn from eta, tau - conj tau and w."""
+            D = draw(st.sampled_from([3, 4]))
+            dens = [eta_of(symbolic_point(D), D).num,
+                    SymPoly.var(D, 0) - SymPoly.var(D, 1),
+                    SymPoly.var(D, 2)]
+            small = st.integers(-2, 2)
+
+            def rf():
+                num = SymPoly(D, {
+                    tuple(draw(st.lists(st.integers(0, 2), min_size=4,
+                                        max_size=4))):
+                    QiD(D, *draw(st.lists(small, min_size=4, max_size=4)))
+                    for _ in range(draw(st.integers(1, 3)))})
+                return RF(num, {f: draw(st.integers(0, 2)) for f in dens})
+
+            scalars = [1, -2, Fraction(1, 3), qi(D), QiD(D, 1, 0, 1)]
+            terms = [(draw(st.sampled_from(scalars)),
+                      tuple(rf() for _ in range(draw(st.integers(0, 3)))))
+                     for _ in range(draw(st.integers(1, 4)))]
+            return D, terms
+
+        @hyp.settings(max_examples=30, deadline=None)
+        @hyp.given(sums())
+        def prop(case):
+            D, terms = case
+            got = rf_sum(terms, D)
+            chain = RF.const(D, 0)
+            for c, xs in terms:
+                prod = RF.const(D, c)
+                for x in xs:
+                    prod = prod * x
+                chain = chain + prod
+            assert got == chain
+            # the same value over the product of all denominators, in
+            # SymPoly arithmetic only
+            num, den = SymPoly.const(D, 0), SymPoly.const(D, 1)
+            for c, xs in terms:
+                tn, td = SymPoly.const(D, c), SymPoly.const(D, 1)
+                for x in xs:
+                    tn, td = tn * x.num, td * x.den
+                num, den = num * td + tn * den, den * td
+            assert got.num * den == num * got.den
+            # reduced: no factor of the denominator divides the numerator
+            assert all(got.num.div_exact(f) is None for f in got.fac)
+
+        prop()
+
+    def test_zero_and_empty_terms(self):
+        D = 3
+        t = RF.var(D, 0)
+        u = RF.const(D, 1) / RF.var(D, 2)
+        assert rf_sum([(1, (t, u)), (-1, (u, t))], D).is_zero()
+        assert rf_sum([(QiD(D, 2), ()), (0, (u,))], D) == RF.const(D, 2)
+        s = rf_sum([(1, (u,)), (1, (u,))], D)
+        assert s.fac == {SymPoly.var(D, 2): 1} and s == 2 * u
+
+
 class TestGroup:
     @pytest.mark.parametrize("D", [3, 4])
     def test_generators_in_group(self, D):
@@ -372,6 +446,147 @@ class TestDifferentialOperators:
             dn = max(e[1] for e in diff.num.coeffs)
             dd = max(e[1] for e in diff.den.coeffs)
             assert dn < dd
+
+
+# The per-term routes that rf_sum replaced, kept as oracles: every power,
+# product, partial sum and derivative term is its own reduced RF.
+
+def _rf_pow_chain(x, n):
+    out = RF.const(x.num.D, 1)
+    for _ in range(n):
+        out = out * x
+    return out
+
+
+def _deriv_chain(x, idx):
+    out = RF(x.num.deriv(idx), dict(x.fac))
+    for f, e in x.fac.items():
+        df = f.deriv(idx)
+        if df.is_zero():
+            continue
+        fac = dict(x.fac)
+        fac[f] = e + 1
+        out = out - Fraction(e) * RF(x.num * df, fac)
+    return out
+
+
+def _vec_subst_per_term(vec, M, D):
+    kappa = len(vec) - 1
+    out = [RF.const(D, 0) for _ in range(kappa + 1)]
+    for i, coeff in enumerate(vec):
+        if coeff.is_zero():
+            continue
+        for a in range(i + 1):
+            xa = (comb(i, a) * coeff * _rf_pow_chain(M[0][0], a)
+                  * _rf_pow_chain(M[1][0], i - a))
+            for b in range(kappa - i + 1):
+                term = (comb(kappa - i, b) * xa * _rf_pow_chain(M[0][1], b)
+                        * _rf_pow_chain(M[1][1], kappa - i - b))
+                out[a + b] = out[a + b] + term
+    return out
+
+
+def _rho_xi_per_term(vec, k, Z, D, inverse=False):
+    det, eta, xit = _rho_factors(k, Z, D)
+    k1, _, k3 = k
+    if inverse:
+        out = _vec_subst_per_term(vec, xit, D)
+        pref = _sym_power(det, k1) * _sym_power(eta, -k3)
+    else:
+        out = _vec_subst_per_term(vec, _mat2_inv(xit, D), D)
+        pref = _sym_power(det, -k1) * _sym_power(eta, k3)
+    return [pref * comp for comp in out]
+
+
+def _drho_n_per_step(f, n):
+    D, k = f.D, f.k
+    Z = symbolic_point(D)
+    table = {(): _rho_xi_per_term([RF(c) for c in f.comps], k, Z, D)}
+    xi, eta = xi_of(Z, D), eta_of(Z, D)
+    args = [[xi[j][0] * eta, xi[j][1] * eta] for j in range(2)]
+    for _ in range(n):
+        new = {}
+        for key, vec in table.items():
+            dvec_t = [_deriv_chain(c, 0) for c in vec]
+            dvec_u = [_deriv_chain(c, 2) for c in vec]
+            for j in range(2):
+                new[key + (j,)] = [args[j][0] * a + args[j][1] * b
+                                   for a, b in zip(dvec_t, dvec_u)]
+        table = new
+    xit = [[xi[0][0], xi[1][0]], [xi[0][1], xi[1][1]]]
+    xit_inv = _mat2_inv(xit, D)
+    coeffs = (xit_inv[0][1] / eta, xit_inv[1][1] / eta)
+    total = [RF.const(D, 0) for _ in range(f.kappa + 1)]
+    for key, vec in table.items():
+        weight = RF.const(D, 1)
+        for j in key:
+            weight = weight * coeffs[j]
+        for i in range(f.kappa + 1):
+            total[i] = total[i] + weight * vec[i]
+    return _rho_xi_per_term(total, k, Z, D, inverse=True)
+
+
+# the criterion-9 probes: weight and the monomials of each component
+CRITERION_9_PROBES = [
+    ((0, 0, 1), [{(1, 0, 2, 0): 1}]),
+    ((-1, 0, 2), [{(1, 0, 1, 0): 1}, {(0, 1, 0, 0): qi(4)}]),
+    ((0, 2, 1), [{(0, 0, 2, 0): 1}, {(1, 0, 0, 1): 2}, {(0, 0, 0, 0): 1}]),
+    ((-1, 2, 1), [{(0, 0, 2, 0): 1}, {(1, 0, 1, 0): 1},
+                  {(0, 1, 0, 1): 2}, {(0, 0, 1, 1): 1}]),
+]
+
+
+class TestPerTermOracle:
+    @pytest.mark.parametrize("probe", range(len(CRITERION_9_PROBES)))
+    def test_vec_subst(self, probe):
+        D = 4
+        k, monos = CRITERION_9_PROBES[probe]
+        Z = symbolic_point(D)
+        _, _, xit = _rho_factors(k, Z, D)
+        vec = rho_xi([RF(SymPoly(D, m)) for m in monos], k, Z, D)
+        for M in (xit, _mat2_inv(xit, D)):
+            got = _vec_subst(vec, M, D)
+            want = _vec_subst_per_term(vec, M, D)
+            assert len(got) == len(want)
+            assert all(x == y for x, y in zip(got, want))
+
+    @pytest.mark.parametrize("probe", range(len(CRITERION_9_PROBES)))
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_drho_n(self, probe, n):
+        k, monos = CRITERION_9_PROBES[probe]
+        f = make_section(4, k, monos)
+        got = drho_n(f, n)
+        want = _drho_n_per_step(f, n)
+        assert len(got) == len(want) == f.kappa + 1
+        assert all(x == y for x, y in zip(got, want))
+
+
+class TestChecks:
+    def test_checks_raise_under_dash_O(self):
+        code = (
+            "from padr.diffops import (RF, SymPoly, SectionPoly,\n"
+            "                          HeisenbergElt, drho_n)\n"
+            "D = 3\n"
+            "t = SymPoly.var(D, 0)\n"
+            "cases = [\n"
+            "    lambda: RF(t, SymPoly(D)),\n"
+            "    lambda: RF(t, {t: -1}),\n"
+            "    lambda: RF.var(D, 0) / RF.const(D, 0),\n"
+            "    lambda: (RF.const(D, 1) / RF.var(D, 2)).subst_w0(),\n"
+            "    lambda: SectionPoly(D, (1, 0, 0), []),\n"
+            "    lambda: SectionPoly(D, (0, 1, 0), [t]),\n"
+            "    lambda: drho_n(SectionPoly(D, (0, 0, 0), [t]), -1),\n"
+            "    lambda: t.constant_value(),\n"
+            "    lambda: SymPoly(D).lead(),\n"
+            "    lambda: HeisenbergElt(3, 0, 0) * HeisenbergElt(4, 0, 0),\n"
+            "]\n"
+            "for f in cases:\n"
+            "    try:\n"
+            "        f()\n"
+            "        print('passed')\n"
+            "    except AssertionError:\n"
+            "        print('raised')\n")
+        assert _run_dash_O(code) == ["raised"] * 10
 
 
 class TestHeisenberg:

@@ -67,6 +67,16 @@ def spread(values):
     return {"median": q2, "q1": q1, "q3": q3, "runs": values}
 
 
+def summarize(parent, change, better):
+    """Each side's spread and the number of pairs (parent[i], change[i])
+    the change won; better is "higher" or "lower", and a tie counts for
+    neither side."""
+    sign = 1 if better == "higher" else -1
+    return {"parent": spread(parent), "change": spread(change),
+            "change_wins": sum(sign * (c - p) > 0
+                               for p, c in zip(parent, change))}
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", default="HEAD",
@@ -124,14 +134,9 @@ def main(argv=None):
         for m, better in metrics.items():
             vals = {side: [r["metrics"][m]["value"] for r in runs[w][side]]
                     for side in trees}
-            sign = 1 if better == "higher" else -1
-            wins = sum(sign * (c - p) > 0
-                       for p, c in zip(vals["parent"], vals["change"]))
             entry[m] = {"better": better, "unit": runs[w]["change"][0]
                         ["metrics"][m]["unit"],
-                        "parent": spread(vals["parent"]),
-                        "change": spread(vals["change"]),
-                        "change_wins": wins}
+                        **summarize(vals["parent"], vals["change"], better)}
         entry["failed_ops"] = {side: [r["failed"] for r in runs[w][side]]
                                for side in trees}
         out["workloads"][w] = entry
