@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import click
 
-from padr import arch, diffops, iwasawa, plocal
+from padr import plocal
 from padr.exactnum import ExactScalar, PoleError, sqrt_prime
 from padr.plocal import PadicChar, SchwartzFn, fourier_transform, \
     gauss_sum, gauss_sum_twisted, tate_factors, tate_integral
@@ -90,8 +90,12 @@ def _text_lines(report, prefix=""):
 
 
 @click.group()
-def main():
+@click.pass_context
+def main(ctx):
     """Exact-arithmetic toolkit for local interpolation factors."""
+    # new Gauss sums go to PADR_CACHE_DIR once, when the command ends
+    # (also when it exits 1)
+    ctx.call_on_close(plocal.flush_gauss_cache)
 
 
 @main.command()
@@ -107,6 +111,7 @@ def main():
               default="json", show_default=True)
 def interp(p, weights, kp, satake, fmt):
     """Assemble the local interpolation factors for one configuration."""
+    from padr import arch
     _check_prime(p)
     k = _parse_ints(weights, 3, "--weights")
     kprime = _parse_ints(kp, 2, "--kp")
@@ -262,6 +267,7 @@ def suite_trilinear():
 
 
 def suite_propb1(lam1_max=3):
+    from padr import arch
     out = []
     for l1 in range(1, lam1_max + 1):
         for l3 in range(-3, 1):
@@ -279,6 +285,7 @@ def suite_propb1(lam1_max=3):
 
 
 def suite_diffops(rng):
+    from padr import diffops
     out = []
     for D in (3, 4):
         w1 = diffops.QiD(D, 1, 0, 0, 1)
@@ -330,6 +337,7 @@ def suite_diffops(rng):
 
 
 def suite_measures(p, prec_t, rng):
+    from padr import iwasawa
     out = []
     for t in range(20):
         pts = [(rng.randint(0, prec_t), Fraction(rng.randint(-3, 3)))

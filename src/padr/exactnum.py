@@ -264,6 +264,10 @@ class ExactScalar:
     def is_zero(self):
         return not any(self.nums)
 
+    def is_one(self):
+        return self.nums == (1,) and self.den == 1 and \
+            not (self.qgrade or self.pigrade)
+
     def is_rational(self):
         return self._demote().N == 1
 
@@ -442,12 +446,15 @@ class ExactScalar:
 
     def serialize(self):
         d = self._demote()
+        den = d.den
         terms = []
         for k, n in enumerate(d.nums):
             if n == 0:
                 continue
-            c = Fraction(n, d.den)
-            terms.append(f"{c}*z{d.N}^{k}" if k else str(c))
+            # n/den in lowest terms, as str(Fraction(n, den)) writes it
+            g = math.gcd(n, den)
+            c = f"{n // g}/{den // g}" if g != den else str(n // g)
+            terms.append(f"{c}*z{d.N}^{k}" if k else c)
         body = "+".join(terms).replace("+-", "-") if terms else "0"
         if d.qgrade:
             body += f" @q:{d.qgrade}"
@@ -990,7 +997,15 @@ def _spoly_gcd(a, b):
 
 
 class LaurentRF:
-    """Laurent rational function num/den in X over ExactScalar."""
+    """Laurent rational function num/den in X over ExactScalar.
+
+    The constructor canonicalises once (_laurent_canonical): den is a
+    polynomial with constant term 1, and num and den are divided by their
+    gcd, which is taken only when both sides have two or more terms (a
+    one-term side c X^k is a unit times a power of X).  evaluate_parts
+    returns num(x) and den(x) undivided, for callers that invert one
+    product of denominators.
+    """
 
     __slots__ = ("num", "den")
 
@@ -1098,6 +1113,13 @@ class LaurentRF:
 
     def evaluate(self, x):
         """Evaluate at X = x (an ExactScalar or rational)."""
+        n, d = self.evaluate_parts(x)
+        return n / d
+
+    def evaluate_parts(self, x):
+        """(num(x), den(x)) without dividing, so that a caller multiplying
+        several values can invert one product of denominators; raises
+        PoleError where den(x) = 0."""
         x = _coerce(x)
         num = ExactScalar.zero()
         for e, c in self.num.items():
@@ -1107,7 +1129,7 @@ class LaurentRF:
             den = den + c * x ** e
         if den.is_zero():
             raise PoleError(f"evaluation of {self} at the pole X = {x}")
-        return num / den
+        return num, den
 
     def subst_X(self, scale, power=1):
         """Substitute X -> scale * X^power (power = +-1)."""
@@ -1148,25 +1170,32 @@ def _coerce_rf(x):
 
 
 def _laurent_canonical(num, den):
-    """gcd-reduced form with den a polynomial of constant term 1."""
+    """gcd-reduced form with den a polynomial of constant term 1.  Each
+    step runs only where it can change something: the gcd when both sides
+    have two or more terms, the rescaling when den's lowest coefficient is
+    not already 1 (so a Laurent polynomial, den = 1, costs no arithmetic)."""
     if not num:
         return {}, {0: ExactScalar.one()}
     off_n, pn = _lp_to_poly(num)
     off_d, pd = _lp_to_poly(den)
-    g = _spoly_gcd(pn, pd)
-    if len(g) > 1:
-        pn, rn = _spoly_divmod(pn, g)
-        pd, rd = _spoly_divmod(pd, g)
-        _check(all(_coerce(x).is_zero() for x in rn + rd),
-               "the gcd does not divide both sides")
+    # a one-term side c X^k is a unit times a power of X: the gcd is 1
+    if len(num) > 1 and len(den) > 1:
+        g = _spoly_gcd(pn, pd)
+        if len(g) > 1:
+            pn, rn = _spoly_divmod(pn, g)
+            pd, rd = _spoly_divmod(pd, g)
+            _check(all(_coerce(x).is_zero() for x in rn + rd),
+                   "the gcd does not divide both sides")
     # strip trailing/leading zeros of den, make constant term 1
     lead_shift = 0
     while pd and _coerce(pd[0]).is_zero():
         pd.pop(0)
         lead_shift += 1
-    c0_inv = _coerce(pd[0]).inverse()
-    pd = [_coerce(x) * c0_inv for x in pd]
-    pn = [_coerce(x) * c0_inv for x in pn]
+    c0 = _coerce(pd[0])
+    if not c0.is_one():
+        c0_inv = c0.inverse()
+        pd = [_coerce(x) * c0_inv for x in pd]
+        pn = [_coerce(x) * c0_inv for x in pn]
     num = _poly_to_lp(off_n - off_d - lead_shift, pn)
     den = _poly_to_lp(0, pd)
     return num, den

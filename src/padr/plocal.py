@@ -236,7 +236,10 @@ class PadicChar:
 # Gauss sums
 # ---------------------------------------------------------------------------
 
+#: the Gauss sums known to this process, keyed "p_c_e", loaded on first use
+#: from PADR_CACHE_DIR; dirty once a sum is added that the file lacks
 _GAUSS_MEMO = None
+_GAUSS_DIRTY = False
 
 
 def _gauss_cache():
@@ -276,12 +279,25 @@ def _gauss_cache_store():
             raise
 
 
+def flush_gauss_cache():
+    """Write the memo to PADR_CACHE_DIR when it holds sums the file lacks.
+
+    `gauss_sum` only marks the memo dirty, so the file is serialized and
+    replaced once per command (the CLI calls this when a command ends),
+    not once per new sum."""
+    global _GAUSS_DIRTY
+    if _GAUSS_DIRTY:
+        _gauss_cache_store()
+        _GAUSS_DIRTY = False
+
+
 def gauss_sum(chi: PadicChar) -> ExactScalar:
     """g(chi, psi) = sum over units a mod p^c of chi(a)^(-1) psi(-a/p^c).
 
     With the normalization psi(b/p^k) = zeta_{p^k}^(-b) this is
     sum_a chi(a)^(-1) zeta_{p^c}^a; for c = 0 the sum is set to 1.
     """
+    global _GAUSS_DIRTY
     if chi.c == 0:
         return ExactScalar.one()
     memo = _gauss_cache()
@@ -290,7 +306,7 @@ def gauss_sum(chi: PadicChar) -> ExactScalar:
         return memo[key]
     total = _gauss_sum_at(chi, 1)
     memo[key] = total
-    _gauss_cache_store()
+    _GAUSS_DIRTY = True
     return total
 
 
@@ -1047,24 +1063,32 @@ def euler_modified(pi_chars, sigma) -> ExactScalar:
 
     where L(1/2, pi x sigma^dual) is the product over the character pairs of
     both GL factors.  Half powers of q are realized via sqrt_prime.
+
+    Each Laurent factor is evaluated as a pair (num, den) by
+    LaurentRF.evaluate_parts, and E is the product of the denominators over
+    the product of the numerators: one inversion for the whole factor.
     """
     nu, rho, mu = pi_chars
     mu_p, nu_p = sigma
     p = nu.p
     x_half = sqrt_prime(p).inverse()
-    L_val = ExactScalar.one()
+    factors = []
     for eta in pi_chars:
         for xi in (mu_p, nu_p):
-            L_val = L_val * tate_factors(eta * xi.inverse())[0].evaluate(x_half)
-            L_val = L_val * tate_factors(eta.inverse() * xi)[0].evaluate(x_half)
-    g1 = _gamma_gl3_twist(pi_chars, mu_p).evaluate(x_half)
-    g2 = ExactScalar.one()
+            factors.append(tate_factors(eta * xi.inverse())[0])
+            factors.append(tate_factors(eta.inverse() * xi)[0])
+    factors.append(_gamma_gl3_twist(pi_chars, mu_p))
     for eta in pi_chars:
-        g2 = g2 * tate_factors(eta.inverse() * nu_p,
-                               psi_inverse=True)[2].evaluate(x_half)
-    g3 = tate_factors(mu * nu_p.inverse())[2].evaluate(x_half)
-    inv = L_val * g1 * g2 * g3 * g3
-    return inv.inverse()
+        factors.append(tate_factors(eta.inverse() * nu_p,
+                                    psi_inverse=True)[2])
+    parts = [f.evaluate_parts(x_half) for f in factors]
+    g3 = tate_factors(mu * nu_p.inverse())[2].evaluate_parts(x_half)
+    parts += [g3, g3]
+    inv_num = inv_den = ExactScalar.one()
+    for n, d in parts:
+        inv_num = inv_num * n
+        inv_den = inv_den * d
+    return inv_den / inv_num
 
 
 def gamma_gl_pair(pi_chars, sigma, x) -> ExactScalar:

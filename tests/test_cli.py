@@ -53,6 +53,20 @@ class TestVerify:
         assert lines[0].startswith("suite fourier:")
         assert all(l.lstrip().startswith("ok") for l in lines[1:])
 
+    def test_gauss_imports_only_the_layers_it_uses(self):
+        res = run_python("-c", "import sys\n"
+                         "from padr.cli import main\n"
+                         "main.main(['verify', 'gauss', '--p', '7'], "
+                         "standalone_mode=False)\n"
+                         "print(sorted(m for m in sys.modules "
+                         "if m.startswith('padr')), file=sys.stderr)")
+        assert res.returncode == 0, res.stderr
+        loaded = res.stderr.strip().splitlines()[-1]
+        for name in ("padr.arch", "padr.diffops", "padr.iwasawa",
+                     "padr.repalg"):
+            assert f"'{name}'" not in loaded
+        assert "'padr.plocal'" in loaded
+
     def test_unknown_suite_usage_error(self):
         res = run("verify", "nope")
         assert res.exit_code == 2
@@ -68,6 +82,54 @@ class TestVerify:
         # rewritten whole, by rename, with no temporary file left behind
         assert json.loads(cache.read_text())
         assert [f.name for f in tmp_path.iterdir()] == ["gauss_sums.json"]
+
+
+class TestGaussCacheWrites:
+    """New Gauss sums reach PADR_CACHE_DIR in one write per command."""
+
+    @pytest.fixture
+    def stores(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PADR_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(plocal, "_GAUSS_MEMO", None)
+        monkeypatch.setattr(plocal, "_GAUSS_DIRTY", False)
+        calls = []
+        store = plocal._gauss_cache_store
+
+        def counted():
+            calls.append(1)
+            store()
+        monkeypatch.setattr(plocal, "_gauss_cache_store", counted)
+        return calls
+
+    def test_cold_then_warm(self, stores, tmp_path, monkeypatch):
+        cold = run("verify", "gauss", "--p", "11")
+        assert cold.exit_code == 0
+        assert len(stores) == 1
+        cache = tmp_path / "gauss_sums.json"
+        written = cache.read_bytes()
+        assert [f.name for f in tmp_path.iterdir()] == ["gauss_sums.json"]
+        # a new process on the filled directory reads every sum it needs
+        monkeypatch.setattr(plocal, "_GAUSS_MEMO", None)
+        warm = run("verify", "gauss", "--p", "11")
+        assert warm.output == cold.output
+        assert len(stores) == 1
+        assert cache.read_bytes() == written
+
+    def test_verify_all_writes_once(self, stores):
+        assert run("verify", "all", "--seed", "1").exit_code == 0
+        assert len(stores) == 1
+
+    def test_written_when_an_identity_fails(self, stores, tmp_path):
+        cache = tmp_path / "gauss_sums.json"
+        cache.write_text('{"7_1_1": "5"}')
+        assert run("verify", "gauss", "--p", "7").exit_code == 1
+        assert len(stores) == 1
+        assert len(json.loads(cache.read_text())) > 1
+
+    def test_interp_and_usage_errors_write_nothing(self, stores, tmp_path):
+        assert run("interp").exit_code == 0
+        assert run("verify", "gauss", "--p", "9").exit_code == 2
+        assert stores == [] and not list(tmp_path.iterdir())
 
 
 class TestUsageErrors:

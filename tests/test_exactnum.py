@@ -17,8 +17,14 @@ from padr.exactnum import (
     euler_phi,
     root_of_unity_sum,
     sqrt_prime,
+    _coerce,
+    _laurent_canonical,
+    _lp_to_poly,
     _minimal_field,
     _parse_sum,
+    _poly_to_lp,
+    _spoly_divmod,
+    _spoly_gcd,
 )
 
 
@@ -117,6 +123,14 @@ class TestCycloArith:
     def test_integral_qgrade_accepted(self):
         assert E.rational(1, qgrade=Fraction(4, 2)).qgrade == 2
         assert E.parse("1 @q:-3").qgrade == -3
+
+
+def test_is_one():
+    assert E.one().is_one() and E.zeta(1).is_one() and E.zeta(4, 4).is_one()
+    assert (E.zeta(3) * E.zeta(3, 2)).is_one()
+    for v in (E.zero(), E.rational(-1), E.rational(Fraction(1, 2)), E.zeta(4),
+              E.rational(1, qgrade=1), E.rational(1, pigrade=Fraction(1, 2))):
+        assert not v.is_one()
 
 
 class TestRootOfUnitySum:
@@ -251,6 +265,38 @@ class TestSerialization:
     def test_quad_round_trip(self):
         v = quad(7, Fraction(1, 2), -1, 0, Fraction(3, 5), qgrade=-1)
         assert E.parse(v.serialize()) == v
+
+
+    @staticmethod
+    def fraction_serialize(v):
+        """The body of v.serialize() with each coefficient as str(Fraction)."""
+        d = v._demote()
+        terms = [f"{Fraction(n, d.den)}*z{d.N}^{k}" if k
+                 else str(Fraction(n, d.den))
+                 for k, n in enumerate(d.nums) if n]
+        body = "+".join(terms).replace("+-", "-") if terms else "0"
+        if d.qgrade:
+            body += f" @q:{d.qgrade}"
+        if d.pigrade:
+            body += f" @pi:{d.pigrade}"
+        return body
+
+    def test_coefficients_written_as_fractions(self):
+        rng = random.Random(29)
+        values = [E.zero(), E.one(), E.rational(-7), E.rational(12, qgrade=1),
+                  E.rational(Fraction(-6, 4), pigrade=Fraction(-7, 2)),
+                  E([Fraction(4, 6), Fraction(-9, 3), 0, 5], N=5),
+                  E([0, 0, Fraction(-1, 2), 0, 0, 3], N=9).with_grades(qgrade=-1)]
+        for N in (1, 3, 5, 8, 12):
+            for _ in range(6):
+                deg = euler_phi(N)
+                den = rng.choice([1, 2, 6, 12])
+                v = E([Fraction(rng.choice([0, 1, -1, 2, -3, 4, -6, 12]), den)
+                       for _ in range(deg)], N=N)
+                values.append(v.with_grades(qgrade=rng.randint(-2, 2),
+                                            pigrade=rng.randint(-1, 1)))
+        for v in values:
+            assert v.serialize() == self.fraction_serialize(v)
 
 
 class TestEqualityAndHash:
@@ -492,6 +538,89 @@ class TestLaurentRF:
         f = one / (one - LaurentRF.monomial(u, 1))
         g = f.subst_X(Fraction(1, 3), -1)
         assert g == one / (one - LaurentRF.monomial(Fraction(1, 6), -1))
+
+    @staticmethod
+    def canonical_every_step(num, den):
+        """_laurent_canonical with the gcd taken whatever the sides' length
+        and den rescaled even when its lowest coefficient is 1."""
+        if not num:
+            return {}, {0: E.one()}
+        off_n, pn = _lp_to_poly(num)
+        off_d, pd = _lp_to_poly(den)
+        g = _spoly_gcd(pn, pd)
+        if len(g) > 1:
+            pn = _spoly_divmod(pn, g)[0]
+            pd = _spoly_divmod(pd, g)[0]
+        shift = 0
+        while pd and _coerce(pd[0]).is_zero():
+            pd.pop(0)
+            shift += 1
+        c0_inv = _coerce(pd[0]).inverse()
+        pn = [_coerce(x) * c0_inv for x in pn]
+        pd = [_coerce(x) * c0_inv for x in pd]
+        return _poly_to_lp(off_n - off_d - shift, pn), _poly_to_lp(0, pd)
+
+    POOL = [E.one(), E.rational(-2), E.rational(Fraction(3, 4)), E.zeta(3),
+            E.zeta(4, 3), 1 + E.zeta(6), sqrt_prime(5).inverse(),
+            E.rational(Fraction(-1, 6))]
+
+    def test_skipped_steps_change_nothing(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        # a side is 1 to 3 terms c X^e; coefficients rational or cyclotomic
+        side = st.dictionaries(st.integers(-3, 3),
+                               st.integers(0, len(self.POOL) - 1),
+                               min_size=1, max_size=3)
+        factor = st.sampled_from([{}, {0: 1, 1: -1}, {0: 2, 2: 1},
+                                  {-1: 1, 0: E.zeta(3)}])
+
+        q = E.rational(1, qgrade=1)
+
+        @hyp.settings(max_examples=300, deadline=None)
+        @hyp.given(side, side, factor, st.integers(0, 1), st.integers(0, 1))
+        def check(rn, rd, common, gn, gd):
+            num = {e: self.POOL[i] * q ** gn for e, i in rn.items()}
+            den = {e: self.POOL[i] * q ** gd for e, i in rd.items()}
+            if common:  # a shared factor, so the multi-term gcd is not 1
+                num = LaurentRF(num, normalize=False) * LaurentRF(
+                    common, normalize=False)
+                den = LaurentRF(den, normalize=False) * LaurentRF(
+                    common, normalize=False)
+                num, den = num.num, den.num
+            got = _laurent_canonical(num, den)
+            want = self.canonical_every_step(num, den)
+            assert [{e: c.serialize() for e, c in side.items()}
+                    for side in got] == \
+                [{e: c.serialize() for e, c in side.items()}
+                 for side in want]
+
+        check()
+
+    def test_evaluate_parts_raises_where_evaluate_does(self):
+        one = LaurentRF.one()
+        f = one / (one - LaurentRF.monomial(Fraction(1, 3), 1))
+        with pytest.raises(PoleError):
+            f.evaluate_parts(3)
+        g = LaurentRF({-1: 2, 1: 1}, {0: 1, 1: -1, 2: Fraction(-6)})
+        rng = random.Random(31)
+        points = [3, Fraction(1, 3), Fraction(-1, 2), sqrt_prime(3).inverse(),
+                  E.zeta(4)] + [Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+                                for _ in range(12)]
+        poles = 0
+        for h in (f, g, f * g, LaurentRF.X(-2) / g):
+            for x in points:
+                if x == 0 and min(h.num) < 0:
+                    continue
+                try:
+                    want = h.evaluate(x)
+                except PoleError:
+                    poles += 1
+                    with pytest.raises(PoleError):
+                        h.evaluate_parts(x)
+                    continue
+                n, d = h.evaluate_parts(x)
+                assert n / d == want
+        assert poles  # the points reach the poles X = 3 of f, 1/3 and -1/2 of g
 
     def test_graded_coefficients(self):
         c = E.rational(2, qgrade=1)

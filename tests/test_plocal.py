@@ -569,6 +569,50 @@ class TestEulerFactors:
         assert r4 / r3 == sqrt_prime(p) * sigma[1].u / E.rational(p)
 
 
+def euler_modified_per_factor(pi_chars, sigma):
+    """The per-factor route to E: every Laurent factor divided out by
+    LaurentRF.evaluate, and the product of the values inverted."""
+    nu, rho, mu = pi_chars
+    mu_p, nu_p = sigma
+    x_half = sqrt_prime(nu.p).inverse()
+    L_val = E.one()
+    for eta in pi_chars:
+        for xi in (mu_p, nu_p):
+            L_val = L_val * tate_factors(eta * xi.inverse())[0].evaluate(x_half)
+            L_val = L_val * tate_factors(eta.inverse() * xi)[0].evaluate(x_half)
+    g1 = _gamma_gl3_twist(pi_chars, mu_p).evaluate(x_half)
+    g2 = E.one()
+    for eta in pi_chars:
+        g2 = g2 * tate_factors(eta.inverse() * nu_p,
+                               psi_inverse=True)[2].evaluate(x_half)
+    g3 = tate_factors(mu * nu_p.inverse())[2].evaluate(x_half)
+    return (L_val * g1 * g2 * g3 * g3).inverse()
+
+
+class TestEulerOneInversion:
+    PRIMES_TO_31 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+    @pytest.mark.parametrize("p", PRIMES_TO_31)
+    def test_equals_per_factor_route(self, p):
+        # Satake values a/b with 1 <= a, b <= 9, as padr interp is queried
+        rng = random.Random(p)
+        for _ in range(4):
+            chars = tuple(unram(p, Fraction(rng.randint(1, 9),
+                                            rng.randint(1, 9)))
+                          for _ in range(5))
+            got = euler_modified(chars[:3], chars[3:])
+            assert got.serialize() == \
+                euler_modified_per_factor(chars[:3], chars[3:]).serialize()
+
+    def test_ramified_sigma(self):
+        p = 5
+        chars = tuple(unram(p, u) for u in (2, 1, 3))
+        sigma = (PadicChar(p, Fraction(5), 1, 1),
+                 PadicChar(p, Fraction(1, 2), 1, 1))
+        assert euler_modified(chars, sigma).serialize() == \
+            euler_modified_per_factor(chars, sigma).serialize()
+
+
 class TestUpEigenvalues:
     def test_alpha_example(self):
         chars = tuple(unram(5, u) for u in (2, 7, 11))
