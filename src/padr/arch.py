@@ -16,7 +16,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 from padr.exactnum import ExactScalar, _check
-from padr.repalg import SignedHCSeq, ggp_check, trilinear_norm, trilinear_value
+from padr.repalg import SignedHCSeq, ggp_check, trilinear_closed, \
+    trilinear_value
 
 
 def _pi(value, k):
@@ -267,11 +268,7 @@ def prop_b1_verify(lam, mu, use_haar=False):
                 _check(route_a == route_b, "trilinear routes disagree")
                 val = route_a
             else:
-                def a_coef(t):
-                    return Fraction(comb(n1s, t),
-                                    comb(n[1], t) * comb(n[2], n1s - t))
-                val = (Fraction((-1) ** (i + j)) * a_coef(i) * a_coef(j)
-                       / trilinear_norm(n))
+                val = trilinear_closed(n, i, j)
             total += (-1) ** (i + j) * comb(n1s, i) * comb(n1s, j) * val
 
     front = ExactScalar.rational(factorial(b) * factorial(c) * factorial(n[2])

@@ -445,6 +445,9 @@ class ExactScalar:
     # -- serialization --------------------------------------------------
 
     def serialize(self):
+        """The power-basis form: terms c and c*zN^k (c a reduced fraction,
+        0 < k < phi(N)) joined by + or -, "0" for zero, then " @q:g" and
+        " @pi:h" for non-zero grades.  parse reads exactly this form."""
         d = self._demote()
         den = d.den
         terms = []
@@ -464,6 +467,8 @@ class ExactScalar:
 
     @staticmethod
     def parse(s):
+        """The scalar that serialize wrote as s.  parse reads exactly
+        serialize's form; any other string raises ValueError."""
         return _parse_scalar(s)
 
     def __repr__(self):
@@ -806,18 +811,7 @@ def _parse_scalar(s: str) -> ExactScalar:
         else:
             raise ValueError(f"bad grade annotation: @{tail}")
         s = s.strip()
-    out = _parse_power_basis(s)
-    if out is None:
-        den = 1
-        if s.startswith("(") and ")/" in s:
-            body, _, d = s.rpartition(")/")
-            s = body[1:]
-            den = int(d)
-        elif s.startswith("(") and s.endswith(")"):
-            s = s[1:-1]
-        val = _parse_sum(s)
-        out = val / ExactScalar.rational(den)
-    return out.with_grades(qgrade=qg, pigrade=pg)
+    return _parse_power_basis(s).with_grades(qgrade=qg, pigrade=pg)
 
 
 _POWER_TERM = re.compile(r"([+-]?)(\d+)(?:/(\d+))?(?:\*z(\d+)\^(\d+))?")
@@ -825,95 +819,34 @@ _POWER_TERM = re.compile(r"([+-]?)(\d+)(?:/(\d+))?(?:\*z(\d+)\^(\d+))?")
 
 def _parse_power_basis(s):
     """The value of a sum of terms c and c*zN^k with one N and k < phi(N),
-    the form serialize() writes for cyclotomic scalars, placed straight
-    into the numerator vector; None for any other input."""
+    the form serialize() writes, placed straight into the numerator vector;
+    any other input raises ValueError."""
     terms, N, pos = [], None, 0
     while pos < len(s):
         m = _POWER_TERM.match(s, pos)
         if m is None or (pos and not m.group(1)):
-            return None
+            raise ValueError(f"not a serialized scalar: {s!r}")
         sign, num, den, n, k = m.groups()
         if n is not None:
             n, k = int(n), int(k)
             if N is None:
                 N = n
             if n != N or n < 1 or k >= euler_phi(n):
-                return None
+                raise ValueError(f"not a power-basis term of Q(zeta_{N}): "
+                                 f"{m.group(0)!r}")
         den = int(den or 1)
         if not den:
-            return None
+            raise ValueError(f"zero denominator in {s!r}")
         terms.append((int(sign + num), den, int(k or 0)))
         pos = m.end()
     if not terms:
-        return None
+        raise ValueError("empty scalar")
     N = N or 1
     den = math.lcm(*(d for _, d, _ in terms))
     nums = [0] * euler_phi(N)
     for num, d, k in terms:
         nums[k] += num * (den // d)
     return _make(N, nums, den, 0, 0)._demote()
-
-
-def _split_top(s, seps):
-    parts, depth, cur = [], 0, ""
-    for idx, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if depth == 0 and ch in seps and cur.strip() and idx > 0 \
-                and s[idx - 1] not in "*/^(+-":
-            parts.append(cur)
-            parts.append(ch)
-            cur = ""
-        else:
-            cur += ch
-    parts.append(cur)
-    return parts
-
-
-def _parse_sum(s):
-    parts = _split_top(s, "+-")
-    total = ExactScalar.zero()
-    sign = 1
-    for part in parts:
-        if part == "+":
-            sign = 1
-        elif part == "-":
-            sign = -1
-        else:
-            total = total + sign * _parse_term(part.strip())
-    return total
-
-
-def _parse_term(s):
-    if not s:
-        raise ValueError("empty term")
-    neg = False
-    while s.startswith("-"):
-        neg = not neg
-        s = s[1:].strip()
-    out = ExactScalar.one()
-    for fac in s.split("*"):
-        fac = fac.strip()
-        if not fac:
-            raise ValueError(f"bad term: {s!r}")
-        out = out * _parse_factor(fac)
-    return -out if neg else out
-
-
-def _parse_factor(f):
-    if f == "i":
-        return ExactScalar.i_unit()
-    if f.startswith("sqrt"):
-        return ExactScalar.sqrtD(int(f[4:]))
-    if f.startswith("z"):
-        body = f[1:]
-        if "^" in body:
-            n, _, k = body.partition("^")
-            return ExactScalar.zeta(int(n), int(k))
-        return ExactScalar.zeta(int(body))
-    return ExactScalar.rational(Fraction(f))
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import ExactScalar, _coerce
+from .exactnum import ExactScalar, _check, _coerce
 from .plocal import vp_frac
 
 
@@ -29,7 +29,7 @@ def _reduce_mod(x: ExactScalar, p: int, m: int) -> ExactScalar:
     q = p ** m
     coeffs = []
     for c in x.coeffs:
-        assert c.denominator % p != 0, f"non p-integral coefficient {c}"
+        _check(c.denominator % p != 0, "non p-integral coefficient")
         num = (c.numerator * pow(c.denominator, -1, q)) % q
         coeffs.append(Fraction(num))
     return ExactScalar(coeffs, N=x.N, qgrade=x.qgrade, pigrade=x.pigrade)
@@ -41,7 +41,7 @@ class MeasureSeries:
     __slots__ = ("p", "coeffs", "prec_T", "prec_p")
 
     def __init__(self, p, coeffs, prec_T, prec_p=0):
-        assert prec_T >= 0
+        _check(prec_T >= 0, "negative T-precision")
         coeffs = [_coerce(c) for c in coeffs[:prec_T + 1]]
         coeffs += [ExactScalar.zero()] * (prec_T + 1 - len(coeffs))
         coeffs = [_reduce_mod(c, p, prec_p) for c in coeffs]
@@ -55,7 +55,7 @@ class MeasureSeries:
 
     @staticmethod
     def _join_prec(a, b):
-        assert a.p == b.p
+        _check(a.p == b.p, "measures at different primes")
         prec_T = min(a.prec_T, b.prec_T)
         if a.prec_p == 0:
             prec_p = b.prec_p
@@ -90,7 +90,7 @@ class MeasureSeries:
 
     def d_T(self):
         """D_T = (1+T) d/dT; costs one order of T-precision."""
-        assert self.prec_T >= 1, "insufficient truncation for D_T"
+        _check(self.prec_T >= 1, "insufficient truncation for D_T")
         der = [k * self.coeffs[k] for k in range(1, self.prec_T + 1)]
         out = [ExactScalar.zero()] * self.prec_T
         for k, c in enumerate(der):
@@ -151,7 +151,7 @@ class LocallyConstantFn:
         q = p ** level
         vals = {int(u) % q: _coerce(v) for u, v in values.items()}
         if units_only:
-            assert all(u % p != 0 for u in vals)
+            _check(all(u % p != 0 for u in vals), "a value off the units")
         self.values = vals
         self.units_only = units_only
 
@@ -169,7 +169,7 @@ class LocallyConstantFn:
             units_only=True)
 
     def pointwise_mul(self, other):
-        assert self.p == other.p
+        _check(self.p == other.p, "functions at different primes")
         n = max(self.level, other.level)
         q = self.p ** n
         vals = {u: self(u) * other(u) for u in range(q)}
@@ -184,7 +184,7 @@ def dirac_series(a: int, p: int, prec_T: int, prec_p: int = 0) -> MeasureSeries:
 
 def mellin_moment(g: MeasureSeries, k: int) -> ExactScalar:
     """The k-th moment: D_T^k g at T = 0 equals the integral of x^k d mu(g)."""
-    assert 0 <= k <= g.prec_T, "insufficient truncation"
+    _check(0 <= k <= g.prec_T, "insufficient truncation")
     out = g
     for _ in range(k):
         out = out.d_T()
@@ -196,7 +196,7 @@ def theta_twist(g: MeasureSeries, phi: LocallyConstantFn) -> MeasureSeries:
 
     (1/p^n) sum_u sum_{zeta in mu_{p^n}} zeta^(-u) phi(u) g(zeta(1+T)-1).
     """
-    assert g.p == phi.p
+    _check(g.p == phi.p, "measure and function at different primes")
     p, n = g.p, phi.level
     q = p ** n
     inv_q = ExactScalar.rational(Fraction(1, q))
@@ -252,7 +252,7 @@ class QExpansion:
 
     def __init__(self, coeffs, M_max=None):
         coeffs = {int(m): Fraction(c) for m, c in coeffs.items() if c != 0}
-        assert all(m >= 1 for m in coeffs)
+        _check(all(m >= 1 for m in coeffs), "q-expansion index below 1")
         self.coeffs = coeffs
         self.M_max = M_max if M_max is not None else max(coeffs, default=1)
 

@@ -55,12 +55,6 @@ def vp_frac(x, p: int) -> int:
     return v
 
 
-def frac_mod(x, m):
-    """Representative of x modulo m in [0, m) for positive rational m."""
-    x, m = Fraction(x), Fraction(m)
-    return x - (x / m).__floor__() * m
-
-
 def unit_residue(x, p: int, c: int) -> int:
     """The residue mod p^c of a rational x that is a p-adic unit."""
     if type(x) is not int:
@@ -359,19 +353,22 @@ def tate_factors(chi: PadicChar, psi_inverse: bool = False):
 
     gamma(s,chi,psi) = eps(s,chi,psi) L(1-s,chi^(-1)) / L(s,chi), where
     eps(s,chi,psi) = chi(p)^c g(chi,psi) X^c has no residual q-grade, while
-    the central value eps(1/2) carries the formal factor q^(-c/2).
+    the central value eps(1/2) carries the formal factor q^(-c/2).  For
+    unramified chi, u = chi(p), each factor is one LaurentRF built from its
+    numerator and denominator:
+        L(s,chi) = 1 / (1 - u X),
+        gamma(s,chi,psi) = (1 - u X) / (1 - (u q X)^(-1)),
+    and eps = 1; for c >= 1, L = 1 and gamma = eps = chi(p)^c g(chi,psi) X^c.
     The flag multiplies eps and gamma by chi(-1), switching psi to psi^(-1).
     """
     p, c = chi.p, chi.c
-    q = Fraction(p)
-    one = LaurentRF.one()
     if c == 0:
-        L = one / (one - LaurentRF.monomial(chi.u, 1))
-        L_dual_oneminus = one / (one - LaurentRF.monomial(chi.u.inverse() / q, -1))
+        u = chi.u
+        L = LaurentRF({0: 1}, {0: 1, 1: -u})
         eps_half = ExactScalar.one()
-        gamma = L_dual_oneminus / L
+        gamma = LaurentRF({0: 1, 1: -u}, {0: 1, -1: -(u * p).inverse()})
     else:
-        L = one
+        L = LaurentRF.one()
         g = gauss_sum(chi)
         root = chi.u ** c * g
         eps_half = root.with_grades(qgrade=-c)
@@ -619,7 +616,11 @@ def fourier_transform(phi: SchwartzFn) -> SchwartzFn:
 # ---------------------------------------------------------------------------
 
 class PeriodicFn:
-    """Function on p^(-M) Z_p / Z_p, i.e. a Z_p-periodic Schwartz function."""
+    """Function on p^(-M) Z_p / Z_p, i.e. a Z_p-periodic Schwartz function.
+
+    Values are keyed by integer residues: j mod p^level stands for the
+    class of j / p^level.  A rational point x is read modulo Z_p, which
+    holds every rational whose denominator is prime to p (1/2 is in Z_3)."""
 
     __slots__ = ("p", "level", "values")
 
@@ -647,31 +648,37 @@ class PeriodicFn:
     def delta(p, j=0, level=0):
         return PeriodicFn(p, level, {j: 1})
 
+    def _residue(self, x):
+        """(j, t) with x = j / p^t modulo Z_p, 0 <= j < p^t."""
+        x = Fraction(x)
+        p, den, t = self.p, x.denominator, 0
+        while den % p == 0:
+            den //= p
+            t += 1
+        q = p ** t
+        return x.numerator * pow(den, -1, q) % q, t
+
+    def _lifted(self, n):
+        """The values keyed by residues mod p^n, n >= level."""
+        s = self.p ** (n - self.level)
+        return {j * s: v for j, v in self.values.items()}
+
     def evaluate(self, x):
         """Value at rational x, read modulo Z_p."""
-        r = frac_mod(Fraction(x), 1)
-        t, den = 0, r.denominator
-        while den % self.p == 0:
-            den //= self.p
-            t += 1
-        _check(den == 1, "the point is not in Z[1/p] mod Z_p")
+        j, t = self._residue(x)
         if t > self.level:
             return ExactScalar.zero()
-        j = r.numerator * self.p ** (self.level - t) % self.p ** self.level
-        return self.values.get(j, ExactScalar.zero())
+        return self.values.get(j * self.p ** (self.level - t),
+                               ExactScalar.zero())
 
     def translate(self, t):
         """x -> phi(x + t) for t in p^(-L) Z_p."""
-        t = Fraction(t)
-        L = max(0, -vp_frac(t, self.p)) if t != 0 else 0
+        s, L = self._residue(t)
         n = max(self.level, L)
         q = self.p ** n
-        out = {}
-        for j in range(q):
-            v = self.evaluate(Fraction(j, q) + t)
-            if not v.is_zero():
-                out[j] = v
-        return PeriodicFn(self.p, n, out)
+        shift = s * self.p ** (n - L)
+        out = {(j - shift) % q: v for j, v in self._lifted(n).items()}
+        return PeriodicFn(self.p, n, dict(sorted(out.items())))
 
     def scale(self, c):
         c = _coerce(c)
@@ -681,13 +688,10 @@ class PeriodicFn:
     def __add__(self, other):
         _check(self.p == other.p, "periodic functions at different primes")
         n = max(self.level, other.level)
-        q = self.p ** n
-        out = {}
-        for j in range(q):
-            v = self.evaluate(Fraction(j, q)) + other.evaluate(Fraction(j, q))
-            if not v.is_zero():
-                out[j] = v
-        return PeriodicFn(self.p, n, out)
+        a, b = self._lifted(n), other._lifted(n)
+        zero = ExactScalar.zero()
+        return PeriodicFn(self.p, n, {j: a.get(j, zero) + b.get(j, zero)
+                                      for j in sorted(a.keys() | b.keys())})
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -699,21 +703,23 @@ class PeriodicFn:
 
     @staticmethod
     def from_schwartz(phi: SchwartzFn) -> "PeriodicFn":
-        """Convert a Z_p-periodic Schwartz function (all ball levels <= 0)."""
+        """Convert a Z_p-periodic Schwartz function (all ball levels <= 0).
+
+        A centre a = r / p^e of phi's canonical form and the ball
+        a + p^k Z_p, k <= 0, cover the classes (r p^(M-e) + t p^(M+k)) / p^M,
+        t < p^(-k), at the common level M."""
         p = phi.p
-        expanded = []
-        for a, k, c in phi.terms:
+        M = 0
+        for a, k, _ in phi.terms:
             _check(k <= 0, "not Z_p-periodic")
-            step = Fraction(p) ** k
-            for t in range(p ** (-k)):
-                expanded.append((frac_mod(a + t * step, 1), c))
-        M = max((max(0, -vp_frac(a, p)) for a, _ in expanded if a != 0),
-                default=0)
+            M = max(M, vp_frac(a.denominator, p), -k)
         q = p ** M
         out = {}
-        for a, c in expanded:
-            j = int(a * q)
-            out[j] = out.get(j, ExactScalar.zero()) + c
+        for a, k, c in phi.terms:
+            j0 = a.numerator * q // a.denominator
+            for t in range(p ** (-k)):
+                j = (j0 + t * p ** (M + k)) % q
+                out[j] = out.get(j, ExactScalar.zero()) + c
         return PeriodicFn(p, M, out)
 
     def is_zero(self):
@@ -814,9 +820,11 @@ def tate_integral(phi: SchwartzFn, chi: PadicChar) -> LaurentRF:
     """Z(s, phi, chi) by valuation-shell decomposition, X = q^(-s).
 
     Multiplicative measure normalized with vol(Z_p^x) = 1; a ball a + p^k Z_p
-    with v = v(a) < k has measure p^(v-k) q/(q-1), and the ball p^k Z_p
-    contributes the exact geometric tail u^k X^k / (1 - u X) when chi is
-    unramified (zero when ramified).
+    with v = v(a) < k has measure p^(v-k) q/(q-1), and c 1_{p^k Z_p}
+    contributes the exact geometric tail c u^k X^k / (1 - u X) when chi is
+    unramified (zero when ramified).  The tail and the sum of the shell
+    values are each one LaurentRF, built from numerator and denominator:
+        Z(s, phi, chi) = c u^k X^k / (1 - u X) + sum_v s_v X^v.
 
     On the shell p^v Z_p^x, chi(b) = u^v zeta_m^k with (m, k) the exponent
     form of chi at the unit b p^(-v).  Each shell is one root_of_unity_sum
@@ -827,8 +835,7 @@ def tate_integral(phi: SchwartzFn, chi: PadicChar) -> LaurentRF:
     is the same, since u^v multiplies the sum and not each term.
     """
     p = chi.p
-    total = LaurentRF.zero()
-    shells = {}
+    shells, tails = {}, {}
     level = max(chi.c, 1)
     for a, k, c in phi.terms:
         num = a.numerator
@@ -847,14 +854,10 @@ def tate_integral(phi: SchwartzFn, chi: PadicChar) -> LaurentRF:
             terms = shells.setdefault(v, [])
             for b in units:
                 terms.append((vol, c) + chi.unit_exponent(b))
-        else:
-            # the ball is p^k Z_p itself
-            if chi.c > 0:
-                continue
-            u = chi.u
-            one = LaurentRF.one()
-            tail = LaurentRF.monomial(u ** k, k) / (one - LaurentRF.monomial(u, 1))
-            total = total + tail * c
+        elif chi.c == 0:
+            # the ball p^k Z_p itself, the one ball that holds 0
+            tails[k] = c * chi.u ** k
+    total = LaurentRF(tails, {0: 1, 1: -chi.u})
     sums = {}
     for v, terms in shells.items():
         s = root_of_unity_sum(terms)
@@ -985,7 +988,6 @@ def zeta_two_route(h: GL3Vector, sigma, ell: int):
     p = h.p
     nu, rho, mu = h.chars
     mu_p, nu_p = sigma
-    q = Fraction(p)
     hat1 = fourier_transform(h.phi1.to_schwartz())
     hat2 = fourier_transform(h.phi2)
     hat3 = fourier_transform(h.phi3)
@@ -1005,12 +1007,9 @@ def zeta_two_route(h: GL3Vector, sigma, ell: int):
     if chi_prime.c >= 1:
         z2_A = LaurentRF.const(mu.at_minus_one() * nu_p.at_minus_one())
     else:
+        # u L(s) / (q^(s-1) L(1-s, dual)) = (u q X - 1) / (1 - u X)
         u = (mu * nu_p.inverse()).u
-        one = LaurentRF.one()
-        L_s = one / (one - LaurentRF.monomial(u, 1))
-        L_dual = one / (one - LaurentRF.monomial(u.inverse() / q, -1))
-        qs_minus1 = LaurentRF.monomial(Fraction(1, p), -1)  # q^(s-1)
-        z2_A = LaurentRF.const(u) * L_s / (qs_minus1 * L_dual)
+        z2_A = LaurentRF({0: -1, 1: u * p}, {0: 1, 1: -u})
     route_A = frame * z1_A * z2_A * mu.at_minus_one()
     return route_A, route_B
 

@@ -251,8 +251,7 @@ def trilinear_value(n, i, j):
     attached to (n1, n2, n3) with inner indices (i, j), by two routes:
 
     route A integrates the expanded matrix-coefficient product monomial by
-    monomial; route B is the closed form (-1)^(i+j) a_i a_j / ell_n(P_n x P_n)
-    with a_i = binom(n1*, i) binom(n2, i)^(-1) binom(n3, n1*-i)^(-1).
+    monomial; route B is the closed form, trilinear_closed(n, i, j).
 
     Returns (route_A, route_B); the caller may assert equality.
     """
@@ -269,13 +268,20 @@ def trilinear_value(n, i, j):
         * su2_matrix_coeff(n3, n1s - i, n1s - j)
     route_a = prod.integrate()
 
-    # route B: closed form
-    def a_coef(t):
-        return Fraction(comb(n1s, t), comb(n2, t) * comb(n3, n1s - t))
+    return route_a, trilinear_closed(n, i, j)
 
-    route_b = Fraction((-1) ** (i + j)) * a_coef(i) * a_coef(j) \
+
+def trilinear_closed(n, i, j):
+    """Route B of trilinear_value: (-1)^(i+j) a_i a_j / ell_n(P_n x P_n)
+    with a_t = binom(n1*, t) binom(n2, t)^(-1) binom(n3, n1*-t)^(-1), for a
+    triple n and indices that trilinear_value accepts."""
+    n1s = sum(n) // 2 - n[0]
+
+    def a_coef(t):
+        return Fraction(comb(n1s, t), comb(n[1], t) * comb(n[2], n1s - t))
+
+    return Fraction((-1) ** (i + j)) * a_coef(i) * a_coef(j) \
         / trilinear_norm(n)
-    return route_a, route_b
 
 
 def do_binomial_sum(A, B, C):

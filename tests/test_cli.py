@@ -10,6 +10,7 @@ from click.testing import CliRunner
 import padr
 from padr import plocal
 from padr.cli import main
+from padr.exactnum import ExactScalar
 from padr.plocal import PadicChar
 
 
@@ -125,6 +126,20 @@ class TestGaussCacheWrites:
         assert run("verify", "gauss", "--p", "7").exit_code == 1
         assert len(stores) == 1
         assert len(json.loads(cache.read_text())) > 1
+
+    def test_entry_not_in_serialize_form_is_recomputed(self, stores, tmp_path):
+        # parse reads only serialize's form, so "(<value>)/1" is unreadable
+        want = plocal._gauss_sum_at(PadicChar(7, 1, 1, 1), 1).serialize()
+        cache = tmp_path / "gauss_sums.json"
+        cache.write_text(json.dumps({"7_1_1": f"({want})/1"}))
+        res = run("verify", "gauss", "--p", "7")
+        assert res.exit_code == 0
+        assert json.loads(res.output)["failed"] == 0
+        assert len(stores) == 1
+        entries = json.loads(cache.read_text())
+        assert entries["7_1_1"] == want
+        assert all(ExactScalar.parse(v).serialize() == v
+                   for v in entries.values())
 
     def test_interp_and_usage_errors_write_nothing(self, stores, tmp_path):
         assert run("interp").exit_code == 0

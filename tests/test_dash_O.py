@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import padr
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -22,3 +24,15 @@ def test_tier1_passes_under_dash_O():
         capture_output=True, text=True, cwd=os.path.dirname(HERE),
         env=dict(os.environ, PYTHONPATH=path))
     assert res.returncode == 0, res.stdout[-4000:] + res.stderr[-2000:]
+
+
+@pytest.mark.parametrize("module", ["exactnum", "plocal", "diffops", "iwasawa"])
+def test_no_bare_assert(module):
+    # the checks of these layers raise through exactnum._check or a typed
+    # error, so none of them is stripped under -O
+    path = os.path.join(os.path.dirname(os.path.abspath(padr.__file__)),
+                        f"{module}.py")
+    with open(path) as fh:
+        bare = [n for n, line in enumerate(fh, 1)
+                if line.lstrip().startswith("assert ")]
+    assert bare == [], f"{module}.py has bare asserts on lines {bare}"

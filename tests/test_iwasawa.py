@@ -172,3 +172,24 @@ class TestQExpansion:
             g = qexp_ops(f, "Up_theta_power", p, N)
             v = min_vp(g, p)
             assert v is None or v >= N
+
+
+class TestBadInputsRaise:
+    """Each check raises explicitly, so it also holds under python -O."""
+
+    def test_sum_of_measures_at_different_primes(self):
+        with pytest.raises(AssertionError):
+            dirac_series(2, 3, 2) + dirac_series(2, 5, 2)
+
+    def test_twist_by_a_function_at_another_prime(self):
+        phi = LocallyConstantFn(5, 1, {1: 1})
+        with pytest.raises(AssertionError):
+            theta_twist(dirac_series(2, 3, 4), phi)
+
+    def test_negative_T_precision(self):
+        with pytest.raises(AssertionError):
+            MeasureSeries(3, [1], -1)
+
+    def test_q_expansion_index_below_one(self):
+        with pytest.raises(AssertionError):
+            QExpansion({0: 1})

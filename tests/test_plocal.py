@@ -14,7 +14,6 @@ from padr.plocal import (
     depletion_pipeline,
     euler_modified,
     fourier_transform,
-    frac_mod,
     gamma_gl_pair,
     gauss_sum,
     gauss_sum_twisted,
@@ -95,6 +94,34 @@ def _tate_by_products(phi, chi):
     if shells:
         total = total + LaurentRF(shells)
     return total
+
+
+# tate_factors as it was built before its closed forms: each unramified
+# factor through a chain of generic LaurentRF operations.  Kept as the
+# oracle of the closed forms, which must agree serialized.
+def _tate_factors_by_chains(chi, psi_inverse=False):
+    p, c = chi.p, chi.c
+    q = Fraction(p)
+    one = LaurentRF.one()
+    if c == 0:
+        L = one / (one - LaurentRF.monomial(chi.u, 1))
+        L_dual_oneminus = one / (one - LaurentRF.monomial(chi.u.inverse() / q, -1))
+        eps_half = E.one()
+        gamma = L_dual_oneminus / L
+    else:
+        L = one
+        root = chi.u ** c * gauss_sum(chi)
+        eps_half = root.with_grades(qgrade=-c)
+        gamma = LaurentRF.monomial(root, c)
+    if psi_inverse:
+        sign = chi.at_minus_one()
+        eps_half = eps_half * sign
+        gamma = gamma * sign
+    return L, eps_half, gamma
+
+
+PRIMES_TO_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+RATIOS_TO_9 = sorted({Fraction(a, b) for a in range(1, 10) for b in range(1, 10)})
 
 
 def ramified_chars(p, c, limit=None):
@@ -218,6 +245,15 @@ class TestTateFactors:
         root = chi.u * gauss_sum(chi)
         assert gamma == LaurentRF.monomial(root, 1)
 
+    @pytest.mark.parametrize("p", PRIMES_TO_31)
+    def test_closed_forms_match_chains(self, p):
+        for u in RATIOS_TO_9:
+            for psi_inverse in (False, True):
+                got = tate_factors(unram(p, u), psi_inverse)
+                want = _tate_factors_by_chains(unram(p, u), psi_inverse)
+                assert [x.serialize() for x in got] == \
+                    [x.serialize() for x in want]
+
     @pytest.mark.parametrize("p", [3, 5])
     def test_central_reflection(self, p):
         # gamma(1/2, chi, psi) gamma(1/2, chi^(-1), psi^(-1)) = 1
@@ -290,7 +326,8 @@ class TestSchwartzFn:
                     assert a != b and vp_frac(a - b, p) < min(k, j)
             families = {}
             for a, k, c in f.terms:
-                families.setdefault((k, frac_mod(a, Fraction(p) ** (k - 1))),
+                parent = Fraction(p) ** (k - 1)
+                families.setdefault((k, a - (a / parent).__floor__() * parent),
                                     []).append(c)
             for cs in families.values():
                 assert not (len(cs) == p and all(c == cs[0] for c in cs))
@@ -416,6 +453,17 @@ class TestTateIntegral:
         chi = unram(5, 3)
         assert tate_integral(SchwartzFn.unit_indicator(5), chi) == LaurentRF.one()
 
+    @pytest.mark.parametrize("p", PRIMES_TO_31)
+    def test_tail_closed_form_matches_chain(self, p):
+        one = LaurentRF.one()
+        for u in RATIOS_TO_9:
+            chi = unram(p, u)
+            for k in range(-2, 4):
+                got = tate_integral(SchwartzFn.indicator(p, 0, k, 3), chi)
+                want = (LaurentRF.monomial(chi.u ** k, k)
+                        / (one - LaurentRF.monomial(chi.u, 1)) * 3)
+                assert got.serialize() == want.serialize()
+
     def test_ramified_kills_units_unless_matched(self):
         chi = PadicChar(5, 1, 1, 1)
         assert tate_integral(SchwartzFn.unit_indicator(5), chi) == LaurentRF.zero()
@@ -439,6 +487,31 @@ class TestTateIntegral:
                 .subst_X(Fraction(1, p), -1)
             assert lhs == tate_factors(chi)[2] * tate_integral(phi, chi)
             done += 1
+
+
+class TestPeriodicFn:
+    def test_points_are_read_modulo_Z_p(self):
+        # 1/2 is in Z_3: translating by it is the identity, and 5/6 is 1/3
+        phi = PeriodicFn.delta(3, 1, 1)
+        assert phi.translate(Fraction(1, 2)) == phi
+        assert phi.evaluate(Fraction(5, 6)) == 1
+        assert phi.evaluate(Fraction(2, 3)) == 0
+        assert phi.evaluate(Fraction(1, 9)) == 0
+        assert phi.translate(Fraction(7, 6)).evaluate(Fraction(1, 6)) == 1
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_add_at_unequal_levels(self, p):
+        a = PeriodicFn.delta(p, 1, 2).scale(3) + PeriodicFn.delta(p, 0, 0)
+        b = PeriodicFn.delta(p, 2, 1) + PeriodicFn.delta(p, 1, 3).scale(-1)
+        s = a + b
+        assert s == b + a == PeriodicFn(p, 3, {0: 1, p: 3, 2 * p * p: 1,
+                                              1: -1})
+        for j in range(p ** 4):
+            for d in (1, 2, 7):
+                x = Fraction(j, p ** 4 * d)
+                assert s.evaluate(x) == a.evaluate(x) + b.evaluate(x)
+        assert (a - a).is_zero()
+        assert (a + a.scale(-1) + b) == b
 
 
 class TestThetaOperators:
