@@ -36,7 +36,12 @@ class QiD:
     one denominator ``den``, with ``den > 0`` and
     ``gcd(den, *nums) == 1``, so each value has exactly one (nums, den)
     and zero is ``(0, 0, 0, 0)`` over 1.  ``a``, ``b``, ``c``, ``d`` give
-    the coordinates as Fractions."""
+    the coordinates as Fractions.
+
+    Arithmetic: ``+``, ``-`` and ``*`` of two QiDs with the same D work on
+    the numerators directly and reduce once, in ``_qid``; an int or a
+    Fraction is first coerced to a QiD, a QiD with another D raises
+    AssertionError, and any other type returns NotImplemented."""
 
     __slots__ = ("D", "nums", "den")
 
@@ -57,9 +62,10 @@ class QiD:
     d = property(lambda self: Fraction(self.nums[3], self.den))
 
     def __add__(self, other):
-        if not isinstance(other, (QiD, int, Fraction)):
-            return NotImplemented
-        other = self._coerce(other)
+        if other.__class__ is not QiD or other.D != self.D:
+            if not isinstance(other, (QiD, int, Fraction)):
+                return NotImplemented
+            other = self._coerce(other)
         a1, b1, c1, d1 = self.nums
         a2, b2, c2, d2 = other.nums
         n1, n2 = self.den, other.den
@@ -69,7 +75,17 @@ class QiD:
                     c1 * n2 + c2 * n1, d1 * n2 + d2 * n1, n1 * n2)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        if other.__class__ is not QiD or other.D != self.D:
+            if not isinstance(other, (QiD, int, Fraction)):
+                return NotImplemented
+            other = self._coerce(other)
+        a1, b1, c1, d1 = self.nums
+        a2, b2, c2, d2 = other.nums
+        n1, n2 = self.den, other.den
+        if n1 == n2:
+            return _qid(self.D, a1 - a2, b1 - b2, c1 - c2, d1 - d2, n1)
+        return _qid(self.D, a1 * n2 - a2 * n1, b1 * n2 - b2 * n1,
+                    c1 * n2 - c2 * n1, d1 * n2 - d2 * n1, n1 * n2)
 
     def __neg__(self):
         a, b, c, d = self.nums
@@ -84,9 +100,10 @@ class QiD:
         return QiD(self.D, other)
 
     def __mul__(self, other):
-        if not isinstance(other, (QiD, int, Fraction)):
-            return NotImplemented
-        other = self._coerce(other)
+        if other.__class__ is not QiD or other.D != self.D:
+            if not isinstance(other, (QiD, int, Fraction)):
+                return NotImplemented
+            other = self._coerce(other)
         D = self.D
         a1, b1, c1, d1 = self.nums
         a2, b2, c2, d2 = other.nums
@@ -187,12 +204,18 @@ _CONJ_SWAP = (1, 0, 3, 2)
 
 class SymPoly:
     """Polynomial in tau, conj(tau), w, conj(w) over Q(i, sqrt(D));
-    coeffs maps exponent 4-tuples to QiD scalars."""
+    coeffs maps exponent 4-tuples to non-zero QiD scalars.
 
-    __slots__ = ("D", "coeffs")
+    A SymPoly is immutable after construction: every operation returns a
+    new one, so its hash is computed on first use and cached.  The product
+    of two SymPolys accumulates integer numerators over a common
+    denominator and builds one QiD per output monomial."""
+
+    __slots__ = ("D", "coeffs", "_hash")
 
     def __init__(self, D, coeffs=None):
         self.D = D
+        self._hash = None
         self.coeffs = {}
         for e, c in (coeffs or {}).items():
             if not isinstance(c, QiD):
@@ -220,19 +243,39 @@ class SymPoly:
         return self + (-other)
 
     def __neg__(self):
-        return SymPoly(self.D, {e: -c for e, c in self.coeffs.items()})
+        return _sympoly_raw(self.D, {e: -c for e, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, (QiD, int, Fraction)):
             k = QiD(self.D)._coerce(other)
             return SymPoly(self.D, {e: c * k for e, c in self.coeffs.items()})
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                v = c1 * c2
-                out[e] = out[e] + v if e in out else v
-        return SymPoly(self.D, out)
+        D = self.D
+        _check(other.D == D, "SymPoly product across two values of D")
+        # each side's numerators over the lcm of its denominators, so the
+        # Q(i, sqrt D) products below (QiD.__mul__'s formula) are on
+        # integers and reduce once
+        xs, l1 = _scaled_terms(self.coeffs)
+        ys, l2 = _scaled_terms(other.coeffs)
+        acc = {}
+        for (s0, s1, s2, s3), a1, b1, c1, d1 in xs:
+            for (t0, t1, t2, t3), a2, b2, c2, d2 in ys:
+                e = (s0 + t0, s1 + t1, s2 + t2, s3 + t3)
+                A = a1 * a2 - b1 * b2 + D * (c1 * c2 - d1 * d2)
+                B = a1 * b2 + b1 * a2 + D * (c1 * d2 + d1 * c2)
+                C = a1 * c2 + c1 * a2 - b1 * d2 - d1 * b2
+                E = a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2
+                v = acc.get(e)
+                if v is None:
+                    acc[e] = [A, B, C, E]
+                else:
+                    v[0] += A
+                    v[1] += B
+                    v[2] += C
+                    v[3] += E
+        den = l1 * l2
+        return _sympoly_raw(D, {e: _qid(D, A, B, C, E, den)
+                                for e, (A, B, C, E) in acc.items()
+                                if A or B or C or E})
 
     __rmul__ = __mul__
 
@@ -244,19 +287,19 @@ class SymPoly:
             e2 = list(e)
             e2[idx] -= 1
             out[tuple(e2)] = c * e[idx]
-        return SymPoly(self.D, out)
+        return _sympoly_raw(self.D, out)
 
     def conj(self):
         out = {}
         for e, c in self.coeffs.items():
             e2 = tuple(e[i] for i in _CONJ_SWAP)
             out[e2] = c.conj()
-        return SymPoly(self.D, out)
+        return _sympoly_raw(self.D, out)
 
     def subst_w0(self):
         """Set w = conj(w) = 0."""
-        return SymPoly(self.D, {e: c for e, c in self.coeffs.items()
-                                if e[2] == 0 and e[3] == 0})
+        return _sympoly_raw(self.D, {e: c for e, c in self.coeffs.items()
+                                     if e[2] == 0 and e[3] == 0})
 
     def is_zero(self):
         return not self.coeffs
@@ -274,38 +317,96 @@ class SymPoly:
         return max(self.coeffs)
 
     def div_exact(self, f):
-        """Quotient self / f when the division is exact, else None."""
+        """Quotient self / f when the division is exact, else None.
+
+        The remainder is kept as integer numerators over one denominator,
+        which each step of the division by a monic f multiplies by the lcm
+        of f's denominators; each quotient term is one QiD."""
         if f.is_constant():
             return self * f.constant_value().inverse()
-        rem = dict(self.coeffs)
-        out = {}
         fl = f.lead()
         fc = f.coeffs[fl]
-        fci = None if _is_one(fc) else fc.inverse()
+        if not _is_one(fc):
+            fci = fc.inverse()
+            return (self * fci).div_exact(f * fci)
+        D = self.D
+        _check(f.D == D, "SymPoly division across two values of D")
+        terms, den = _scaled_terms(self.coeffs)
+        rem = {e: [a, b, c, d] for e, a, b, c, d in terms}
+        fs, lf = _scaled_terms(f.coeffs)
+        l0, l1, l2, l3 = fl
+        out = {}
         while rem:
             lead = max(rem)
-            e = tuple(a - b for a, b in zip(lead, fl))
-            if any(x < 0 for x in e):
+            e0, e1, e2, e3 = (lead[0] - l0, lead[1] - l1, lead[2] - l2,
+                              lead[3] - l3)
+            if e0 < 0 or e1 < 0 or e2 < 0 or e3 < 0:
                 return None
-            q = rem[lead] if fci is None else rem[lead] * fci
-            out[e] = q
-            for fe, c in f.coeffs.items():
-                k = tuple(a + b for a, b in zip(e, fe))
-                v = rem[k] - q * c if k in rem else -(q * c)
-                if v.is_zero():
-                    rem.pop(k, None)
+            a1, b1, c1, d1 = rem[lead]
+            out[(e0, e1, e2, e3)] = _qid(D, a1, b1, c1, d1, den)
+            if lf != 1:
+                for v in rem.values():
+                    v[0] *= lf
+                    v[1] *= lf
+                    v[2] *= lf
+                    v[3] *= lf
+                den *= lf
+            # rem -= q * f, with q the quotient term just emitted
+            for (t0, t1, t2, t3), a2, b2, c2, d2 in fs:
+                k = (e0 + t0, e1 + t1, e2 + t2, e3 + t3)
+                A = a1 * a2 - b1 * b2 + D * (c1 * c2 - d1 * d2)
+                B = a1 * b2 + b1 * a2 + D * (c1 * d2 + d1 * c2)
+                C = a1 * c2 + c1 * a2 - b1 * d2 - d1 * b2
+                E = a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2
+                v = rem.get(k)
+                if v is None:
+                    if A or B or C or E:
+                        rem[k] = [-A, -B, -C, -E]
                 else:
-                    rem[k] = v
-        return SymPoly(self.D, out)
+                    v[0] -= A
+                    v[1] -= B
+                    v[2] -= C
+                    v[3] -= E
+                    if not (v[0] or v[1] or v[2] or v[3]):
+                        del rem[k]
+        return _sympoly_raw(D, out)
 
     def __eq__(self, other):
         return isinstance(other, SymPoly) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items(), key=lambda x: x[0])))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(tuple(sorted(self.coeffs.items(),
+                                               key=lambda x: x[0])))
+        return h
 
     def __repr__(self):
         return f"SymPoly({self.coeffs})"
+
+
+def _sympoly_raw(D, coeffs):
+    """SymPoly from a dict of non-zero QiD coefficients, taken as is."""
+    p = _new(SymPoly)
+    p.D, p.coeffs, p._hash = D, coeffs, None
+    return p
+
+
+def _scaled_terms(coeffs):
+    """The terms (e, a, b, c, d) of coeffs with integer numerators over
+    the lcm L of their denominators, and L."""
+    # pairwise, not lcm(*dens): an argument tuple per size would stay in
+    # the interpreter's tuple free lists and raise the peak memory
+    L = 1
+    for c in coeffs.values():
+        if L % c.den:
+            L = lcm(L, c.den)
+    out = []
+    for e, c in coeffs.items():
+        k = L // c.den
+        a, b, cc, d = c.nums
+        out.append((e, a * k, b * k, cc * k, d * k))
+    return out, L
 
 
 def _fac_expand(D, fac):
@@ -489,7 +590,8 @@ def _rf_from_parts(parts, D):
             num = num * _fac_expand(D, missing)
         for e, c in num.coeffs.items():
             total[e] = total[e] + c if e in total else c
-    return RF(SymPoly(D, total), lcm)
+    return RF(_sympoly_raw(D, {e: c for e, c in total.items()
+                               if not c.is_zero()}), lcm)
 
 
 # ---------------------------------------------------------------------------

@@ -1105,14 +1105,18 @@ def _coerce_rf(x):
 def _laurent_canonical(num, den):
     """gcd-reduced form with den a polynomial of constant term 1.  Each
     step runs only where it can change something: the gcd when both sides
-    have two or more terms, the rescaling when den's lowest coefficient is
-    not already 1 (so a Laurent polynomial, den = 1, costs no arithmetic)."""
+    have two or more terms and, if both are of degree 1, are proportional;
+    the rescaling when den's lowest coefficient is not already 1 (so a
+    Laurent polynomial, den = 1, costs no arithmetic)."""
     if not num:
         return {}, {0: ExactScalar.one()}
     off_n, pn = _lp_to_poly(num)
     off_d, pd = _lp_to_poly(den)
-    # a one-term side c X^k is a unit times a power of X: the gcd is 1
-    if len(num) > 1 and len(den) > 1:
+    # a one-term side c X^k is a unit times a power of X: the gcd is 1; two
+    # degree-1 sides share a root only when they are proportional
+    if len(num) > 1 and len(den) > 1 and (
+            len(pn) != 2 or len(pd) != 2
+            or _coerce(pn[0]) * pd[1] == _coerce(pn[1]) * pd[0]):
         g = _spoly_gcd(pn, pd)
         if len(g) > 1:
             pn, rn = _spoly_divmod(pn, g)

@@ -27,12 +27,13 @@ class HomPoly:
         coeffs = {int(i): Fraction(c) for i, c in
                   (coeffs.items() if isinstance(coeffs, dict)
                    else enumerate(coeffs))}
-        assert all(0 <= i <= kappa for i in coeffs)
+        _check(all(0 <= i <= kappa for i in coeffs),
+               "HomPoly index outside 0..kappa")
         self.kappa = kappa
         self.coeffs = {i: c for i, c in coeffs.items() if c != 0}
 
     def __add__(self, other):
-        assert self.kappa == other.kappa
+        _check(self.kappa == other.kappa, "degree mismatch")
         out = dict(self.coeffs)
         for i, c in other.coeffs.items():
             out[i] = out.get(i, Fraction(0)) + c
@@ -77,7 +78,8 @@ def pair_ell(P, Q):
     when i + j = kappa; on triple tensors, the product of the three pairings.
     """
     if isinstance(P, TriTensor):
-        assert isinstance(Q, TriTensor) and P.degrees == Q.degrees
+        _check(isinstance(Q, TriTensor) and P.degrees == Q.degrees,
+               "TriTensor degrees mismatch")
         n1, n2, n3 = P.degrees
         total = Fraction(0)
         for key, c in P.coeffs.items():
@@ -91,8 +93,9 @@ def pair_ell(P, Q):
                 sign_val *= Fraction((-1) ** a, comb(n, a))
             total += c * d * sign_val
         return total
-    assert isinstance(P, HomPoly) and isinstance(Q, HomPoly)
-    assert P.kappa == Q.kappa, "degree mismatch"
+    _check(isinstance(P, HomPoly) and isinstance(Q, HomPoly),
+           "pair_ell of a non-HomPoly")
+    _check(P.kappa == Q.kappa, "degree mismatch")
     kappa = P.kappa
     total = Fraction(0)
     for a, c in P.coeffs.items():
@@ -113,7 +116,8 @@ class TriTensor:
         out = {}
         for key, c in coeffs.items():
             c = Fraction(c)
-            assert all(0 <= a <= n for a, n in zip(key, self.degrees))
+            _check(all(0 <= a <= n for a, n in zip(key, self.degrees)),
+                   "TriTensor index outside its degree")
             if c != 0:
                 out[tuple(key)] = c
         self.coeffs = out
@@ -128,10 +132,10 @@ def p_invariant(n):
     (X2Y3 - X3Y2)^(n1*) in L_{n1} x L_{n2} x L_{n3}."""
     n1, n2, n3 = n
     total = n1 + n2 + n3
-    assert total % 2 == 0, "odd total degree"
+    _check(total % 2 == 0, "odd total degree")
     stars = [total // 2 - ni for ni in n]
     n1s, n2s, n3s = stars
-    assert min(stars) >= 0, "triangle inequality fails"
+    _check(min(stars) >= 0, "triangle inequality fails")
     coeffs = {}
     for l3 in range(n3s + 1):        # (X1Y2 - X2Y1)^(n3*), l3 picks X2Y1
         for l2 in range(n2s + 1):    # (X3Y1 - X1Y3)^(n2*), l2 picks X1Y3
@@ -211,7 +215,8 @@ def su2_matrix_coeff(n, i, j):
     """The matrix coefficient ell(rho_n(h) v^(i), vbar^(j)) of the degree-n
     representation, as a polynomial in the entries of h in SU(2), where
     h = [[alpha, beta], [-conj(beta), conj(alpha)]]."""
-    assert 0 <= i <= n and 0 <= j <= n
+    _check(0 <= i <= n and 0 <= j <= n, "matrix coefficient index out of "
+           "range")
     # rho(h) X^(n-i) Y^i = (alpha X - conj(beta) Y)^(n-i) (beta X + conj(alpha) Y)^i
     # collect the coefficient of each X^(n-r) Y^r
     rows = {}
@@ -237,7 +242,7 @@ def trilinear_norm(n):
     """ell_n(P_n x P_n) in closed Gamma-quotient form."""
     n1, n2, n3 = n
     total = n1 + n2 + n3
-    assert total % 2 == 0
+    _check(total % 2 == 0, "odd total degree")
     stars = [total // 2 - ni for ni in n]
     num = factorial(total // 2 + 1)
     for s in stars:
@@ -257,11 +262,11 @@ def trilinear_value(n, i, j):
     """
     n1, n2, n3 = n
     total = n1 + n2 + n3
-    assert total % 2 == 0, "odd total degree"
+    _check(total % 2 == 0, "odd total degree")
     stars = [total // 2 - ni for ni in n]
     n1s = stars[0]
-    assert min(stars) >= 0, "triangle inequality fails"
-    assert 0 <= i <= n1s and 0 <= j <= n1s
+    _check(min(stars) >= 0, "triangle inequality fails")
+    _check(0 <= i <= n1s and 0 <= j <= n1s, "inner index out of range")
 
     # route A: exact Haar integration of the coefficient product
     prod = su2_matrix_coeff(n1, n1, n1) * su2_matrix_coeff(n2, i, j) \
@@ -307,7 +312,8 @@ class BiPoly:
         out = {}
         for (i, j), v in coeffs.items():
             v = Fraction(v)
-            assert 0 <= i <= b and 0 <= j <= c
+            _check(0 <= i <= b and 0 <= j <= c,
+                   "BiPoly index outside its bidegree")
             if v != 0:
                 out[(i, j)] = v
         self.coeffs = out
@@ -317,7 +323,7 @@ class BiPoly:
         return BiPoly(b, c, {(i, j): v})
 
     def __add__(self, other):
-        assert (self.b, self.c) == (other.b, other.c)
+        _check((self.b, self.c) == (other.b, other.c), "bidegree mismatch")
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
             out[k] = out.get(k, Fraction(0)) + v
@@ -346,7 +352,7 @@ def bipoly_laplacian(P: BiPoly) -> BiPoly:
     """The mixed Laplacian d^2/dx11 dy1 + d^2/dx12 dy2, lowering the bidegree
     by (1, 1)."""
     b, c = P.b, P.c
-    assert b >= 1 and c >= 1
+    _check(b >= 1 and c >= 1, "Laplacian of bidegree below (1, 1)")
     out = {}
     for (i, j), v in P.coeffs.items():
         if i >= 1 and j >= 1:
@@ -389,10 +395,10 @@ def bipoly_project(P: BiPoly) -> BiPoly:
         mat.append([col.get(row_key, Fraction(0)) for col in cols])
     rhs = [target.coeffs.get(k, Fraction(0)) for k in basis]
     sol = solve_linear(mat, rhs)
-    assert sol is not None, "projection solve failed"
+    _check(sol is not None, "projection solve failed")
     R = BiPoly(b - 1, c - 1, {k: sol[index[k]] for k in basis})
     H = P - bipoly_torsion_mul(R)
-    assert bipoly_laplacian(H).is_zero()
+    _check(bipoly_laplacian(H).is_zero(), "projection is not harmonic")
     return H
 
 
@@ -401,7 +407,7 @@ def bipoly_pair(P: BiPoly, Q: BiPoly) -> Fraction:
     x-exponents (n1, n2) and y-exponents (m1, m2) pairs only with the Q
     monomial with x-exponents (m1, m2) and y-exponents (n1, n2), giving
     n1! n2! m1! m2!."""
-    assert (P.b, P.c) == (Q.c, Q.b), "bidegree mismatch"
+    _check((P.b, P.c) == (Q.c, Q.b), "bidegree mismatch")
     total = Fraction(0)
     for (i, j), v in P.coeffs.items():
         w = Q.coeffs.get((j, i))

@@ -26,12 +26,15 @@ def test_tier1_passes_under_dash_O():
     assert res.returncode == 0, res.stdout[-4000:] + res.stderr[-2000:]
 
 
-@pytest.mark.parametrize("module", ["exactnum", "plocal", "diffops", "iwasawa"])
+PKG = os.path.dirname(os.path.abspath(padr.__file__))
+
+
+@pytest.mark.parametrize("module", sorted(
+    name[:-3] for name in os.listdir(PKG) if name.endswith(".py")))
 def test_no_bare_assert(module):
-    # the checks of these layers raise through exactnum._check or a typed
-    # error, so none of them is stripped under -O
-    path = os.path.join(os.path.dirname(os.path.abspath(padr.__file__)),
-                        f"{module}.py")
+    # the library's checks raise through exactnum._check or a typed error,
+    # so none of them is stripped under -O
+    path = os.path.join(PKG, f"{module}.py")
     with open(path) as fh:
         bare = [n for n, line in enumerate(fh, 1)
                 if line.lstrip().startswith("assert ")]

@@ -233,6 +233,187 @@ class TestSymRF:
             (RF.const(D, 1) / u).subst_w0()
 
 
+def _sympoly_mul_pairwise(p, q):
+    """p * q as one QiD product and one QiD sum per pair of terms: the
+    oracle for SymPoly.__mul__, which accumulates integer numerators."""
+    out = {}
+    for e1, c1 in p.coeffs.items():
+        for e2, c2 in q.coeffs.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            v = c1 * c2
+            out[e] = out[e] + v if e in out else v
+    return SymPoly(p.D, out)
+
+
+def _div_exact_stepwise(p, f):
+    """p / f when exact, else None, by long division in QiD arithmetic, one
+    QiD product and difference per step and term of f: the oracle for
+    SymPoly.div_exact, which keeps integer numerators."""
+    if f.is_constant():
+        return p * f.constant_value().inverse()
+    rem, out = dict(p.coeffs), {}
+    fl = f.lead()
+    fci = f.coeffs[fl].inverse()
+    while rem:
+        lead = max(rem)
+        e = tuple(a - b for a, b in zip(lead, fl))
+        if any(x < 0 for x in e):
+            return None
+        q = out[e] = rem[lead] * fci
+        for fe, c in f.coeffs.items():
+            k = tuple(a + b for a, b in zip(e, fe))
+            v = rem[k] - q * c if k in rem else -(q * c)
+            if v.is_zero():
+                rem.pop(k, None)
+            else:
+                rem[k] = v
+    return SymPoly(p.D, out)
+
+
+def _terms(p):
+    return [(e, c.nums, c.den) for e, c in p.coeffs.items()]
+
+
+class TestSymPolyProduct:
+    def test_matches_pairwise_oracle(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        frac = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12))
+        expo = st.tuples(*[st.integers(0, 2)] * 4)
+
+        @st.composite
+        def pairs(draw):
+            """Two SymPolys with Fraction coordinates over unequal
+            denominators, empty ones included; in "diff" cases p = r + s
+            and q = r - s, so the cross terms of p * q cancel."""
+            D = draw(st.sampled_from([3, 4, 5]))
+
+            def poly():
+                return SymPoly(D, draw(st.dictionaries(
+                    expo, st.builds(lambda *xs: QiD(D, *xs),
+                                    frac, frac, frac, frac),
+                    max_size=4)))
+
+            if draw(st.booleans()):
+                r, s = poly(), poly()
+                return r + s, r - s
+            return poly(), poly()
+
+        @hyp.settings(max_examples=200, deadline=None)
+        @hyp.given(pairs())
+        def prop(pq):
+            p, q = pq
+            got = p * q
+            assert _terms(got) == _terms(_sympoly_mul_pairwise(p, q))
+            assert all(not c.is_zero() for c in got.coeffs.values())
+
+        prop()
+
+    def test_div_exact_matches_stepwise_oracle(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        frac = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+        expo = st.tuples(*[st.integers(0, 2)] * 4)
+
+        @st.composite
+        def cases(draw):
+            """p and a non-constant f over D in {3, 4, 5}, f monic or not;
+            p is a multiple of f, or a multiple plus a drawn remainder
+            (then the division is usually not exact)."""
+            D = draw(st.sampled_from([3, 4, 5]))
+
+            def poly(min_size=0):
+                return SymPoly(D, draw(st.dictionaries(
+                    expo, st.builds(lambda *xs: QiD(D, *xs),
+                                    frac, frac, frac, frac),
+                    min_size=min_size, max_size=3)))
+
+            f = poly(1) + SymPoly.var(D, draw(st.integers(0, 3)))
+            hyp.assume(not f.is_constant())
+            if draw(st.booleans()):
+                c = f.coeffs[f.lead()]
+                hyp.assume(not (c * c.conj()).is_zero())
+                f = f * c.inverse()
+            p = poly() * f
+            if draw(st.booleans()):
+                p = p + poly()
+            return p, f
+
+        @hyp.settings(max_examples=200, deadline=None)
+        @hyp.given(cases())
+        def prop(pf):
+            p, f = pf
+            try:
+                want = _div_exact_stepwise(p, f)
+            except AssertionError:  # a zero-divisor lead coefficient
+                with pytest.raises(AssertionError):
+                    p.div_exact(f)
+                return
+            got = p.div_exact(f)
+            if want is None:
+                assert got is None
+            else:
+                assert _terms(got) == _terms(want) and got * f == p
+
+        prop()
+
+    def test_cancellation_and_empty(self):
+        D = 4
+        t, w = SymPoly.var(D, 0), SymPoly.var(D, 2)
+        half = SymPoly.const(D, Fraction(1, 2))
+        # (t/2 + w/3)(t/2 - w/3) = t^2/4 - w^2/9: the tw terms cancel
+        a, b = t * half, w * Fraction(1, 3)
+        got = (a + b) * (a - b)
+        assert _terms(got) == _terms(_sympoly_mul_pairwise(a + b, a - b))
+        assert got == SymPoly(D, {(2, 0, 0, 0): Fraction(1, 4),
+                                  (0, 0, 2, 0): Fraction(-1, 9)})
+        # sqrt 4 is a free symbol: (2 - sqrt 4)(2 + sqrt 4) = 0
+        assert (SymPoly.const(D, QiD(D, 2, 0, -1))
+                * SymPoly.const(D, QiD(D, 2, 0, 1))).coeffs == {}
+        # so (2 + sqrt 4) t w is (2 + sqrt 4) w times t + 2 - sqrt 4, and
+        # the division leaves no zero term behind
+        f = t + SymPoly.const(D, QiD(D, 2, 0, -1))
+        g = w * QiD(D, 2, 0, 1)
+        assert (g * f).coeffs == {(1, 0, 1, 0): QiD(D, 2, 0, 1)}
+        assert _terms((g * f).div_exact(f)) == _terms(g)
+        empty = SymPoly(D)
+        assert (empty * t).coeffs == {} and (t * empty).coeffs == {}
+        assert (empty * empty).coeffs == {}
+
+    def test_hash_of_product_equals_hash_of_constructed(self):
+        D = 3
+        t, tb = SymPoly.var(D, 0), SymPoly.var(D, 1)
+        p = (t + SymPoly.const(D, Fraction(1, 2))) * (tb - t)
+        q = SymPoly(D, {(1, 1, 0, 0): 1, (2, 0, 0, 0): -1,
+                        (0, 1, 0, 0): Fraction(1, 2),
+                        (1, 0, 0, 0): Fraction(-1, 2)})
+        assert p == q and hash(p) == hash(q)
+        assert hash(p) == hash(q)  # the cached value
+        assert {p: 1}[q] == 1
+        assert hash(SymPoly(D)) == hash(t * SymPoly(D))
+
+    def test_D_mismatch_raises(self):
+        z3, z4 = QiD(3, 1, 2), QiD(4, 1, 2)
+        for op in (lambda: z3 + z4, lambda: z3 - z4, lambda: z3 * z4,
+                   lambda: SymPoly.var(3, 0) * SymPoly.var(4, 0)):
+            with pytest.raises(AssertionError):
+                op()
+        for name in ("__add__", "__sub__", "__mul__"):
+            assert getattr(z3, name)("1") is NotImplemented
+
+    def test_sub_of_int_and_fraction_is_add_of_negation(self):
+        rng = random.Random(11)
+        for D in (3, 4, 5):
+            for _ in range(20):
+                z = QiD(D, *(Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+                             for _ in range(4)))
+                for k in (rng.randint(-5, 5),
+                          Fraction(rng.randint(-5, 5), rng.randint(1, 6)),
+                          QiD(D, 1, Fraction(rng.randint(-5, 5), 4))):
+                    got, want = z - k, z + (-z._coerce(k))
+                    assert (got.nums, got.den) == (want.nums, want.den)
+
+
 class TestRFSum:
     def test_equals_chain_of_products_and_sums(self):
         hyp = pytest.importorskip("hypothesis")

@@ -576,20 +576,28 @@ class TestLaurentRF:
     def test_skipped_steps_change_nothing(self):
         hyp = pytest.importorskip("hypothesis")
         st = hyp.strategies
-        # a side is 1 to 3 terms c X^e; coefficients rational or cyclotomic
-        side = st.dictionaries(st.integers(-3, 3),
-                               st.integers(0, len(self.POOL) - 1),
-                               min_size=1, max_size=3)
+        # a side is 1 to 3 terms c X^e, or c0 X^e + c1 X^(e+1) (degree 1);
+        # coefficients rational or cyclotomic
+        index = st.integers(0, len(self.POOL) - 1)
+        side = st.one_of(
+            st.dictionaries(st.integers(-3, 3), index, min_size=1,
+                            max_size=3),
+            st.builds(lambda e, i, j: {e: i, e + 1: j},
+                      st.integers(-3, 3), index, index))
         factor = st.sampled_from([{}, {0: 1, 1: -1}, {0: 2, 2: 1},
                                   {-1: 1, 0: E.zeta(3)}])
 
         q = E.rational(1, qgrade=1)
 
         @hyp.settings(max_examples=300, deadline=None)
-        @hyp.given(side, side, factor, st.integers(0, 1), st.integers(0, 1))
-        def check(rn, rd, common, gn, gd):
+        @hyp.given(side, side, factor, st.integers(0, 1), st.integers(0, 1),
+                   st.one_of(st.none(), st.tuples(index, st.integers(-2, 2))))
+        def check(rn, rd, common, gn, gd, prop):
             num = {e: self.POOL[i] * q ** gn for e, i in rn.items()}
             den = {e: self.POOL[i] * q ** gd for e, i in rd.items()}
+            if prop is not None:  # num = c X^s den: the sides share den
+                c = self.POOL[prop[0]] * q ** gn
+                num = {e + prop[1]: c * x for e, x in den.items()}
             if common:  # a shared factor, so the multi-term gcd is not 1
                 num = LaurentRF(num, normalize=False) * LaurentRF(
                     common, normalize=False)
@@ -604,6 +612,15 @@ class TestLaurentRF:
                  for side in want]
 
         check()
+        # two degree-1 sides, proportional and coprime
+        for num, den in (({0: 2, 1: -4}, {0: 1, 1: -2}),
+                         ({0: E.zeta(3), 1: 1}, {0: 1, 1: E.zeta(3, 2)}),
+                         ({0: 2, 1: -4}, {0: 1, 1: -3}),
+                         ({-1: 1, 0: E.zeta(3)}, {0: 1, 1: 1})):
+            assert _laurent_canonical(num, den) == \
+                self.canonical_every_step(num, den)
+        assert _laurent_canonical({0: 2, 1: -4}, {0: 1, 1: -2}) == \
+            ({0: 2}, {0: 1})
 
     def test_evaluate_parts_raises_where_evaluate_does(self):
         one = LaurentRF.one()
