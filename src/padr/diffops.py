@@ -410,11 +410,29 @@ def _scaled_terms(coeffs):
 
 
 def _fac_expand(D, fac):
-    out = SymPoly.const(D, 1)
+    """The product of f^e over fac, from its first factor; 1 for no factor."""
+    out = None
     for f, e in fac.items():
         for _ in range(e):
-            out = out * f
-    return out
+            out = f if out is None else out * f
+    return SymPoly.const(D, 1) if out is None else out
+
+
+def _sp_mul(a, b):
+    """a * b for two SymPolys, with no product formed when either is 1."""
+    if _sp_is_one(b):
+        return a
+    if _sp_is_one(a):
+        return b
+    return a * b
+
+
+def _sp_is_one(p):
+    c = p.coeffs
+    if len(c) != 1:
+        return False
+    v = c.get((0, 0, 0, 0))
+    return v is not None and _is_one(v)
 
 
 class RF:
@@ -512,7 +530,10 @@ class RF:
         _check(not other.num.is_zero(), "division by zero")
         fac = dict(self.fac)
         fac[other.num] = fac.get(other.num, 0) + 1
-        return RF(self.num * _fac_expand(self.num.D, other.fac), fac)
+        num = self.num
+        if other.fac:
+            num = _sp_mul(num, _fac_expand(num.D, other.fac))
+        return RF(num, fac)
 
     def deriv(self, idx):
         """d/d(variable idx), summed over the denominator with each factor
@@ -521,7 +542,8 @@ class RF:
         for f, e in self.fac.items():
             df = f.deriv(idx)
             if not df.is_zero():
-                parts.append((self.num * df * (-e), {**self.fac, f: e + 1}))
+                parts.append((_sp_mul(self.num, df) * (-e),
+                              {**self.fac, f: e + 1}))
         return _rf_from_parts(parts, self.num.D)
 
     def conj(self):
@@ -542,7 +564,7 @@ class RF:
 
     def __eq__(self, other):
         other = self._coerce(other)
-        return self.num * other.den == other.num * self.den
+        return _sp_mul(self.num, other.den) == _sp_mul(other.num, self.den)
 
     def __repr__(self):
         return f"RF({self.num}/{self.fac})"
@@ -561,7 +583,7 @@ def rf_sum(terms, D):
     for c, xs in terms:
         num, fac = None, {}
         for x in xs:
-            num = x.num if num is None else num * x.num
+            num = x.num if num is None else _sp_mul(num, x.num)
             for f, e in x.fac.items():
                 fac[f] = fac.get(f, 0) + e
         if num is None:
@@ -587,7 +609,7 @@ def _rf_from_parts(parts, D):
         missing = {f: e - fac.get(f, 0) for f, e in lcm.items()
                    if e > fac.get(f, 0)}
         if missing:
-            num = num * _fac_expand(D, missing)
+            num = _sp_mul(num, _fac_expand(D, missing))
         for e, c in num.coeffs.items():
             total[e] = total[e] + c if e in total else c
     return RF(_sympoly_raw(D, {e: c for e, c in total.items()

@@ -231,7 +231,8 @@ class PadicChar:
 # ---------------------------------------------------------------------------
 
 #: the Gauss sums known to this process, keyed "p_c_e", loaded on first use
-#: from PADR_CACHE_DIR; dirty once a sum is added that the file lacks
+#: from PADR_CACHE_DIR; an entry read from the file stays its raw string
+#: until a lookup parses it.  Dirty once a sum is added that the file lacks.
 _GAUSS_MEMO = None
 _GAUSS_DIRTY = False
 
@@ -247,12 +248,27 @@ def _gauss_cache():
                 try:
                     with open(path) as fh:
                         entries = json.load(fh)
-                    _GAUSS_MEMO = {k: ExactScalar.parse(v)
-                                   for k, v in entries.items()}
-                except (OSError, ValueError, AttributeError):
+                    if isinstance(entries, dict):
+                        _GAUSS_MEMO = entries
+                except (OSError, ValueError):
                     # unreadable or truncated: recompute, and rewrite it
-                    _GAUSS_MEMO = {}
+                    pass
     return _GAUSS_MEMO
+
+
+def _gauss_entry(memo, key):
+    """The memo's sum at key, parsing a raw entry in place; None when the
+    key is absent or its entry is not a serialized scalar."""
+    v = memo.get(key)
+    if v is None or isinstance(v, ExactScalar):
+        return v
+    try:
+        v = ExactScalar.parse(v)
+    except (ValueError, AttributeError):
+        del memo[key]
+        return None
+    memo[key] = v
+    return v
 
 
 def _gauss_cache_store():
@@ -260,12 +276,18 @@ def _gauss_cache_store():
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
         path = os.path.join(cache_dir, "gauss_sums.json")
+        # an entry never looked up is still raw: parse it, and drop it if
+        # it does not parse, so the file holds only serialized scalars
+        entries = {}
+        for k in list(_GAUSS_MEMO):
+            v = _gauss_entry(_GAUSS_MEMO, k)
+            if v is not None:
+                entries[k] = v.serialize()
         # a reader never sees a half-written file: write aside, then rename
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w") as fh:
-                json.dump({k: v.serialize() for k, v in _GAUSS_MEMO.items()},
-                          fh, sort_keys=True)
+                json.dump(entries, fh, sort_keys=True)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -296,8 +318,9 @@ def gauss_sum(chi: PadicChar) -> ExactScalar:
         return ExactScalar.one()
     memo = _gauss_cache()
     key = f"{chi.p}_{chi.c}_{chi.e}"
-    if key in memo:
-        return memo[key]
+    total = _gauss_entry(memo, key)
+    if total is not None:
+        return total
     total = _gauss_sum_at(chi, 1)
     memo[key] = total
     _GAUSS_DIRTY = True

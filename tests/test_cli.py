@@ -141,6 +141,47 @@ class TestGaussCacheWrites:
         assert all(ExactScalar.parse(v).serialize() == v
                    for v in entries.values())
 
+    def test_truncated_entry_at_another_p_is_dropped(self, stores, tmp_path,
+                                                      monkeypatch):
+        cache = tmp_path / "gauss_sums.json"
+        assert run("verify", "gauss", "--p", "5").exit_code == 0
+        entries = json.loads(cache.read_text())
+        entries["5_1_1"] = "1*z20^"
+        cache.write_text(json.dumps(entries))
+        monkeypatch.setattr(plocal, "_GAUSS_MEMO", None)
+        res = run("verify", "gauss", "--p", "7")
+        assert res.exit_code == 0
+        assert json.loads(res.output)["failed"] == 0
+        assert len(stores) == 2
+        # the new sums are added, the unreadable entry is dropped and every
+        # other entry is written back as it was
+        written = json.loads(cache.read_text())
+        del entries["5_1_1"]
+        assert {k: v for k, v in written.items() if k.startswith("5_")} \
+            == entries
+        assert any(k.startswith("7_") for k in written)
+
+    def test_warm_run_parses_only_the_sums_it_uses(self, stores, tmp_path,
+                                                   monkeypatch):
+        for p in ("5", "7"):
+            monkeypatch.setattr(plocal, "_GAUSS_MEMO", None)
+            assert run("verify", "gauss", "--p", p).exit_code == 0
+        cache = tmp_path / "gauss_sums.json"
+        written = cache.read_bytes()
+        parsed = []
+        parse = ExactScalar.parse
+
+        def counted(s):
+            parsed.append(s)
+            return parse(s)
+        monkeypatch.setattr(ExactScalar, "parse", staticmethod(counted))
+        monkeypatch.setattr(plocal, "_GAUSS_MEMO", None)
+        assert run("verify", "gauss", "--p", "7").exit_code == 0
+        entries = json.loads(written)
+        assert sorted(parsed) == sorted(v for k, v in entries.items()
+                                        if k.startswith("7_"))
+        assert len(stores) == 2 and cache.read_bytes() == written
+
     def test_interp_and_usage_errors_write_nothing(self, stores, tmp_path):
         assert run("interp").exit_code == 0
         assert run("verify", "gauss", "--p", "9").exit_code == 2

@@ -17,8 +17,12 @@ from padr.exactnum import (
     euler_phi,
     root_of_unity_sum,
     sqrt_prime,
+    _KRON_MIN_TERMS,
     _coerce,
+    _cyc_mul,
+    _cyc_reduce,
     _laurent_canonical,
+    _phi_tail,
     _lp_to_poly,
     _minimal_field,
     _poly_to_lp,
@@ -130,6 +134,138 @@ def test_is_one():
     for v in (E.zero(), E.rational(-1), E.rational(Fraction(1, 2)), E.zeta(4),
               E.rational(1, qgrade=1), E.rational(1, pigrade=Fraction(1, 2))):
         assert not v.is_one()
+
+
+def test_scalars_stay_immutable():
+    x = E([1, 2], N=3)
+    for slot, value in (("N", 2), ("nums", (1,)), ("den", 2), ("qgrade", 1),
+                        ("pigrade", 1), ("other", 0)):
+        with pytest.raises(AttributeError):
+            setattr(x, slot, value)
+    assert (x.N, x.nums, x.den, x.qgrade, x.pigrade) == (3, (1, 2), 1, 0, 0)
+
+
+# The kernel's earlier routes, kept as oracles: the schoolbook product over
+# the non-zero numerators and the reduction by the lower terms of Phi_N alone.
+
+def _cyc_reduce_tail(acc, N):
+    deg = euler_phi(N)
+    tail = _phi_tail(N)
+    for k in range(len(acc) - 1, deg - 1, -1):
+        c = acc[k]
+        if c:
+            base = k - deg
+            for j, m in tail:
+                acc[base + j] -= c * m
+    if len(acc) < deg:
+        acc += [0] * (deg - len(acc))
+    return acc[:deg]
+
+
+def _cyc_mul_school(a, b, N):
+    nza = [(i, x) for i, x in enumerate(a) if x]
+    nzb = [(j, y) for j, y in enumerate(b) if y]
+    acc = [0] * (len(a) + len(b) - 1)
+    for j, y in nzb:
+        for i, x in nza:
+            acc[i + j] += x * y
+    return _cyc_reduce_tail(acc, N)
+
+
+class TestCycloKernel:
+    """The packed product and the folded reduction give the oracles'
+    integers, on either side of the product's route cutoff."""
+
+    CONDUCTORS = [1, 2, 3, 4, 12, 44, 110, 124, 156, 272, 342, 343, 506, 2058]
+
+    @staticmethod
+    def strategies():
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        conductor = st.one_of(st.sampled_from(TestCycloKernel.CONDUCTORS),
+                              st.integers(1, 130))
+        # coefficient size: 1 bit, a few bits, and more than 100 bits
+        bits = st.sampled_from([1, 3, 40, 101, 130])
+        return hyp, st, conductor, bits
+
+    @staticmethod
+    def vector(rng, n, terms, bits):
+        """n integers, `terms` of them non-zero, of both signs and at most
+        `bits` bits."""
+        out = [0] * n
+        for i in rng.sample(range(n), min(terms, n)):
+            out[i] = rng.choice((-1, 1)) * rng.randint(1, (1 << bits) - 1 or 1)
+        return out
+
+    def test_reduce_equals_tail_oracle(self):
+        hyp, st, conductor, bits = self.strategies()
+
+        @hyp.settings(max_examples=150, deadline=None)
+        @hyp.given(conductor, st.floats(0, 3), st.sampled_from([0, 1, 2, 0.5]),
+                   bits, st.integers(0, 2**32))
+        def check(N, frac, density, b, seed):
+            rng = random.Random(seed)
+            n = int(frac * N)  # lengths from 0 to 3N
+            terms = n if density == 2 else int(density * n)
+            acc = self.vector(rng, n, terms, b)
+            assert _cyc_reduce(list(acc), N) == _cyc_reduce_tail(acc, N)
+
+        check()
+
+    def test_mul_equals_school_oracle(self):
+        hyp, st, conductor, bits = self.strategies()
+        T = _KRON_MIN_TERMS
+        # non-zero counts: none, one term, either side of the cutoff, dense
+        terms = st.sampled_from([0, 1, T - 1, T, T + 1, 10**6])
+
+        @hyp.settings(max_examples=200, deadline=None)
+        @hyp.given(conductor, terms, terms, bits, bits, st.integers(0, 2**32))
+        def check(N, ta, tb, ba, bb, seed):
+            rng = random.Random(seed)
+            n = euler_phi(N)
+            a = tuple(self.vector(rng, n, ta, ba))
+            b = tuple(self.vector(rng, n, tb, bb))
+            assert _cyc_mul(a, b, N) == _cyc_mul_school(a, b, N)
+
+        check()
+
+    @pytest.mark.parametrize("N", [110, 124, 272, 506, 2058])
+    def test_mul_at_the_cutoff(self, N):
+        # the sparser operand at T - 1 (schoolbook) and at T (packed)
+        # non-zero numerators, against a dense one, each way round
+        rng = random.Random(N)
+        n = euler_phi(N)
+        dense = tuple(self.vector(rng, n, n, 130))
+        for t in (_KRON_MIN_TERMS - 1, _KRON_MIN_TERMS):
+            sparse = tuple(self.vector(rng, n, t, 2))
+            want = _cyc_mul_school(sparse, dense, N)
+            assert _cyc_mul(sparse, dense, N) == want
+            assert _cyc_mul(dense, sparse, N) == want
+
+    @pytest.mark.parametrize("N", [124, 506])
+    def test_mul_at_the_digit_bound(self, N):
+        # dense operands of one sign at their largest values put the middle
+        # product coefficient within a factor 2 of the digit's range, for
+        # the sizes where the digit width has no spare bit
+        n = euler_phi(N)
+        for ba in range(1, 11):
+            for bb in range(1, 11):
+                if N > 124 and (ba + bb) % 8:
+                    continue
+                a = ((1 << ba) - 1,) * n
+                for b in (((1 << bb) - 1,) * n, (1 - (1 << bb),) * n):
+                    assert _cyc_mul(a, b, N) == _cyc_mul_school(a, b, N)
+
+    def test_products_of_roots_of_unity(self):
+        # zeta^j * zeta^k = zeta^(j+k) on both routes; 1 + zeta + ... is
+        # dense enough for the packed product
+        for N in (506, 343, 2058):
+            n = euler_phi(N)
+            ones = E([1] * n, N=N)
+            for j, k in ((1, 2), (n - 1, n - 1), (N // 2, N - 1)):
+                assert E.zeta(N, j) * E.zeta(N, k) == E.zeta(N, j + k)
+                got = (ones * E.zeta(N, j)) * (ones * E.zeta(N, k))
+                assert got == (ones * ones) * E.zeta(N, j + k)
 
 
 class TestRootOfUnitySum:
