@@ -16,7 +16,9 @@ conj(w) are formal variables, so every identity is checked as an exact
 rational-function identity, never numerically.
 """
 
+from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd, lcm
 
 from padr.exactnum import _check
@@ -865,7 +867,7 @@ def _rf_powers(x, n):
     return out
 
 
-def _rho_factors(k, Z, D):
+def _rho_factors(Z, D):
     """Shared data for rho_k(Xi(Z))^{+-1}: (det xi, eta, xi^t matrix)."""
     xi = xi_of(Z, D)
     det = xi[0][0] * xi[1][1] - xi[0][1] * xi[1][0]
@@ -874,18 +876,56 @@ def _rho_factors(k, Z, D):
     return det, eta, xit
 
 
-def rho_xi(vec, k, Z, D, inverse=False):
-    """Apply rho_k(Xi(Z)) (or its inverse) to a vector of RF components."""
-    det, eta, xit = _rho_factors(k, Z, D)
-    k1, _, k3 = k
-    if inverse:
-        out = _vec_subst(vec, xit, D)
-        pref = _sym_power(det, k1) * _sym_power(eta, -k3)
-    else:
-        xit_inv = _mat2_inv(xit, D)
-        out = _vec_subst(vec, xit_inv, D)
-        pref = _sym_power(det, -k1) * _sym_power(eta, k3)
-    return [pref * comp for comp in out]
+_Frame = namedtuple(
+    "_Frame", "Z eta det xit xit_inv args c0 c1 inv_mi_eta_tau")
+
+
+@lru_cache(maxsize=None)
+def _frame(D):
+    """What the nabla routes use of the generic point Z = symbolic_point(D)
+    and depends on D alone: Z, eta(Z), det xi(Z), xi^t and (xi^t)^(-1);
+    args[j] = (xi[j][0] eta, xi[j][1] eta), the coefficients of the slot
+    vector field D_j = args[j][0] d/dtau + args[j][1] d/dw; the contraction
+    coefficients c0, c1 of (xi^t)^(-1) v0 eta^(-1) on e_0, e_1; and
+    (-i eta(tau))^(-1).  The RFs are shared by every caller, so none may be
+    changed in place."""
+    Z = symbolic_point(D)
+    det, eta, xit = _rho_factors(Z, D)
+    xit_inv = _mat2_inv(xit, D)
+    args = tuple((xit[0][j] * eta, xit[1][j] * eta) for j in range(2))
+    return _Frame(Z, eta, det, tuple(map(tuple, xit)),
+                  tuple(map(tuple, xit_inv)), args,
+                  xit_inv[0][1] / eta, xit_inv[1][1] / eta,
+                  RF.const(D, 1) / (QiD(D, 0, -1) * eta_tau(Z, D)))
+
+
+@lru_cache(maxsize=256)
+def _rho_matrix(D, k, inverse):
+    """The matrix T of rho_k(Xi(Z))^(+-1) at Z = symbolic_point(D), with
+    rho_k(Xi(Z))^(+-1) v = v T: row i is the image of the unit vector e_i,
+    the prefactor det^(-+k1) eta^(+-k3) folded in.  Shared, like _frame."""
+    fr = _frame(D)
+    k1, k2, k3 = k
+    s = 1 if inverse else -1
+    pref = _sym_power(fr.det, s * k1) * _sym_power(fr.eta, -s * k3)
+    M = fr.xit if inverse else fr.xit_inv
+    zero = RF.const(D, 0)
+    kappa = k2 - k1
+    return tuple(
+        tuple(_vec_subst([pref if j == i else zero for j in range(kappa + 1)],
+                         M, D))
+        for i in range(kappa + 1))
+
+
+def rho_xi(vec, k, D, inverse=False):
+    """Apply rho_k(Xi(Z)) (or its inverse) to a vector of RF components,
+    at the generic point Z = symbolic_point(D) only: each output component
+    is one rf_sum of vec[i] T[i][m] over the cached matrix T."""
+    T = _rho_matrix(D, tuple(k), inverse)
+    _check(len(vec) == len(T), "need kappa + 1 components")
+    return [rf_sum([(1, (v, row[m])) for v, row in zip(vec, T)
+                    if not (v.is_zero() or row[m].is_zero())], D)
+            for m in range(len(T))]
 
 
 def _sym_power(x, n):
@@ -900,44 +940,47 @@ def _mat2_inv(M, D):
             [RF.const(D, -1) * M[1][0] / det, M[0][0] / det]]
 
 
+@lru_cache(maxsize=256)
+def _slot_weights(D, n):
+    """binom(n, b) c0^(n-b) c1^b for b = 0..n: the weight of the drho_n
+    table entry with b slots on e_1.  Shared, like _frame."""
+    fr = _frame(D)
+    return tuple(rf_sum(((comb(n, b), (fr.c0,) * (n - b) + (fr.c1,) * b),),
+                        D)
+                 for b in range(n + 1))
+
+
 def drho_n(f, n):
     """D_rho^n f evaluated on the tuple (v0, ..., v0): implements
     C f(u) = Df(xi(Z)^t u eta(Z)) iterated on formal multilinear slots,
     conjugated by rho_k(Xi).  Returns the list of X^i Y^(kappa-i)
-    components as RFs in (tau, conj tau, w, conj w)."""
+    components as RFs in (tau, conj tau, w, conj w).
+
+    Slot j of C differentiates along the image of e_j, the vector field
+    D_j = args[j][0] d/dtau + args[j][1] d/dw of `_frame`.  D_0 and D_1
+    commute, so a slot assignment's term depends only on the number b of
+    slots on e_1: the table keeps D_1^b D_0^(m-b) (rho(Xi) f) for
+    b = 0..m at level m, n + 1 entries at the end instead of 2^n, and
+    the contraction with (xi^t)^(-1) v0 eta^(-1) weights entry b by its
+    binom(n, b) assignments times c0^(n-b) c1^b."""
     _check(n >= 0, "negative order")
     D, k = f.D, f.k
-    Z = symbolic_point(D)
-    # start: rho(Xi) f as a 0-linear table
-    base = [RF(c) for c in f.comps]
-    table = {(): rho_xi(base, k, Z, D)}
-    xi = xi_of(Z, D)
-    eta = eta_of(Z, D)
-    # images of the basis vectors e_0, e_1 under u -> xi^t u eta
-    args = []
-    for j in range(2):
-        args.append([xi[j][0] * eta, xi[j][1] * eta])
-    for _ in range(n):
-        new = {}
-        for key, vec in table.items():
-            dvec_t = [c.deriv(0) for c in vec]
-            dvec_u = [c.deriv(2) for c in vec]
-            for j in range(2):
-                new[key + (j,)] = [
-                    rf_sum(((1, (args[j][0], a)), (1, (args[j][1], b))), D)
-                    for a, b in zip(dvec_t, dvec_u)]
-        table = new
+    (a00, a01), (a10, a11) = _frame(D).args
 
-    # contract every slot with (xi^t)^(-1) v0 eta^(-1)
-    xit = [[xi[0][0], xi[1][0]], [xi[0][1], xi[1][1]]]
-    xit_inv = _mat2_inv(xit, D)
-    c0 = xit_inv[0][1] / eta     # coefficient on e_0
-    c1 = xit_inv[1][1] / eta     # coefficient on e_1
-    coeffs = (c0, c1)
-    total = [rf_sum([(1, tuple(coeffs[j] for j in key) + (vec[i],))
-                     for key, vec in table.items()], D)
+    def along(a0, a1, dt, du):
+        return [rf_sum(((1, (a0, x)), (1, (a1, y))), D)
+                for x, y in zip(dt, du)]
+
+    table = [rho_xi([RF(c) for c in f.comps], k, D)]
+    for _ in range(n):
+        derivs = [([c.deriv(0) for c in vec], [c.deriv(2) for c in vec])
+                  for vec in table]
+        table = ([along(a00, a01, dt, du) for dt, du in derivs]
+                 + [along(a10, a11, *derivs[-1])])
+    weights = _slot_weights(D, n)
+    total = [rf_sum([(1, (w, vec[i])) for w, vec in zip(weights, table)], D)
              for i in range(f.kappa + 1)]
-    return rho_xi(total, k, Z, D, inverse=True)
+    return rho_xi(total, k, D, inverse=True)
 
 
 def drho_restricted(f, n):
@@ -949,13 +992,13 @@ def conjugated_derivative_form(f, n):
     """Independent route: rho(Xi)^(-1) (d/dw - conj(w)/delta d/dtau)^n
     (rho(Xi) f), restricted to w = 0."""
     D, k = f.D, f.k
-    Z = symbolic_point(D)
-    vec = rho_xi([RF(c) for c in f.comps], k, Z, D)
+    wb = _frame(D).Z[3]
+    vec = rho_xi([RF(c) for c in f.comps], k, D)
     mdinv = -qdelta(D).inverse()
     for _ in range(n):
-        vec = [rf_sum(((1, (c.deriv(2),)), (mdinv, (Z[3], c.deriv(0)))), D)
+        vec = [rf_sum(((1, (c.deriv(2),)), (mdinv, (wb, c.deriv(0)))), D)
                for c in vec]
-    out = rho_xi(vec, k, Z, D, inverse=True)
+    out = rho_xi(vec, k, D, inverse=True)
     return [c.subst_w0() for c in out]
 
 
@@ -965,27 +1008,21 @@ def coefficient_closed_form(f, n):
     sum_j (a+j)!/a! binom(n, j) (d^(n-j) f_(a+j) / dw^(n-j))|_(w=0)
     (-i eta(tau))^(-j)."""
     D = f.D
-    Z = symbolic_point(D)
     kappa = f.kappa
-    eta_t = eta_tau(Z, D)
-    mi = QiD(D, 0, -1)
+    inv = _frame(D).inv_mi_eta_tau
     out = []
     for a in range(kappa + 1):
-        total = RF.const(D, 0)
+        terms = []
         for j in range(0, min(n, kappa - a) + 1):
             i = a + j
-            if i > kappa:
-                continue
             g = f.comps[i]
             for _ in range(n - j):
                 g = g.deriv(2)
             fac = 1
             for t in range(j):
                 fac *= i - t
-            term = (RF(g.subst_w0()) * Fraction(fac * comb(n, j))
-                    / _rf_powers(mi * eta_t, j)[j])
-            total = total + term
-        out.append(total.subst_w0())
+            terms.append((fac * comb(n, j), (RF(g.subst_w0()),) + (inv,) * j))
+        out.append(rf_sum(terms, D).subst_w0())
     return out
 
 

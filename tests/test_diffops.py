@@ -43,8 +43,11 @@ from padr.diffops import (
     skew_pairing,
     symbolic_point,
     xi_of,
+    _frame,
     _mat2_inv,
     _rho_factors,
+    _rho_matrix,
+    _slot_weights,
     _sym_power,
     _vec_subst,
 )
@@ -598,11 +601,10 @@ def make_section(D, k, monos):
 class TestDifferentialOperators:
     def test_rho_inverse_roundtrip(self):
         D = 4
-        Z = symbolic_point(D)
         k = (-1, 1, 2)
         vec = [RF.var(D, 0) * RF.var(D, 2), RF.const(D, qi(D)),
                RF.var(D, 3)]
-        back = rho_xi(rho_xi(vec, k, Z, D), k, Z, D, inverse=True)
+        back = rho_xi(rho_xi(vec, k, D), k, D, inverse=True)
         for a, b in zip(vec, back):
             assert a == b
 
@@ -700,7 +702,7 @@ def _vec_subst_per_term(vec, M, D):
 
 
 def _rho_xi_per_term(vec, k, Z, D, inverse=False):
-    det, eta, xit = _rho_factors(k, Z, D)
+    det, eta, xit = _rho_factors(Z, D)
     k1, _, k3 = k
     if inverse:
         out = _vec_subst_per_term(vec, xit, D)
@@ -739,24 +741,31 @@ def _drho_n_per_step(f, n):
     return _rho_xi_per_term(total, k, Z, D, inverse=True)
 
 
-# the criterion-9 probes: weight and the monomials of each component
+# the criterion-9 probes: weight and the monomials of each component, with
+# "i" for the imaginary unit of Q(i, sqrt D)
 CRITERION_9_PROBES = [
     ((0, 0, 1), [{(1, 0, 2, 0): 1}]),
-    ((-1, 0, 2), [{(1, 0, 1, 0): 1}, {(0, 1, 0, 0): qi(4)}]),
+    ((-1, 0, 2), [{(1, 0, 1, 0): 1}, {(0, 1, 0, 0): "i"}]),
     ((0, 2, 1), [{(0, 0, 2, 0): 1}, {(1, 0, 0, 1): 2}, {(0, 0, 0, 0): 1}]),
     ((-1, 2, 1), [{(0, 0, 2, 0): 1}, {(1, 0, 1, 0): 1},
                   {(0, 1, 0, 1): 2}, {(0, 0, 1, 1): 1}]),
 ]
 
 
+def probe_section(D, probe):
+    """Criterion-9 probe number probe as a SectionPoly over Q(i, sqrt D)."""
+    k, monos = CRITERION_9_PROBES[probe]
+    return make_section(D, k, [{e: qi(D) if c == "i" else c
+                                for e, c in m.items()} for m in monos])
+
+
 class TestPerTermOracle:
     @pytest.mark.parametrize("probe", range(len(CRITERION_9_PROBES)))
     def test_vec_subst(self, probe):
         D = 4
-        k, monos = CRITERION_9_PROBES[probe]
-        Z = symbolic_point(D)
-        _, _, xit = _rho_factors(k, Z, D)
-        vec = rho_xi([RF(SymPoly(D, m)) for m in monos], k, Z, D)
+        f = probe_section(D, probe)
+        _, _, xit = _rho_factors(symbolic_point(D), D)
+        vec = rho_xi([RF(c) for c in f.comps], f.k, D)
         for M in (xit, _mat2_inv(xit, D)):
             got = _vec_subst(vec, M, D)
             want = _vec_subst_per_term(vec, M, D)
@@ -766,12 +775,82 @@ class TestPerTermOracle:
     @pytest.mark.parametrize("probe", range(len(CRITERION_9_PROBES)))
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_drho_n(self, probe, n):
-        k, monos = CRITERION_9_PROBES[probe]
-        f = make_section(4, k, monos)
+        self.check_drho_n(probe_section(4, probe), n)
+
+    @pytest.mark.parametrize("probe", range(len(CRITERION_9_PROBES)))
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_drho_n_at_D3(self, probe, n):
+        self.check_drho_n(probe_section(3, probe), n)
+
+    @pytest.mark.parametrize("probe", range(len(CRITERION_9_PROBES)))
+    def test_drho_n_order_4(self, probe):
+        self.check_drho_n(probe_section(4, probe), 4)
+
+    @staticmethod
+    def check_drho_n(f, n):
         got = drho_n(f, n)
         want = _drho_n_per_step(f, n)
         assert len(got) == len(want) == f.kappa + 1
         assert all(x == y for x, y in zip(got, want))
+
+
+def _rfs(x):
+    """The RFs in a nest of tuples and lists."""
+    if isinstance(x, RF):
+        return [x]
+    return [r for y in x for r in _rfs(y)]
+
+
+class TestNablaFrame:
+    @pytest.mark.parametrize("D", range(1, 13))
+    def test_slot_fields_commute(self, D):
+        # drho_n keeps one table entry per number of slots on e_1 because
+        # the slot vector fields D_j = a_j0 d/dtau + a_j1 d/dw commute: both
+        # components D_0 a_1m - D_1 a_0m of [D_0, D_1] are zero
+        (a00, a01), (a10, a11) = _frame(D).args
+
+        def along(a0, a1, g):
+            return rf_sum(((1, (a0, g.deriv(0))), (1, (a1, g.deriv(2)))), D)
+        for x0, x1 in ((a00, a10), (a01, a11)):
+            bracket = rf_sum(((1, (along(a00, a01, x1),)),
+                              (-1, (along(a10, a11, x0),))), D)
+            assert bracket.is_zero()
+
+    def test_shared_values_unchanged_by_use(self):
+        # the cached frames, rho matrices and slot weights are shared by
+        # every call: after every route has used them, each still equals a
+        # fresh build, numerator and factored denominator alike
+        keys = []
+        for D in (3, 4):
+            for probe in range(len(CRITERION_9_PROBES)):
+                f = probe_section(D, probe)
+                vec = [RF(c) for c in f.comps]
+                rho_xi(vec, f.k, D)
+                rho_xi(vec, f.k, D, inverse=True)
+                for n in range(4):
+                    drho_restricted(f, n)
+                    conjugated_derivative_form(f, n)
+                    coefficient_closed_form(f, n)
+                keys.append((D, f.k))
+
+        def cached():
+            out = []
+            for D, k in keys:
+                out += _rfs(_frame(D))
+                out += _rfs(_rho_matrix(D, k, False))
+                out += _rfs(_rho_matrix(D, k, True))
+                for n in range(4):
+                    out += _rfs(_slot_weights(D, n))
+            return out
+        used = cached()
+        for cache in (_frame, _rho_matrix, _slot_weights):
+            cache.cache_clear()
+        fresh = cached()
+        assert len(used) == len(fresh)
+        for x, y in zip(used, fresh):
+            assert x is not y
+            assert x.num == y.num
+            assert x.fac == y.fac
 
 
 class TestChecks:
