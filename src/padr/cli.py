@@ -348,15 +348,16 @@ def suite_measures(p, prec_t, rng):
         ok = all(iwasawa.mellin_moment(g, k).as_fraction()
                  == sum(c * a ** k for a, c in pts) for k in range(4))
         out.append(_ident(f"mellin dictionary #{t}", ok))
-    phi = iwasawa.LocallyConstantFn(p, 1, {u: Fraction(rng.randint(-2, 2))
-                                           for u in range(p)})
+    phi = SchwartzFn(p, [(u, 1, Fraction(rng.randint(-2, 2)))
+                         for u in range(p)])
     pts = [(rng.randint(0, prec_t - 1), Fraction(rng.randint(-2, 2)))
            for _ in range(4)]
     g = iwasawa.MeasureSeries(p, [], prec_t)
     for a, c in pts:
         g = g + iwasawa.dirac_series(a, p, prec_t).scale(c)
     ok = all(iwasawa.integrate(g, phi, k).as_fraction()
-             == sum(c * phi(a).as_fraction() * a ** k for a, c in pts)
+             == sum(c * phi.evaluate(a).as_fraction() * a ** k
+                    for a, c in pts)
              for k in range(3))
     out.append(_ident("twisted moment compatibility", ok))
     for n_pow in (1, 2, 4):

@@ -1112,7 +1112,10 @@ class LaurentRF:
         return not diff
 
     def __hash__(self):
-        return hash(self.serialize())
+        # the canonical form is unique per value; the coefficients hash
+        # by value across field embeddings
+        return hash((tuple(sorted(self.num.items())),
+                     tuple(sorted(self.den.items()))))
 
     # -- substitution / evaluation ---------------------------------------
 

@@ -1,4 +1,5 @@
-"""Measures on Z_p as truncated power series in T, theta twists,
+"""Measures on Z_p as truncated power series in T, theta twists by
+locally constant functions (plocal.SchwartzFn, read on Z_p),
 log-substitution, and q-expansion operator calculus.
 
 The dictionary: a measure mu corresponds to g(T) with
@@ -10,8 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import ExactScalar, _check, _coerce
-from .plocal import vp_frac
+from .exactnum import ExactScalar, _check, _coerce, root_of_unity_sum
+from .plocal import SchwartzFn, vp_frac
 
 
 def _binom_int(a: int, k: int) -> Fraction:
@@ -140,42 +141,6 @@ class MeasureSeries:
         return f"MeasureSeries({self.serialize()})"
 
 
-class LocallyConstantFn:
-    """Function on Z_p factoring through Z/p^n (optionally supported on units)."""
-
-    __slots__ = ("p", "level", "values", "units_only")
-
-    def __init__(self, p, level, values, units_only=False):
-        self.p = p
-        self.level = level
-        q = p ** level
-        vals = {int(u) % q: _coerce(v) for u, v in values.items()}
-        if units_only:
-            _check(all(u % p != 0 for u in vals), "a value off the units")
-        self.values = vals
-        self.units_only = units_only
-
-    def __call__(self, u):
-        q = self.p ** self.level
-        u = int(u) % q
-        if self.units_only and u % self.p == 0:
-            return ExactScalar.zero()
-        return self.values.get(u, ExactScalar.zero())
-
-    @staticmethod
-    def indicator_units(p, level=1):
-        return LocallyConstantFn(
-            p, level, {u: 1 for u in range(p ** level) if u % p != 0},
-            units_only=True)
-
-    def pointwise_mul(self, other):
-        _check(self.p == other.p, "functions at different primes")
-        n = max(self.level, other.level)
-        q = self.p ** n
-        vals = {u: self(u) * other(u) for u in range(q)}
-        return LocallyConstantFn(self.p, n, vals)
-
-
 def dirac_series(a: int, p: int, prec_T: int, prec_p: int = 0) -> MeasureSeries:
     """Transform (1+T)^a of the Dirac measure at the p-adic integer a."""
     coeffs = [ExactScalar.rational(_binom_int(a, k)) for k in range(prec_T + 1)]
@@ -191,24 +156,24 @@ def mellin_moment(g: MeasureSeries, k: int) -> ExactScalar:
     return out.at_zero()
 
 
-def theta_twist(g: MeasureSeries, phi: LocallyConstantFn) -> MeasureSeries:
-    """Twist the measure by phi via averaging over p-power roots of unity:
+def theta_twist(g: MeasureSeries, phi: SchwartzFn) -> MeasureSeries:
+    """Twist the measure by phi restricted to Z_p, via averaging over p-power
+    roots of unity: with q = p^max(0, largest ball level of phi), phi
+    factors through Z/q on Z_p, and the twist is
 
-    (1/p^n) sum_u sum_{zeta in mu_{p^n}} zeta^(-u) phi(u) g(zeta(1+T)-1).
+    (1/q) sum_{u mod q} sum_{zeta in mu_q} zeta^(-u) phi(u) g(zeta(1+T)-1).
+
+    Each Fourier coefficient c_j = q^(-1) sum_u zeta_q^(-ju) phi(u) is one
+    root_of_unity_sum, with phi read once per u.
     """
     _check(g.p == phi.p, "measure and function at different primes")
-    p, n = g.p, phi.level
-    q = p ** n
-    inv_q = ExactScalar.rational(Fraction(1, q))
-    # Fourier coefficients c_j = p^(-n) sum_u zeta^(-ju) phi(u)
+    p = g.p
+    q = p ** max([0] + [k for _, k, _ in phi.terms])
+    inv_q = Fraction(1, q)
+    values = [(u, phi.evaluate(u)) for u in range(q)]
     total = None
     for j in range(q):
-        c = ExactScalar.zero()
-        for u in range(q):
-            v = phi(u)
-            if not v.is_zero():
-                c = c + ExactScalar.zeta(q, (-j * u) % q) * v
-        c = c * inv_q
+        c = root_of_unity_sum([(inv_q, v, q, -j * u) for u, v in values])
         if c.is_zero():
             continue
         term = g.subst_root(ExactScalar.zeta(q, j)).scale(c)
@@ -218,7 +183,7 @@ def theta_twist(g: MeasureSeries, phi: LocallyConstantFn) -> MeasureSeries:
     return total
 
 
-def integrate(g: MeasureSeries, phi: LocallyConstantFn,
+def integrate(g: MeasureSeries, phi: SchwartzFn,
               power: int = 0) -> ExactScalar:
     """Integral of phi(x) x^power d mu(g) by twisting the measure, then taking the plain moment."""
     return mellin_moment(theta_twist(g, phi), power)

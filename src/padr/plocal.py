@@ -3,6 +3,10 @@ L/epsilon/gamma factors, Schwartz functions with exact Fourier transforms,
 depletion operators on induced-model triples, zeta integrals by shell
 summation, and modified Euler factors evaluated at the central point.
 
+SchwartzFn is the one type for locally constant functions, also for the
+Z_p-periodic datum phi1 of an induced-model triple and for the twists of
+iwasawa.theta_twist.
+
 Conventions fixed throughout:
   * the additive character psi has conductor Z_p and psi(b/p^k) = zeta_{p^k}^(-b);
   * additive Haar measure gives vol(Z_p) = 1, multiplicative gives vol(Z_p^x) = 1;
@@ -213,7 +217,8 @@ class PadicChar:
         return PadicChar(self.p, 1, self.c, self.e)
 
     def key(self):
-        return (self.p, self.c, self.e, self.u.serialize())
+        # u itself: ExactScalar == and hash hold across field embeddings
+        return (self.p, self.c, self.e, self.u)
 
     def __eq__(self, other):
         return isinstance(other, PadicChar) and self.key() == other.key()
@@ -428,7 +433,8 @@ def realize_grades(x: ExactScalar, p: int) -> ExactScalar:
 
 class SchwartzFn:
     """Finite sum of coefficients times indicators of balls a + p^k Z_p,
-    kept in a canonical disjoint form."""
+    kept in a canonical disjoint form.  It is Z_p-periodic exactly when
+    every ball has level k <= 0."""
 
     __slots__ = ("p", "terms")
 
@@ -635,128 +641,6 @@ def fourier_transform(phi: SchwartzFn) -> SchwartzFn:
 
 
 # ---------------------------------------------------------------------------
-# o-periodic functions (the space S(F/o), stored on p^(-M) o / o)
-# ---------------------------------------------------------------------------
-
-class PeriodicFn:
-    """Function on p^(-M) Z_p / Z_p, i.e. a Z_p-periodic Schwartz function.
-
-    Values are keyed by integer residues: j mod p^level stands for the
-    class of j / p^level.  A rational point x is read modulo Z_p, which
-    holds every rational whose denominator is prime to p (1/2 is in Z_3)."""
-
-    __slots__ = ("p", "level", "values")
-
-    def __init__(self, p, level, values):
-        level = int(level)
-        _check(level >= 0, "negative level")
-        q = p ** level
-        vals = {}
-        for j, v in values.items():
-            v = _coerce(v)
-            if not v.is_zero():
-                vals[int(j) % q] = v
-        # canonical level: strip unused depth
-        while level > 0 and all(j % p == 0 for j in vals):
-            vals = {j // p: v for j, v in vals.items()}
-            level -= 1
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "values", vals)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PeriodicFn is immutable")
-
-    @staticmethod
-    def delta(p, j=0, level=0):
-        return PeriodicFn(p, level, {j: 1})
-
-    def _residue(self, x):
-        """(j, t) with x = j / p^t modulo Z_p, 0 <= j < p^t."""
-        x = Fraction(x)
-        p, den, t = self.p, x.denominator, 0
-        while den % p == 0:
-            den //= p
-            t += 1
-        q = p ** t
-        return x.numerator * pow(den, -1, q) % q, t
-
-    def _lifted(self, n):
-        """The values keyed by residues mod p^n, n >= level."""
-        s = self.p ** (n - self.level)
-        return {j * s: v for j, v in self.values.items()}
-
-    def evaluate(self, x):
-        """Value at rational x, read modulo Z_p."""
-        j, t = self._residue(x)
-        if t > self.level:
-            return ExactScalar.zero()
-        return self.values.get(j * self.p ** (self.level - t),
-                               ExactScalar.zero())
-
-    def translate(self, t):
-        """x -> phi(x + t) for t in p^(-L) Z_p."""
-        s, L = self._residue(t)
-        n = max(self.level, L)
-        q = self.p ** n
-        shift = s * self.p ** (n - L)
-        out = {(j - shift) % q: v for j, v in self._lifted(n).items()}
-        return PeriodicFn(self.p, n, dict(sorted(out.items())))
-
-    def scale(self, c):
-        c = _coerce(c)
-        return PeriodicFn(self.p, self.level,
-                          {j: v * c for j, v in self.values.items()})
-
-    def __add__(self, other):
-        _check(self.p == other.p, "periodic functions at different primes")
-        n = max(self.level, other.level)
-        a, b = self._lifted(n), other._lifted(n)
-        zero = ExactScalar.zero()
-        return PeriodicFn(self.p, n, {j: a.get(j, zero) + b.get(j, zero)
-                                      for j in sorted(a.keys() | b.keys())})
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def to_schwartz(self) -> SchwartzFn:
-        q = self.p ** self.level
-        return SchwartzFn(self.p, [(Fraction(j, q), 0, v)
-                                   for j, v in self.values.items()])
-
-    @staticmethod
-    def from_schwartz(phi: SchwartzFn) -> "PeriodicFn":
-        """Convert a Z_p-periodic Schwartz function (all ball levels <= 0).
-
-        A centre a = r / p^e of phi's canonical form and the ball
-        a + p^k Z_p, k <= 0, cover the classes (r p^(M-e) + t p^(M+k)) / p^M,
-        t < p^(-k), at the common level M."""
-        p = phi.p
-        M = 0
-        for a, k, _ in phi.terms:
-            _check(k <= 0, "not Z_p-periodic")
-            M = max(M, vp_frac(a.denominator, p), -k)
-        q = p ** M
-        out = {}
-        for a, k, c in phi.terms:
-            j0 = a.numerator * q // a.denominator
-            for t in range(p ** (-k)):
-                j = (j0 + t * p ** (M + k)) % q
-                out[j] = out.get(j, ExactScalar.zero()) + c
-        return PeriodicFn(p, M, out)
-
-    def is_zero(self):
-        return not self.values
-
-    def __eq__(self, other):
-        return (isinstance(other, PeriodicFn) and self.p == other.p
-                and self.level == other.level and self.values == other.values)
-
-    def __repr__(self):
-        return f"PeriodicFn(p={self.p}, level={self.level}, {self.values})"
-
-
-# ---------------------------------------------------------------------------
 # theta (depletion) operators on functions
 # ---------------------------------------------------------------------------
 
@@ -896,14 +780,16 @@ def tate_integral(phi: SchwartzFn, chi: PadicChar) -> LaurentRF:
 # ---------------------------------------------------------------------------
 
 class GL3Vector:
-    """Vector h^{nu,rho,mu}_{phi1,phi2,phi3} of the induced model: phi1 is
-    Z_p-periodic (on p^(-M)Z_p/Z_p), phi2 and phi3 are Schwartz functions."""
+    """Vector h^{nu,rho,mu}_{phi1,phi2,phi3} of the induced model: phi1 is a
+    Z_p-periodic Schwartz function (every ball at level <= 0), phi2 and
+    phi3 are Schwartz functions."""
 
     __slots__ = ("p", "chars", "phi1", "phi2", "phi3")
 
-    def __init__(self, p, chars, phi1: PeriodicFn, phi2: SchwartzFn,
+    def __init__(self, p, chars, phi1: SchwartzFn, phi2: SchwartzFn,
                  phi3: SchwartzFn):
         _check(len(chars) == 3, "GL3 needs three characters")
+        _check(all(k <= 0 for _, k, _ in phi1.terms), "phi1 is not Z_p-periodic")
         self.p = p
         self.chars = tuple(chars)
         self.phi1 = phi1
@@ -913,7 +799,7 @@ class GL3Vector:
     @staticmethod
     def ordinary(p, chars):
         """h^ord: all three data are unit-ball indicators."""
-        return GL3Vector(p, chars, PeriodicFn.delta(p),
+        return GL3Vector(p, chars, SchwartzFn.indicator(p),
                          SchwartzFn.indicator(p), SchwartzFn.indicator(p))
 
     def __eq__(self, other):
@@ -938,8 +824,7 @@ def phi_prime_chi(chi: PadicChar) -> SchwartzFn:
 def depletion_normal_form(p, chars, chi, chi_prime, ell):
     """The normal form q^(-l) h_{hat(phi_chi), hat(phi'_chi'), 1_{p^(-l)}}
     built directly from Fourier transforms."""
-    phi1 = PeriodicFn.from_schwartz(
-        fourier_transform(SchwartzFn.from_char_on_units(chi)))
+    phi1 = fourier_transform(SchwartzFn.from_char_on_units(chi))
     phi2 = fourier_transform(phi_prime_chi(chi_prime))
     phi3 = SchwartzFn.indicator(p, 0, -ell, Fraction(1, p ** ell))
     return GL3Vector(p, chars, phi1, phi2, phi3)
@@ -972,7 +857,7 @@ def whittaker_gl3_torus(h: GL3Vector, a, b) -> ExactScalar:
     p = h.p
     nu, _, mu = h.chars
     a, b = Fraction(a), Fraction(b)
-    hat1 = fourier_transform(h.phi1.to_schwartz())
+    hat1 = fourier_transform(h.phi1)
     hat2 = fourier_transform(h.phi2)
     hat3 = fourier_transform(h.phi3)
     f1 = hat1.evaluate(a)
@@ -1011,7 +896,7 @@ def zeta_two_route(h: GL3Vector, sigma, ell: int):
     p = h.p
     nu, rho, mu = h.chars
     mu_p, nu_p = sigma
-    hat1 = fourier_transform(h.phi1.to_schwartz())
+    hat1 = fourier_transform(h.phi1)
     hat2 = fourier_transform(h.phi2)
     hat3 = fourier_transform(h.phi3)
     zeta_ratio = zeta_local(p, 2) / zeta_local(p, 1)
@@ -1099,7 +984,8 @@ def euler_modified(pi_chars, sigma) -> ExactScalar:
         for xi in (mu_p, nu_p):
             factors.append(tate_factors(eta * xi.inverse())[0])
             factors.append(tate_factors(eta.inverse() * xi)[0])
-    factors.append(_gamma_gl3_twist(pi_chars, mu_p))
+    mu_inv = mu_p.inverse()
+    factors += [tate_factors(eta * mu_inv)[2] for eta in pi_chars]
     for eta in pi_chars:
         factors.append(tate_factors(eta.inverse() * nu_p,
                                     psi_inverse=True)[2])

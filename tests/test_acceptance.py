@@ -13,7 +13,6 @@ from padr import arch, diffops, iwasawa
 from padr.exactnum import ExactScalar as E
 from padr.plocal import (
     PadicChar,
-    PeriodicFn,
     SchwartzFn,
     fourier_transform,
     gauss_sum,
@@ -103,11 +102,11 @@ def test_criterion_03_theta_fourier_intertwining():
         for p in (3, 5):
             chars = [PadicChar.unramified(p, 1)] \
                 + ramified_chars(p, 1) + ramified_chars(p, 2)
-            phi = PeriodicFn.delta(p, 1, 2) + PeriodicFn.delta(p, 0, 0).scale(2)
-            hat = fourier_transform(phi.to_schwartz())
+            # 1 on 1/p^2 + Z_p plus 2 on Z_p: a Z_p-periodic function
+            phi = SchwartzFn(p, [(Fraction(1, p ** 2), 0, 1), (0, 0, 2)])
+            hat = fourier_transform(phi)
             for chi in chars:
-                lhs = fourier_transform(
-                    schwartz_theta(phi, chi, "theta_p").to_schwartz())
+                lhs = fourier_transform(schwartz_theta(phi, chi, "theta_p"))
                 phi_chi = SchwartzFn.from_char_on_units(chi)
                 for y in range(p ** 2 + 2):
                     assert lhs.evaluate(y) == \

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -83,6 +84,25 @@ class TestVerify:
         # rewritten whole, by rename, with no temporary file left behind
         assert json.loads(cache.read_text())
         assert [f.name for f in tmp_path.iterdir()] == ["gauss_sums.json"]
+
+
+class TestGoldenOutputs:
+    """The default output for a fixed seed is byte-identical across
+    refactors: the md5 of each command's output is pinned."""
+
+    @pytest.mark.parametrize("args, digest", [
+        (("verify", "all", "--seed", "1", "--format", "json"),
+         "dfe6986ef79b4c4553c1416ddaa3f965"),
+        (("verify", "thm81", "--p", "7", "--ell", "3", "--format", "json"),
+         "fd04793a47f8c66ca35c85454ec54b1c"),
+        (("verify", "measures", "--p", "5", "--seed", "2"),
+         "9c81f70876288c1b3e89dc882e91f5b5"),
+        (("interp",), "765c49aaa5945560ff0f78dd0c328502"),
+    ], ids=["verify-all", "verify-thm81", "verify-measures", "interp"])
+    def test_output_md5(self, args, digest):
+        res = run(*args)
+        assert res.exit_code == 0
+        assert hashlib.md5(res.output.encode()).hexdigest() == digest
 
 
 class TestGaussCacheWrites:

@@ -670,6 +670,16 @@ class TestLaurentRF:
             for pt in (Fraction(1, 7), Fraction(3, 2), Fraction(-5, 4)):
                 assert f.evaluate(pt) == g.evaluate(pt)
 
+    def test_hash_agrees_with_equality_across_embeddings(self):
+        # zeta_6^2 = zeta_3, computed in Q(zeta_6) and in Q(zeta_3)
+        a, b = LaurentRF.const(E.zeta(6, 2)), LaurentRF.const(E.zeta(3))
+        assert a == b and hash(a) == hash(b)
+        one = LaurentRF.one()
+        f = one / (one - LaurentRF.monomial(E.zeta(6, 2), 1))
+        g = one / (one - LaurentRF.monomial(E.zeta(3), 1))
+        assert f == g and hash(f) == hash(g)
+        assert len({a, b, f, g}) == 2
+
     def test_evaluation_at_a_pole(self):
         one = LaurentRF.one()
         f = one / (one - LaurentRF.monomial(Fraction(1, 3), 1))

@@ -5,7 +5,6 @@ import pytest
 
 from padr.exactnum import ExactScalar as E
 from padr.iwasawa import (
-    LocallyConstantFn,
     MeasureSeries,
     QExpansion,
     dirac_series,
@@ -16,6 +15,7 @@ from padr.iwasawa import (
     substitute_log,
     theta_twist,
 )
+from padr.plocal import SchwartzFn
 
 
 class TestDiracSeries:
@@ -65,44 +65,45 @@ class TestMellinMoment:
 class TestThetaTwist:
     def test_dirac_evaluation(self):
         p, n = 3, 1
-        phi = LocallyConstantFn(p, n, {1: 2, 2: Fraction(1, 3)})
+        phi = SchwartzFn(p, [(1, n, 2), (2, n, Fraction(1, 3))])
         for a in (1, 2, 4):
             g = dirac_series(a, p, 6)
             tw = theta_twist(g, phi)
-            want = g.scale(phi(a))
+            want = g.scale(phi.evaluate(a))
             assert tw == want
 
     def test_unit_restriction_kills_nonunits(self):
         p = 3
-        phi = LocallyConstantFn.indicator_units(p)
+        phi = SchwartzFn.unit_indicator(p)
         g = dirac_series(p * 2, p, 8)
         assert theta_twist(g, phi) == MeasureSeries(p, [], 8)
 
     def test_moment_compatibility(self):
         rng = random.Random(9)
         p, N_T = 3, 9
-        phi = LocallyConstantFn(p, 2, {u: Fraction(rng.randint(-2, 2))
-                                       for u in range(9)})
+        phi = SchwartzFn(p, [(u, 2, Fraction(rng.randint(-2, 2)))
+                             for u in range(9)])
         pts = [(rng.randint(0, N_T - 2), Fraction(rng.randint(-2, 2)))
                for _ in range(4)]
         g = MeasureSeries(p, [], N_T)
         for a, c in pts:
             g = g + dirac_series(a, p, N_T).scale(c)
         for k in range(3):
-            direct = sum(c * phi(a).as_fraction() * a ** k for a, c in pts)
+            direct = sum(c * phi.evaluate(a).as_fraction() * a ** k
+                         for a, c in pts)
             assert integrate(g, phi, k).as_fraction() == direct
 
     def test_twist_composes_with_unit_indicator(self):
         p, N_T = 3, 7
-        phi = LocallyConstantFn(p, 1, {0: 1, 1: 5, 2: 7})
-        units = LocallyConstantFn.indicator_units(p)
-        prod = phi.pointwise_mul(units)
+        phi = SchwartzFn(p, [(0, 1, 1), (1, 1, 5), (2, 1, 7)])
+        units = SchwartzFn.unit_indicator(p)
+        prod = SchwartzFn(p, [(1, 1, 5), (2, 1, 7)])  # phi 1_{Z_p^x}
         g = dirac_series(2, p, N_T) + dirac_series(3, p, N_T)
         assert theta_twist(theta_twist(g, phi), units) == theta_twist(g, prod)
 
     def test_linearity_in_g(self):
         p, N_T = 3, 6
-        phi = LocallyConstantFn(p, 1, {1: 2, 2: 3})
+        phi = SchwartzFn(p, [(1, 1, 2), (2, 1, 3)])
         g1, g2 = dirac_series(1, p, N_T), dirac_series(4, p, N_T)
         lhs = theta_twist(g1 + g2, phi)
         rhs = theta_twist(g1, phi) + theta_twist(g2, phi)
@@ -182,7 +183,7 @@ class TestBadInputsRaise:
             dirac_series(2, 3, 2) + dirac_series(2, 5, 2)
 
     def test_twist_by_a_function_at_another_prime(self):
-        phi = LocallyConstantFn(5, 1, {1: 1})
+        phi = SchwartzFn(5, [(1, 1, 1)])
         with pytest.raises(AssertionError):
             theta_twist(dirac_series(2, 3, 4), phi)
 

@@ -7,7 +7,6 @@ from padr.exactnum import ExactScalar as E, GradeError, LaurentRF, sqrt_prime
 from padr.plocal import (
     GL3Vector,
     PadicChar,
-    PeriodicFn,
     SchwartzFn,
     adjoint_modified,
     depletion_normal_form,
@@ -192,6 +191,15 @@ class TestPadicChar:
         # an exponent divisible by p at level 2 really lives at level 1
         chi = PadicChar.from_parts(5, 1, 2, 5)
         assert chi.c == 1 and chi.e == 1
+
+    def test_equality_and_hash_by_value(self):
+        # zeta_6^2 = zeta_3, computed in Q(zeta_6) and in Q(zeta_3)
+        a, b = PadicChar(5, E.zeta(6, 2)), PadicChar(5, E.zeta(3))
+        assert a == b and hash(a) == hash(b)
+        a, b = PadicChar(5, E.zeta(6, 2), 1, 1), PadicChar(5, E.zeta(3), 1, 1)
+        assert a == b and hash(a) == hash(b)
+        assert a != PadicChar(5, E.zeta(3), 1, 3)
+        assert len({a, b, PadicChar(5, E.zeta(3, 2), 1, 1)}) == 2
 
     def test_sign_at_minus_one(self):
         chi = PadicChar(5, 1, 1, 2)  # quadratic
@@ -489,10 +497,15 @@ class TestTateIntegral:
             done += 1
 
 
-class TestPeriodicFn:
+def delta(p, j=0, level=0):
+    """The Z_p-periodic indicator of the class j / p^level + Z_p."""
+    return SchwartzFn.indicator(p, Fraction(j, p ** level))
+
+
+class TestPeriodicSchwartzFn:
     def test_points_are_read_modulo_Z_p(self):
         # 1/2 is in Z_3: translating by it is the identity, and 5/6 is 1/3
-        phi = PeriodicFn.delta(3, 1, 1)
+        phi = delta(3, 1, 1)
         assert phi.translate(Fraction(1, 2)) == phi
         assert phi.evaluate(Fraction(5, 6)) == 1
         assert phi.evaluate(Fraction(2, 3)) == 0
@@ -501,11 +514,13 @@ class TestPeriodicFn:
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_add_at_unequal_levels(self, p):
-        a = PeriodicFn.delta(p, 1, 2).scale(3) + PeriodicFn.delta(p, 0, 0)
-        b = PeriodicFn.delta(p, 2, 1) + PeriodicFn.delta(p, 1, 3).scale(-1)
+        a = delta(p, 1, 2).scale(3) + delta(p, 0, 0)
+        b = delta(p, 2, 1) + delta(p, 1, 3).scale(-1)
         s = a + b
-        assert s == b + a == PeriodicFn(p, 3, {0: 1, p: 3, 2 * p * p: 1,
-                                              1: -1})
+        q = p ** 3
+        assert s == b + a == SchwartzFn(p, [
+            (0, 0, 1), (Fraction(p, q), 0, 3), (Fraction(2 * p * p, q), 0, 1),
+            (Fraction(1, q), 0, -1)])
         for j in range(p ** 4):
             for d in (1, 2, 7):
                 x = Fraction(j, p ** 4 * d)
@@ -518,10 +533,10 @@ class TestThetaOperators:
     def test_intertwining_theta_p(self):
         for p in (3, 5):
             chars = [unram(p, 1)] + ramified_chars(p, 1, 2) + ramified_chars(p, 2, 1)
-            phi = PeriodicFn.delta(p, 1, 2) + PeriodicFn.delta(p, 0, 0).scale(2)
-            hat = fourier_transform(phi.to_schwartz())
+            phi = delta(p, 1, 2) + delta(p, 0, 0).scale(2)
+            hat = fourier_transform(phi)
             for chi in chars:
-                lhs = fourier_transform(schwartz_theta(phi, chi, "theta_p").to_schwartz())
+                lhs = fourier_transform(schwartz_theta(phi, chi, "theta_p"))
                 phi_chi = SchwartzFn.from_char_on_units(chi)
                 for y in range(p ** 2 + 2):
                     assert lhs.evaluate(y) == phi_chi.evaluate(-y) * hat.evaluate(y)
@@ -529,10 +544,10 @@ class TestThetaOperators:
     def test_intertwining_theta_pc(self):
         for p in (3, 5):
             chars = [unram(p, 1)] + ramified_chars(p, 1, 1)
-            phi = PeriodicFn.delta(p, 1, 1)
-            hat = fourier_transform(phi.to_schwartz())
+            phi = delta(p, 1, 1)
+            hat = fourier_transform(phi)
             for chi in chars:
-                lhs = fourier_transform(schwartz_theta(phi, chi, "theta_pc").to_schwartz())
+                lhs = fourier_transform(schwartz_theta(phi, chi, "theta_pc"))
                 pphi = phi_prime_chi(chi)
                 for y in range(p ** 2 + 2):
                     assert lhs.evaluate(y) == pphi.evaluate(-y) * hat.evaluate(y)
@@ -572,6 +587,15 @@ class TestDepletionPipeline:
         assert got == want
         n_prime = max(1, chip.c)
         assert pref == chars[2].u ** (-n_prime) * gauss_sum(chip.inverse())
+
+    def test_phi1_must_be_Z_p_periodic(self):
+        p = 3
+        chars = tuple(unram(p, u) for u in (2, 1, 3))
+        one = SchwartzFn.indicator(p)
+        with pytest.raises(AssertionError):
+            GL3Vector(p, chars, SchwartzFn.indicator(p, 0, 1), one, one)
+        assert GL3Vector(p, chars, SchwartzFn.indicator(p, Fraction(1, 9), -1),
+                         one, one).phi1.evaluate(Fraction(4, 9)) == 1
 
     def test_whittaker_ordinary(self):
         p = 3
