@@ -28,10 +28,13 @@ def _parse_fraction(s):
 
 
 def _parse_ints(s, n, label):
-    parts = [x.strip() for x in str(s).split(",")]
-    if len(parts) != n or not all(x.lstrip("-").isdigit() for x in parts):
+    try:
+        out = tuple(int(x) for x in str(s).split(","))
+    except ValueError:
+        out = ()
+    if len(out) != n:
         raise click.UsageError(f"{label} must be {n} comma-separated integers")
-    return tuple(int(x) for x in parts)
+    return out
 
 
 def _check_prime(p):
@@ -123,13 +126,13 @@ def interp(p, weights, kp, satake, fmt):
     data = {"pi": ["2", "1", "3"], "sigma": ["5", "1/2"]}
     if satake is not None:
         try:
-            with open(satake) as fh:
-                data = json.load(fh)
-        except OSError:
             try:
+                with open(satake) as fh:
+                    data = json.load(fh)
+            except OSError:
                 data = json.loads(satake)
-            except json.JSONDecodeError as exc:
-                raise click.UsageError(f"bad --satake: {exc}")
+        except ValueError as exc:  # bad JSON, or a file that is not text
+            raise click.UsageError(f"bad --satake: {exc}")
     pi_chars = _satake_chars(p, data, "pi", 3)
     sigma = _satake_chars(p, data, "sigma", 2)
 

@@ -38,7 +38,8 @@ term as r * x * zeta_M^j: a rational, a scalar and an exponent pair.
 Multiplying by zeta_M^j is then an exponent shift of x's numerators into
 one dense integer list, and the list is reduced mod Phi_N once for the
 whole sum, with no product of two scalars formed.  Its result has the
-value and the conductor that the chain of * and + would give.
+value that the chain of * and + would give, at one conductor rule: the
+lcm over the non-zero terms of lcm(x.N, M), or 1 when it is rational.
 
 Laurent rational functions in X (= q^(-s)) over these scalars carry the
 local L/epsilon/gamma factors and zeta integrals built on top.
@@ -541,14 +542,13 @@ def root_of_unity_sum(terms):
     Each root of unity is an exponent shift: x's numerators go into one
     dense integer list at the lcm N of the terms' conductors, scaled to one
     common denominator, and the list is reduced mod Phi_N once.  No product
-    of two scalars is formed.  The result equals the left-to-right chain
-    of + over the scalars r * x * ExactScalar.zeta(M, j), in value and in
-    conductor: a term's conductor is that of its product (1 when the
-    product is rational), and a rational partial sum restarts the lcm at
-    the terms after it.  Zero terms are skipped; the non-zero ones must
-    share one grade, else GradeError.
+    of two scalars is formed.  A non-zero term has conductor lcm(x.N, M),
+    with M counted as 1 when zeta_M^j = +-1; the sum lives at the lcm of
+    these, or in Q when it is rational.  Zero terms are skipped; the
+    non-zero ones must share one grade, else GradeError.
     """
-    conds, items, dens = [], [], []
+    items = []
+    N = D = 1
     qg = pg = last = None
     for r, x, M, j in terms:
         if not r:
@@ -562,7 +562,8 @@ def root_of_unity_sum(terms):
                                      f"(q:{qg},pi:{pg}) vs "
                                      f"(q:{x.qgrade},pi:{x.pigrade})")
                 qg, pg = x.qgrade, x.pigrade
-            last, X = x, x.N
+            last = x
+            N = math.lcm(N, x.N)
         if type(r) is int:
             rn, rd = r, 1
         else:
@@ -570,63 +571,24 @@ def root_of_unity_sum(terms):
         # zeta_M^j as ExactScalar.zeta builds it: conductor M, or 1 for +-1
         j %= M
         if 2 * j % M:
-            Z = M
+            N = math.lcm(N, M)
         else:
             if j:
                 rn = -rn
-            Z, j = 1, 0
-        if Z == 1 or X == 1:
-            T = X * Z
-        else:
-            g = math.gcd(X, Z)
-            T = X * Z // g
-            # x * zeta can be rational only if x lies in Q(zeta_g), g > 2
-            if g > 2:
-                c = _dense_rational(_accumulate([(1, 1, x, Z, j)], T, x.den),
-                                    T)
-                if c is not None:
-                    T, x, Z, j = 1, _make(1, [c], x.den, qg, pg), 1, 0
-        conds.append(T)
-        items.append((rn, rd, x, Z, j))
-        dens.append(rd * x.den)
+            M, j = 1, 0
+        items.append((rn, rd, x, M, j))
+        D = math.lcm(D, rd * x.den)
     if not items:
         return ExactScalar.zero()
-    N = math.lcm(*conds)
-    D = math.lcm(*dens)
-    nums = _cyc_reduce(_accumulate(items, N, D), N)
-    if conds[-1] != N and any(nums[1:]):
-        # The chain restarts its conductor at a rational partial sum.  Only
-        # a partial sum followed by terms of a smaller lcm A[i] > 1 can
-        # change the result: with A[i] = 1 a rational partial sum would
-        # make the whole sum rational.
-        n = len(items)
-        A = conds + [1]  # A[i]: the lcm of the conductors of items[i:]
-        for i in range(n - 1, -1, -1):
-            A[i] = math.lcm(A[i + 1], A[i])
-        first = next(i for i in range(1, n) if A[i] < N)
-        acc = _accumulate(items[:first], N, D)
-        cut = head = 0
-        for i in range(first, n):
-            if A[i] == 1:
-                break
-            c = _dense_rational(acc, N)
-            if c is not None:
-                cut, head = i, c
-            _accumulate(items[i:i + 1], N, D, acc)
-        if cut:
-            N = A[cut]
-            acc = _accumulate(items[cut:], N, D)
-            acc[0] += head
-            nums = _cyc_reduce(acc, N)
-    return _make(N, nums, D, qg, pg)._demote()
+    return _make(N, _cyc_reduce(_accumulate(items, N, D), N), D, qg,
+                 pg)._demote()
 
 
-def _accumulate(items, N, D, acc=None):
-    """Add r * x * zeta_Z^j, for items (r numerator, r denominator, x, Z, j)
-    with x.N | N and Z | N, into the dense list acc (acc[e] multiplies
-    zeta_N^e) as numerators over the common denominator D."""
-    if acc is None:
-        acc = [0] * N
+def _accumulate(items, N, D):
+    """The dense list acc (acc[e] multiplies zeta_N^e) of the sum of
+    r * x * zeta_Z^j, for items (r numerator, r denominator, x, Z, j) with
+    x.N | N and Z | N, as numerators over the common denominator D."""
+    acc = [0] * N
     for rn, rd, x, Z, j in items:
         f = rn * (D // (rd * x.den))
         pos = j * (N // Z)
@@ -641,30 +603,6 @@ def _accumulate(items, N, D, acc=None):
             if pos >= N:
                 pos -= N
     return acc
-
-
-@functools.lru_cache(maxsize=None)
-def _radical(N):
-    return math.prod(_prime_divisors(N))
-
-
-def _dense_rational(acc, N):
-    """The numerator of sum acc[e] zeta_N^e (a dense list of length N) when
-    that sum is rational, else None.
-
-    Phi_N(x) = Phi_R(x^s) for R the radical of N and s = N / R, so each
-    residue class e = t mod s is a polynomial in zeta_N^s = zeta_R that
-    reduces mod Phi_R on its own: the sum is rational iff every class t > 0
-    reduces to zero and class 0 to a constant.  A sum that is not rational
-    usually shows it in the first non-zero class."""
-    R = _radical(N)
-    s = N // R
-    for t in range(s - 1, 0, -1):
-        cls = acc[t::s]
-        if any(cls) and any(_cyc_reduce(cls, R)):
-            return None
-    red = _cyc_reduce(acc[::s], R)
-    return None if any(red[1:]) else red[0]
 
 
 def _coerce(x):
@@ -1014,14 +952,13 @@ class LaurentRF:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None, normalize=True):
+    def __init__(self, num, den=None):
         if den is None:
             den = {0: ExactScalar.one()}
         num = _lp_clean({int(e): _coerce(c) for e, c in num.items()})
         den = _lp_clean({int(e): _coerce(c) for e, c in den.items()})
         _check(den, "zero denominator")
-        if normalize:
-            num, den = _laurent_canonical(num, den)
+        num, den = _laurent_canonical(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -1064,7 +1001,11 @@ class LaurentRF:
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentRF(_lp_neg(self.num), self.den, normalize=False)
+        # -num over den is canonical when num over den is
+        out = object.__new__(LaurentRF)
+        object.__setattr__(out, "num", _lp_neg(self.num))
+        object.__setattr__(out, "den", self.den)
+        return out
 
     def __sub__(self, other):
         return self + (-_coerce_rf(other))

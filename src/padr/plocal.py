@@ -631,7 +631,8 @@ def fourier_transform(phi: SchwartzFn) -> SchwartzFn:
             weight = p ** -k
         shift = p ** (K - k)
         for j in range(p ** (m + k)):
-            # zeta_Q^(e j) in lowest terms, as psi_exponent gives it
+            # zeta_Q^(e j) in lowest terms, so that the term's conductor is
+            # the order of this root of unity and not Q
             g = math.gcd(j, Q)
             balls.setdefault((m, j * shift), []).append(
                 (weight, c, Q // g, e * (j // g)))
@@ -737,9 +738,9 @@ def tate_integral(phi: SchwartzFn, chi: PadicChar) -> LaurentRF:
     form of chi at the unit b p^(-v).  Each shell is one root_of_unity_sum
     of the terms (vol, c, m, k) over the sub-balls b + p^klev Z_p at the
     conductor level, times u^v once.  The shell value is the sum of the
-    products c chi(b) vol; it also has their conductor when u is rational,
-    as for every character padr builds.  For a cyclotomic u only the value
-    is the same, since u^v multiplies the sum and not each term.
+    products c chi(b) vol; its sum over the sub-balls lies at the lcm of the
+    conductors of c and zeta_m^k over its terms (in Q when rational), and
+    the product with u^v then meets u's field.
     """
     p = chi.p
     shells, tails = {}, {}
@@ -1025,15 +1026,14 @@ def l_gl_pair(pi_chars, sigma, x) -> ExactScalar:
 # adjoint modified factor and the p-stabilization ratio
 # ---------------------------------------------------------------------------
 
-def adjoint_modified(sigma, c_sigma=None) -> ExactScalar:
+def adjoint_modified(sigma) -> ExactScalar:
     """1/E(sigma, Ad, psi) = L(1, sigma_u x sigma_u^dual) gamma(1, mu^(-1)nu,
     psi) x {1/zeta_F(1)^2 if c(sigma) = 0, q^c(sigma)/zeta_F(1) if c > 0},
     with sigma_u the pair of unramified characters carrying the values at p.
     Returns E; raises PoleError when a factor has a pole there."""
     mu, nu = sigma
     p = mu.p
-    if c_sigma is None:
-        c_sigma = mu.c + nu.c
+    c_sigma = mu.c + nu.c
     x1 = Fraction(1, p)
     L_ad = ExactScalar.one()
     values = (mu.u, nu.u)
@@ -1060,15 +1060,12 @@ def subgroup_index(p: int, c: int, ell: int) -> int:
     return p ** (ell - c)
 
 
-def pstab_ratio(sigma, ell: int, c_sigma=None) -> ExactScalar:
+def pstab_ratio(sigma, ell: int) -> ExactScalar:
     """q^(l/2) nu(p)^l [K_0(p^c(sigma)) : I_0(p^l)]^(-1) E(sigma, Ad, psi)
     mu(-1), returned with the q^(l/2) as a formal grade."""
     mu, nu = sigma
-    p = mu.p
-    if c_sigma is None:
-        c_sigma = mu.c + nu.c
-    idx = subgroup_index(p, c_sigma, ell)
-    val = (nu.u ** ell * adjoint_modified(sigma, c_sigma)
+    idx = subgroup_index(mu.p, mu.c + nu.c, ell)
+    val = (nu.u ** ell * adjoint_modified(sigma)
            * mu.at_minus_one() * ExactScalar.rational(Fraction(1, idx)))
     return val.with_grades(qgrade=val.qgrade + ell)
 

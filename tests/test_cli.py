@@ -98,11 +98,25 @@ class TestGoldenOutputs:
         (("verify", "measures", "--p", "5", "--seed", "2"),
          "9c81f70876288c1b3e89dc882e91f5b5"),
         (("interp",), "765c49aaa5945560ff0f78dd0c328502"),
-    ], ids=["verify-all", "verify-thm81", "verify-measures", "interp"])
+        (("verify", "thm81", "--p", "11", "--ell", "2", "--format", "json"),
+         "b68d0beb345c961a9978d1bc5cde3f01"),
+    ], ids=["verify-all", "verify-thm81", "verify-measures", "interp",
+            "verify-thm81-p11"])
     def test_output_md5(self, args, digest):
         res = run(*args)
         assert res.exit_code == 0
         assert hashlib.md5(res.output.encode()).hexdigest() == digest
+
+    def test_gauss_cache_md5(self, tmp_path, monkeypatch):
+        # the cache file shows each Gauss sum in the field it was built in
+        monkeypatch.setenv("PADR_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(plocal, "_GAUSS_MEMO", None)
+        monkeypatch.setattr(plocal, "_GAUSS_DIRTY", False)
+        for p in (11, 13, 17, 19, 23):
+            assert run("verify", "gauss", "--p", str(p)).exit_code == 0
+        data = (tmp_path / "gauss_sums.json").read_bytes()
+        assert hashlib.md5(data).hexdigest() == \
+            "e6f44341695ecf9ed66fec1aea86904a"
 
 
 class TestGaussCacheWrites:
@@ -221,11 +235,15 @@ class TestUsageErrors:
         (["verify", "measures", "--prec-T", "0"], "--prec-T must be at least"),
         (["verify", "measures", "--prec-T", "1"], "--prec-T must be at least"),
         (["verify", "measures", "--prec-T", "2"], "--prec-T must be at least"),
+        (["interp", "--weights=--1,0,2"], "--weights must be 3 comma-"),
+        (["interp", "--weights=\u00b2,0,2"], "--weights must be 3 comma-"),
+        (["interp", "--kp=-1,--2"], "--kp must be 2 comma-"),
     ])
     def test_exit_2_with_message(self, args, message):
         res = run(*args)
         assert res.exit_code == 2
         assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
         last = res.output.splitlines()[-1]
         assert last.startswith("Error: ") and message in last
 
@@ -307,6 +325,17 @@ class TestInterp:
         pi = tuple(PadicChar.unramified(5, u) for u in (5, 1, 1))
         chars = tuple(PadicChar.unramified(5, Fraction(u)) for u in sigma)
         assert report["E_p"] == plocal.euler_modified(pi, chars).serialize()
+
+    @pytest.mark.parametrize("content", [b'{"pi": [1, 2', b"\xff\xfe"],
+                             ids=["bad-json", "not-utf8"])
+    def test_unreadable_satake_file(self, tmp_path, content):
+        path = tmp_path / "satake.json"
+        path.write_bytes(content)
+        res = run("interp", "--satake", str(path))
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        assert res.output.splitlines()[-1].startswith("Error: bad --satake")
 
     def test_malformed_weights(self):
         res = run("interp", "--weights", "1,2")

@@ -22,6 +22,7 @@ from padr.exactnum import (
     _cyc_mul,
     _cyc_reduce,
     _laurent_canonical,
+    _lp_mul,
     _phi_tail,
     _lp_to_poly,
     _minimal_field,
@@ -280,6 +281,15 @@ class TestRootOfUnitySum:
             total = total + r * x * E.zeta(M, j)
         return total
 
+    @staticmethod
+    def conductor(terms, value):
+        """lcm(x.N, M) over the non-zero terms, with M counted as 1 when
+        zeta_M^j = +-1; 1 when the value is rational."""
+        if value.N == 1:
+            return 1
+        return math.lcm(*(math.lcm(x.N, M if 2 * j % M else 1)
+                          for r, x, M, j in terms if r and not x.is_zero()))
+
     def test_equals_chain_of_products(self):
         hyp = pytest.importorskip("hypothesis")
         st = hyp.strategies
@@ -298,24 +308,30 @@ class TestRootOfUnitySum:
             want = self.chain(terms)
             got = root_of_unity_sum(terms)
             assert got == want
+            assert got.N == self.conductor(terms, want)
             # a zero is grade-polymorphic: only a non-zero sum shows its grade
             if not want.is_zero():
-                assert got.serialize() == want.serialize()
+                assert (got.qgrade, got.pigrade) == \
+                    (want.qgrade, want.pigrade)
 
         check()
 
-    def test_rational_partial_sum_restarts_the_conductor(self):
-        # zeta_9^3 + zeta_9^6 = -1, so the chain continues in Q(zeta_3)
+    def test_rational_partial_sum_keeps_the_lcm(self):
+        # zeta_9^3 + zeta_9^6 = -1: the chain continues in Q(zeta_3), the
+        # sum stays at lcm(9, 9, 3) = 9
         one = E.one()
         terms = [(1, one, 9, 3), (1, one, 9, 6), (1, one, 3, 1)]
-        assert root_of_unity_sum(terms).serialize() == "-1+1*z3^1"
+        assert root_of_unity_sum(terms).serialize() == "-1+1*z9^3"
         assert self.chain(terms).serialize() == "-1+1*z3^1"
+        assert root_of_unity_sum(terms) == self.chain(terms)
 
     def test_rational_product_term(self):
-        # zeta_6^2 * zeta_3^2 = 1 is rational, so it adds no conductor 6
+        # zeta_6^2 * zeta_3^2 = 1 is rational, and the term still has
+        # conductor lcm(6, 3) = 6
         terms = [(1, E.zeta(6, 2), 3, 2), (1, E.one(), 3, 1)]
-        assert root_of_unity_sum(terms).serialize() == "1+1*z3^1"
+        assert root_of_unity_sum(terms).serialize() == "1*z6^1"
         assert self.chain(terms).serialize() == "1+1*z3^1"
+        assert root_of_unity_sum(terms) == self.chain(terms)
 
     def test_zero_terms_and_empty_sum(self):
         assert root_of_unity_sum([]) == E.zero()
@@ -680,6 +696,15 @@ class TestLaurentRF:
         assert f == g and hash(f) == hash(g)
         assert len({a, b, f, g}) == 2
 
+    def test_negation_keeps_the_canonical_pair(self):
+        # -f is built from f's pair without canonicalising again
+        one = LaurentRF.one()
+        for f in (LaurentRF.zero(), LaurentRF({1: 2, 3: 5}, {2: 4, 3: 8}),
+                  one / (one - LaurentRF.monomial(E.zeta(3), 1)) * 3):
+            g = LaurentRF({e: -c for e, c in f.num.items()}, f.den)
+            assert ((-f).num, (-f).den) == (g.num, g.den)
+            assert -f == g and hash(-f) == hash(g)
+
     def test_evaluation_at_a_pole(self):
         one = LaurentRF.one()
         f = one / (one - LaurentRF.monomial(Fraction(1, 3), 1))
@@ -745,11 +770,7 @@ class TestLaurentRF:
                 c = self.POOL[prop[0]] * q ** gn
                 num = {e + prop[1]: c * x for e, x in den.items()}
             if common:  # a shared factor, so the multi-term gcd is not 1
-                num = LaurentRF(num, normalize=False) * LaurentRF(
-                    common, normalize=False)
-                den = LaurentRF(den, normalize=False) * LaurentRF(
-                    common, normalize=False)
-                num, den = num.num, den.num
+                num, den = _lp_mul(num, common), _lp_mul(den, common)
             got = _laurent_canonical(num, den)
             want = self.canonical_every_step(num, den)
             assert [{e: c.serialize() for e, c in side.items()}
