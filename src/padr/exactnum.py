@@ -32,6 +32,16 @@ which Phi_N divides, and then by Phi_N itself on the degrees left.
 smallest conductor that holds the value, so equal values hash alike
 whatever field they were computed in.
 
+Sparse numerators.  A value at a large N often has few non-zero
+numerators: the Fourier transforms and Tate integrals of ``verify tate``
+give values in Q(zeta_343) with one non-zero numerator of 294.  So every
+Python loop over one vector's numerators -- lowest terms (_make),
+embedding (_to_cyc), ``galois``, field descent (_descend) and the
+exponent shifts of ``root_of_unity_sum`` -- walks only the non-zero
+ones, found at C speed by itertools.compress.  _make takes the plain
+loop over every numerator when fewer than half of them are zero, as
+list.count(0) tells, since it is the faster one on a dense vector.
+
 Sums of roots of unity.  Gauss sums, Fourier transforms and Tate integrals
 add up scalars times roots of unity.  ``root_of_unity_sum`` takes each
 term as r * x * zeta_M^j: a rational, a scalar and an exponent pair.
@@ -51,6 +61,7 @@ import functools
 import math
 import re
 from fractions import Fraction
+from itertools import compress
 
 Q0 = Fraction(0)
 
@@ -110,14 +121,40 @@ def euler_phi(n: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic_poly(n: int):
-    """Coefficients (degree-ascending, integers) of the n-th cyclotomic polynomial."""
+    """Coefficients (degree-ascending, integers) of the n-th cyclotomic polynomial.
+
+    With r = rad n, the product of the primes dividing n, this is the
+    Moebius product Phi_r(x) = prod over d | r of (x^d - 1)^mu(r/d), and
+    then Phi_n(x) = Phi_r(x^(n/r)).  The factors with mu = 1 are multiplied
+    first, so that each division by an x^d - 1 with mu = -1 is exact."""
     _check(n >= 1, f"bad conductor {n}")
-    num = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            num, r, _ = _pseudo_divmod(num, list(cyclotomic_poly(d)))
-            _check(not r, f"Phi_{d} does not divide x^{n} - 1")
-    return tuple(num)
+    primes = _prime_divisors(n)
+    r = math.prod(primes)
+    # the divisors d of r with mu(d); mu(r/d) = mu(r) mu(d), r squarefree
+    divs = [(1, 1)]
+    for p in primes:
+        divs += [(d * p, -m) for d, m in divs]
+    mu_r = (-1) ** len(primes)
+    ups = [d for d, m in divs if m == mu_r]
+    downs = [d for d, m in divs if m != mu_r]
+    poly = [1]
+    for d in ups:
+        out = [0] * d + poly
+        for k, c in enumerate(poly):
+            out[k] -= c
+        poly = out
+    for d in downs:
+        # poly = q (x^d - 1) means poly[k] = q[k - d] - q[k]
+        q = [0] * (len(poly) - d)
+        for k in range(len(q)):
+            q[k] = (q[k - d] if k >= d else 0) - poly[k]
+        _check(([0] * d + q)[len(q):] == poly[len(q):],
+               f"x^{d} - 1 does not divide the product for Phi_{n}")
+        poly = q
+    s = n // r
+    out = [0] * ((len(poly) - 1) * s + 1)
+    out[::s] = poly
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -333,9 +370,9 @@ class ExactScalar:
             return _build(N, nums, self.den, self.qgrade, self.pigrade)
         step = N // self.N
         acc = [0] * N
-        for k, c in enumerate(self.nums):
-            if c:
-                acc[k * step] = c
+        nums = self.nums
+        for k in compress(range(len(nums)), nums):
+            acc[k * step] = nums[k]
         return _make(N, _cyc_reduce(acc, N), self.den,
                      self.qgrade, self.pigrade)
 
@@ -463,9 +500,9 @@ class ExactScalar:
             raise AssertionError(f"zeta_{N} -> zeta_{N}^{m} is no automorphism"
                                  f" of {self}")
         acc = [0] * N
-        for k, c in enumerate(self.nums):
-            if c:
-                acc[(k * m) % N] += c
+        nums = self.nums
+        for k in compress(range(len(nums)), nums):
+            acc[k * m % N] += nums[k]
         return _make(N, _cyc_reduce(acc, N), self.den,
                      self.qgrade, self.pigrade)._demote()
 
@@ -525,12 +562,24 @@ def _build(N, nums, den, qgrade, pigrade):
 
 
 def _make(N, nums, den, qgrade, pigrade):
-    """ExactScalar from integer numerators over den != 0, in lowest terms."""
-    g = math.gcd(den, *nums)
+    """ExactScalar from integer numerators over den != 0, in lowest terms.
+
+    nums is a tuple or a list that no one else holds, since it may be
+    divided in place.  When at least half of the numerators are zero, the
+    gcd is taken over the non-zero ones and only they are divided; a
+    denser vector is divided whole, which is then the faster loop."""
+    sparse = 2 * nums.count(0) >= len(nums)
+    g = math.gcd(den, *(compress(nums, nums) if sparse else nums))
     if den < 0:
         g = -g
     if g != 1:
-        nums = [x // g for x in nums]
+        if not sparse:
+            nums = [x // g for x in nums]
+        else:
+            if type(nums) is tuple:
+                nums = list(nums)
+            for k in compress(range(len(nums)), nums):
+                nums[k] //= g
         den //= g
     return _build(N, tuple(nums), den, qgrade, pigrade)
 
@@ -551,7 +600,11 @@ def root_of_unity_sum(terms):
     N = D = 1
     qg = pg = last = None
     for r, x, M, j in terms:
-        if not r:
+        if type(r) is int:
+            rn, rd = r, 1
+        else:
+            rn, rd = r.numerator, r.denominator
+        if not rn:
             continue
         if x is not last:  # runs of terms often share x
             if not any(x.nums):
@@ -563,21 +616,21 @@ def root_of_unity_sum(terms):
                                      f"(q:{x.qgrade},pi:{x.pigrade})")
                 qg, pg = x.qgrade, x.pigrade
             last = x
-            N = math.lcm(N, x.N)
-        if type(r) is int:
-            rn, rd = r, 1
-        else:
-            rn, rd = r.numerator, r.denominator
+            if N % x.N:
+                N = math.lcm(N, x.N)
         # zeta_M^j as ExactScalar.zeta builds it: conductor M, or 1 for +-1
         j %= M
         if 2 * j % M:
-            N = math.lcm(N, M)
+            if N % M:
+                N = math.lcm(N, M)
         else:
             if j:
                 rn = -rn
             M, j = 1, 0
         items.append((rn, rd, x, M, j))
-        D = math.lcm(D, rd * x.den)
+        d = rd * x.den
+        if D % d:
+            D = math.lcm(D, d)
     if not items:
         return ExactScalar.zero()
     return _make(N, _cyc_reduce(_accumulate(items, N, D), N), D, qg,
@@ -587,21 +640,27 @@ def root_of_unity_sum(terms):
 def _accumulate(items, N, D):
     """The dense list acc (acc[e] multiplies zeta_N^e) of the sum of
     r * x * zeta_Z^j, for items (r numerator, r denominator, x, Z, j) with
-    x.N | N and Z | N, as numerators over the common denominator D."""
+    x.N | N and Z | N, as numerators over the common denominator D.
+
+    Only x's non-zero numerators are walked: their exponents at N, each
+    below N, are found once per run of items that share x."""
     acc = [0] * N
+    last = None
     for rn, rd, x, Z, j in items:
         f = rn * (D // (rd * x.den))
         pos = j * (N // Z)
         if x.N == 1:
             acc[pos] += x.nums[0] * f
             continue
-        stride = N // x.N
-        for c in x.nums:
-            if c:
-                acc[pos] += c * f
-            pos += stride
-            if pos >= N:
-                pos -= N
+        if x is not last:
+            last, nums, stride = x, x.nums, N // x.N
+            nz = [(k * stride, nums[k])
+                  for k in compress(range(len(nums)), nums)]
+        for e, c in nz:
+            e += pos
+            if e >= N:
+                e -= N
+            acc[e] += c * f
     return acc
 
 
@@ -647,19 +706,20 @@ def _descend(N, q, nums):
     q | N, or None when the element does not lie in that subfield."""
     M = N // q
     if M % q == 0:
-        # 1, zeta_N, ..., zeta_N^(q-1) is a basis over Q(zeta_M), zeta_N^q = zeta_M
-        if any(nums[k] for k in range(len(nums)) if k % q):
+        # 1, zeta_N, ..., zeta_N^(q-1) is a basis over Q(zeta_M), zeta_N^q = zeta_M;
+        # x lies in Q(zeta_M) when every numerator off the stride q is zero
+        sub = nums[::q]
+        if nums.count(0) - sub.count(0) != len(nums) - len(sub):
             return None
-        return nums[::q]
+        return sub
     # q coprime to M: zeta_N^k = zeta_M^(k u) zeta_q^(k v) by CRT; with
     # x = sum_r Y_r zeta_q^r and 1 + zeta_q + ... + zeta_q^(q-1) = 0,
     # x = sum_(r>0) (Y_r - Y_0) zeta_q^r, which lies in Q(zeta_M) iff
     # every Y_r - Y_0 is one value Z, and then x = -Z
     u, v = pow(q, -1, M), pow(M, -1, q)
     Y = [[0] * M for _ in range(q)]
-    for k, c in enumerate(nums):
-        if c:
-            Y[k * v % q][k * u % M] += c
+    for k in compress(range(len(nums)), nums):
+        Y[k * v % q][k * u % M] += nums[k]
     Y = [_cyc_reduce(y, M) for y in Y]
     Z = [y - y0 for y, y0 in zip(Y[1], Y[0])]
     if any([y - y0 for y, y0 in zip(Yr, Y[0])] != Z for Yr in Y[2:]):

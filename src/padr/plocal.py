@@ -237,7 +237,8 @@ class PadicChar:
 
 #: the Gauss sums known to this process, keyed "p_c_e", loaded on first use
 #: from PADR_CACHE_DIR; an entry read from the file stays its raw string
-#: until a lookup parses it.  Dirty once a sum is added that the file lacks.
+#: until a lookup parses and checks it.  Dirty once a sum is added that the
+#: file lacks.
 _GAUSS_MEMO = None
 _GAUSS_DIRTY = False
 
@@ -263,13 +264,26 @@ def _gauss_cache():
 
 def _gauss_entry(memo, key):
     """The memo's sum at key, parsing a raw entry in place; None when the
-    key is absent or its entry is not a serialized scalar."""
+    key is absent or its raw entry is not a Gauss sum, which drops it.
+
+    A raw entry g at key "p_c_e" is checked by one product: a Gauss sum of
+    conductor q = p^c has |g|^2 = q, so g galois(-1)(g) = p^c.  A sum
+    computed in this process is not checked."""
     v = memo.get(key)
     if v is None or isinstance(v, ExactScalar):
         return v
     try:
-        v = ExactScalar.parse(v)
+        p, c, _ = map(int, key.split("_"))
+        # a key names a prime power p^c with c >= 1; p ** c is built below
+        v = ExactScalar.parse(v) if p >= 2 and c >= 1 else None
     except (ValueError, AttributeError):
+        v = None
+    if v is not None:
+        norm = v * v.galois(-1)
+        # p^c > norm when c exceeds norm's bit length: no power to build
+        if norm.N != 1 or c > norm.nums[0].bit_length() or norm != p ** c:
+            v = None
+    if v is None:
         del memo[key]
         return None
     memo[key] = v
@@ -281,8 +295,8 @@ def _gauss_cache_store():
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
         path = os.path.join(cache_dir, "gauss_sums.json")
-        # an entry never looked up is still raw: parse it, and drop it if
-        # it does not parse, so the file holds only serialized scalars
+        # an entry never looked up is still raw: parse and check it, and
+        # drop it if it fails, so the file holds only checked Gauss sums
         entries = {}
         for k in list(_GAUSS_MEMO):
             v = _gauss_entry(_GAUSS_MEMO, k)

@@ -155,11 +155,53 @@ class TestGaussCacheWrites:
         assert len(stores) == 1
 
     def test_written_when_an_identity_fails(self, stores, tmp_path):
+        # -g passes the |g|^2 = q check of a cached entry, so it is used,
+        # and the product identity of e = 1 then fails
+        wrong = -plocal._gauss_sum_at(PadicChar(7, 1, 1, 1), 1)
         cache = tmp_path / "gauss_sums.json"
-        cache.write_text('{"7_1_1": "5"}')
+        cache.write_text(json.dumps({"7_1_1": wrong.serialize()}))
         assert run("verify", "gauss", "--p", "7").exit_code == 1
         assert len(stores) == 1
         assert len(json.loads(cache.read_text())) > 1
+
+    @pytest.mark.parametrize("entry", ["5", "1*z42^1", "0", "5 @q:1"])
+    def test_entry_that_is_no_gauss_sum_is_recomputed(self, stores, tmp_path,
+                                                     entry):
+        # each entry parses, but its product with its conjugate is not 7
+        cache = tmp_path / "gauss_sums.json"
+        cache.write_text(json.dumps({"7_1_1": entry}))
+        res = run("verify", "gauss", "--p", "7")
+        assert res.exit_code == 0
+        assert json.loads(res.output)["failed"] == 0
+        assert len(stores) == 1
+        want = plocal._gauss_sum_at(PadicChar(7, 1, 1, 1), 1).serialize()
+        assert json.loads(cache.read_text())["7_1_1"] == want
+
+    def test_entry_under_a_bad_key_is_dropped(self, stores, tmp_path):
+        # a key names p_c_e; 7^99999999 is never built to check "7"
+        cache = tmp_path / "gauss_sums.json"
+        cache.write_text(json.dumps({"foo": "1", "7_1": "1",
+                                     "7_99999999_1": "7", "0_-1_1": "1",
+                                     "7_-1_1": "1", "1_1_1": "1"}))
+        assert run("verify", "gauss", "--p", "7").exit_code == 0
+        written = json.loads(cache.read_text())
+        assert written and all(k.startswith("7_1_") for k in written)
+
+    def test_only_sums_read_from_the_file_are_checked(self, stores, tmp_path,
+                                                      monkeypatch):
+        calls = []
+        galois = ExactScalar.galois
+
+        def counted(self, m):
+            calls.append(m)
+            return galois(self, m)
+        monkeypatch.setattr(ExactScalar, "galois", counted)
+        assert run("verify", "gauss", "--p", "7").exit_code == 0
+        assert calls == []
+        # a new process reads 5 sums: one check, galois(-1), per sum
+        monkeypatch.setattr(plocal, "_GAUSS_MEMO", None)
+        assert run("verify", "gauss", "--p", "7").exit_code == 0
+        assert calls == [-1] * 5
 
     def test_entry_not_in_serialize_form_is_recomputed(self, stores, tmp_path):
         # parse reads only serialize's form, so "(<value>)/1" is unreadable

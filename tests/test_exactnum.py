@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import random
@@ -18,9 +19,14 @@ from padr.exactnum import (
     root_of_unity_sum,
     sqrt_prime,
     _KRON_MIN_TERMS,
+    _build,
     _coerce,
     _cyc_mul,
     _cyc_reduce,
+    _descend,
+    _make,
+    _prime_divisors,
+    _pseudo_divmod,
     _laurent_canonical,
     _lp_mul,
     _phi_tail,
@@ -267,6 +273,240 @@ class TestCycloKernel:
                 assert E.zeta(N, j) * E.zeta(N, k) == E.zeta(N, j + k)
                 got = (ones * E.zeta(N, j)) * (ones * E.zeta(N, k))
                 assert got == (ones * ones) * E.zeta(N, j + k)
+
+
+@functools.lru_cache(maxsize=None)
+def _cyclotomic_by_division(n):
+    """Phi_n as (x^n - 1) pseudo-divided by Phi_d for every d | n, d < n."""
+    num = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            num, r, _ = _pseudo_divmod(num, list(_cyclotomic_by_division(d)))
+            assert not r
+    return tuple(num)
+
+
+class TestCyclotomicPoly:
+    def test_moebius_product_equals_division_oracle(self):
+        for n in list(range(1, 601)) + [2058]:
+            assert cyclotomic_poly(n) == _cyclotomic_by_division(n), n
+
+
+# Dense-loop oracles for the kernel's sparse walks: each walks every
+# numerator, zero or not, as the kernel did before it skipped the zeros.
+
+def _make_dense(N, nums, den, qgrade, pigrade):
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    return _build(N, tuple(x // g for x in nums), den // g, qgrade, pigrade)
+
+
+def _demote_dense(x):
+    if x.N == 1 or any(x.nums[1:]):
+        return x
+    return _build(1, x.nums[:1], x.den, x.qgrade, x.pigrade)
+
+
+def _to_cyc_dense(x, N):
+    acc = [0] * N
+    for k, c in enumerate(x.nums):
+        acc[k * (N // x.N)] += c
+    return _make_dense(N, _cyc_reduce(acc, N), x.den, x.qgrade, x.pigrade)
+
+
+def _galois_dense(x, m):
+    acc = [0] * x.N
+    for k, c in enumerate(x.nums):
+        acc[k * m % x.N] += c
+    return _demote_dense(_make_dense(x.N, _cyc_reduce(acc, x.N), x.den,
+                                     x.qgrade, x.pigrade))
+
+
+def _descend_dense(N, q, nums):
+    M = N // q
+    if M % q == 0:
+        if any(c for k, c in enumerate(nums) if k % q):
+            return None
+        return nums[::q]
+    u, v = pow(q, -1, M), pow(M, -1, q)
+    Y = [[0] * M for _ in range(q)]
+    for k, c in enumerate(nums):
+        Y[k * v % q][k * u % M] += c
+    Y = [_cyc_reduce(y, M) for y in Y]
+    Z = [y - y0 for y, y0 in zip(Y[1], Y[0])]
+    if any([y - y0 for y, y0 in zip(Yr, Y[0])] != Z for Yr in Y[2:]):
+        return None
+    return tuple(-z for z in Z)
+
+
+def _root_of_unity_sum_dense(terms):
+    items, N, D, grades = [], 1, 1, (0, 0)
+    for r, x, M, j in terms:
+        r = Fraction(r)
+        if not r or x.is_zero():
+            continue
+        j %= M
+        if 2 * j % M == 0:
+            r, M, j = (-r if j else r), 1, 0
+        N, D = math.lcm(N, x.N, M), math.lcm(D, r.denominator * x.den)
+        items.append((r, x, M, j))
+        grades = (x.qgrade, x.pigrade)
+    if not items:
+        return E.zero()
+    acc = [0] * N
+    for r, x, M, j in items:
+        f = r.numerator * (D // (r.denominator * x.den))
+        for k, c in enumerate(x.nums):
+            acc[(j * (N // M) + k * (N // x.N)) % N] += c * f
+    return _demote_dense(_make_dense(N, _cyc_reduce(acc, N), D, *grades))
+
+
+class TestSparseWalks:
+    """The kernel loops that walk only the non-zero numerators give the
+    dense loops' scalars: the same (N, nums, den, grades), so the same
+    serialize() and value, at every density."""
+
+    CONDUCTORS = [1, 2, 42, 49, 343, 506]
+    # non-zero numerators: none, one, a few, every one
+    DENSITIES = ["zero", "one", "few", "full"]
+
+    @staticmethod
+    def strategies():
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        return (hyp, st, st.sampled_from(TestSparseWalks.CONDUCTORS),
+                st.sampled_from(TestSparseWalks.DENSITIES),
+                st.integers(0, 2**32))
+
+    @staticmethod
+    def numerators(rng, N, density):
+        n = euler_phi(N)
+        terms = {"zero": 0, "one": 1, "few": min(n, rng.randint(2, 6)),
+                 "full": n}[density]
+        out = [0] * n
+        for i in rng.sample(range(n), terms):
+            out[i] = rng.choice((-1, 1)) * rng.randint(1, 10**rng.randint(1, 30))
+        return out
+
+    @classmethod
+    def scalar(cls, rng, N, density, qgrade=0):
+        """A scalar at N as _make leaves it, before any demotion."""
+        nums = cls.numerators(rng, N, density)
+        return _make_dense(N, nums, rng.randint(1, 60), qgrade, 0)
+
+    @staticmethod
+    def same(got, want):
+        assert (got.N, got.nums, got.den, got.qgrade, got.pigrade) == \
+            (want.N, want.nums, want.den, want.qgrade, want.pigrade)
+        assert got.serialize() == want.serialize()
+        assert got == want
+
+    def test_make(self):
+        hyp, st, conductor, density, seed = self.strategies()
+
+        @hyp.settings(max_examples=200, deadline=None)
+        @hyp.given(conductor, density, st.integers(-6, 6).filter(bool),
+                   st.sampled_from([1, 2, 6, 35, 10**20]), st.booleans(),
+                   seed)
+        def check(N, dens, den, factor, as_tuple, s):
+            # a common factor of den and the numerators, and a negative den
+            nums = [x * factor for x in self.numerators(random.Random(s),
+                                                         N, dens)]
+            den *= factor
+            arg = tuple(nums) if as_tuple else list(nums)
+            self.same(_make(N, arg, den, 1, 0),
+                      _make_dense(N, nums, den, 1, 0))
+
+        check()
+
+    def test_demote(self):
+        hyp, st, conductor, density, seed = self.strategies()
+
+        @hyp.settings(max_examples=200, deadline=None)
+        @hyp.given(conductor, density, st.booleans(), seed)
+        def check(N, dens, constant, s):
+            x = self.scalar(random.Random(s), N, dens)
+            if constant and x.nums[0] == 0:
+                x = _build(N, (7,) + x.nums[1:], x.den, 0, 0)
+            self.same(x._demote(), _demote_dense(x))
+
+        check()
+
+    @pytest.mark.parametrize("N", [2, 42, 49, 343, 506])
+    def test_zero_vector_demotes_to_Q(self, N):
+        zero = _make(N, [0] * euler_phi(N), -5, 0, 0)
+        assert zero.nums == (0,) * euler_phi(N) and zero.den == 1
+        got = zero._demote()
+        assert (got.N, got.nums, got.den) == (1, (0,), 1)
+        self.same(got, _demote_dense(zero))
+        assert got == E.zero() and got.is_rational()
+
+    def test_to_cyc(self):
+        hyp, st, conductor, density, seed = self.strategies()
+
+        @hyp.settings(max_examples=60, deadline=None)
+        @hyp.given(conductor, density, st.sampled_from([1, 2, 3]), seed)
+        def check(N, dens, k, s):
+            x = self.scalar(random.Random(s), N, dens)
+            self.same(x._to_cyc(k * N), _to_cyc_dense(x, k * N))
+
+        check()
+
+    def test_galois(self):
+        hyp, st, conductor, density, seed = self.strategies()
+
+        @hyp.settings(max_examples=100, deadline=None)
+        @hyp.given(conductor, density, st.integers(-3000, 3000), seed)
+        def check(N, dens, m, s):
+            x = self.scalar(random.Random(s), N, dens, qgrade=2)
+            hyp.assume(math.gcd(m, N) == 1)
+            self.same(x.galois(m), _galois_dense(x, m))
+
+        check()
+
+    def test_descend(self):
+        hyp, st, conductor, density, seed = self.strategies()
+
+        @hyp.settings(max_examples=150, deadline=None)
+        @hyp.given(conductor.filter(lambda N: N > 1), density, st.booleans(),
+                   seed)
+        def check(N, dens, from_subfield, s):
+            rng = random.Random(s)
+            q = rng.choice(_prime_divisors(N))
+            if from_subfield:
+                # an element of Q(zeta_(N/q)), which descends
+                nums = self.scalar(rng, N // q, dens)._to_cyc(N).nums
+            else:
+                nums = tuple(self.numerators(rng, N, dens))
+            got = _descend(N, q, nums)
+            assert got == _descend_dense(N, q, nums)
+            assert got is not None or not from_subfield
+
+        check()
+
+    def test_root_of_unity_sum(self):
+        hyp, st, conductor, density, seed = self.strategies()
+        rationals = st.sampled_from([1, -1, 3, Fraction(2, 7),
+                                     Fraction(-5, 6)])
+
+        @hyp.settings(max_examples=100, deadline=None)
+        @hyp.given(conductor, st.lists(st.tuples(
+            rationals, density, st.booleans(), st.integers(-999, 999)),
+            max_size=5), seed)
+        def check(N, raw, s):
+            # every x and every zeta_M lies in Q(zeta_N), x at N or in Q
+            rng = random.Random(s)
+            terms = []
+            for r, dens, at_N, j in raw:
+                x = self.scalar(rng, N if at_N else 1, dens, qgrade=1)
+                M = rng.choice([1, 2, N] + _prime_divisors(N))
+                # a run of terms that share x, as the callers make
+                terms += [(r, x, M, j + t) for t in range(rng.randint(1, 3))]
+            self.same(root_of_unity_sum(terms),
+                      _root_of_unity_sum_dense(terms))
+
+        check()
 
 
 class TestRootOfUnitySum:
