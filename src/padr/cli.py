@@ -9,6 +9,7 @@ identities and exits 0 only when every identity holds.
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -20,9 +21,19 @@ from padr.plocal import PadicChar, SchwartzFn, fourier_transform, \
     gauss_sum, gauss_sum_twisted, tate_factors, tate_integral
 
 
+#: the largest |e| of a scalar written with an exponent, such as 1e-400:
+#: Fraction builds 10^e whole, and 1e10000000 alone takes seconds.  4300 is
+#: the number of digits Python reads in one integer literal.
+_MAX_EXPONENT = 4300
+
+
 def _parse_fraction(s):
+    s = str(s)
     try:
-        return Fraction(str(s))
+        exp = re.search(r"[eE]([-+]?[\d_]+)\s*$", s)
+        if exp and abs(int(exp[1])) > _MAX_EXPONENT:
+            raise ValueError(f"exponent beyond {_MAX_EXPONENT} in size")
+        return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise click.UsageError(f"cannot parse scalar {s!r}: {exc}")
 
@@ -128,9 +139,9 @@ def interp(p, weights, kp, satake, fmt):
         try:
             try:
                 with open(satake) as fh:
-                    data = json.load(fh)
+                    data = json.load(fh, parse_float=_parse_fraction)
             except OSError:
-                data = json.loads(satake)
+                data = json.loads(satake, parse_float=_parse_fraction)
         except ValueError as exc:  # bad JSON, or a file that is not text
             raise click.UsageError(f"bad --satake: {exc}")
     pi_chars = _satake_chars(p, data, "pi", 3)
@@ -140,7 +151,7 @@ def interp(p, weights, kp, satake, fmt):
     root, m_q = arch.einf_mq(w)
     report = {
         "p": p,
-        "E_p": plocal.euler_modified(pi_chars, sigma).serialize(),
+        "E_p": (plocal.euler_cpr(pi_chars, sigma) ** 2).serialize(),
         "E_adjoint": _adjoint_or_pole(sigma),
         "E_inf": root,
         "m_Q": m_q,
@@ -373,6 +384,25 @@ def suite_measures(p, prec_t, rng):
     return out
 
 
+def suite_cpr(rng):
+    """E_p by two routes: the Coates--Perrin-Riou product of Frobenius
+    eigenvalues, squared, against the L and gamma factors, on three draws
+    of Satake values a/b with 1 <= a, b <= 9 at every prime up to 31."""
+    out = []
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for _ in range(3):
+            vals = [Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                    for _ in range(5)]
+            chars = tuple(PadicChar.unramified(p, u) for u in vals)
+            pi_chars, sigma = chars[:3], chars[3:]
+            ok = plocal.euler_cpr(pi_chars, sigma) ** 2 == \
+                plocal.euler_modified(pi_chars, sigma)
+            label = ",".join(map(str, vals[:3])) + ";" + \
+                ",".join(map(str, vals[3:]))
+            out.append(_ident(f"E_p = euler_cpr^2 p={p} satake={label}", ok))
+    return out
+
+
 #: suite name -> (suite function, the verify parameters it takes, in order)
 _SUITES = {
     "gauss": (suite_gauss, ("p",)),
@@ -383,6 +413,7 @@ _SUITES = {
     "propb1": (suite_propb1, ()),
     "diffops": (suite_diffops, ("rng",)),
     "measures": (suite_measures, ("p", "prec_t", "rng")),
+    "cpr": (suite_cpr, ("rng",)),
 }
 
 

@@ -1014,6 +1014,36 @@ def euler_modified(pi_chars, sigma) -> ExactScalar:
     return inv_den / inv_num
 
 
+def euler_cpr(pi_chars, sigma) -> ExactScalar:
+    """The square root of E(pi, sigma^dual) in the Coates--Perrin-Riou shape,
+    from Frobenius eigenvalues: the product of (1 - lam x) at x = q^(-1/2)
+    over the six character pairs (i, j).
+
+    alpha = (alpha_1, alpha_2, alpha_3) are the values at p of (nu, rho, mu)
+    and beta = (beta_1, beta_2) those of (mu', nu').  Each pair (i, j) of
+    pi x sigma^dual carries the two eigenvalues alpha_i/beta_j and
+    beta_j/alpha_i, and the filtration that the shifted-piano ordering
+    selects keeps one of them:
+      * j = 1: beta_1/alpha_i for i = 1, 2, 3 (mu' against all of pi);
+      * j = 2: alpha_1/beta_2 and alpha_2/beta_2 (nu' against nu and rho),
+        and beta_2/alpha_3 (nu' against mu).
+    For unramified characters euler_cpr(pi, sigma)^2 equals
+    euler_modified(pi, sigma), the route through L and gamma factors, which
+    stays the oracle (`padr verify cpr`).  x is sqrt_prime(p) scaled by 1/p,
+    so no cyclotomic inversion is made.  Ramified characters are rejected.
+    """
+    chars = (*pi_chars, *sigma)
+    _check(all(ch.c == 0 for ch in chars),
+           "euler_cpr takes unramified characters only")
+    a1, a2, a3, b1, b2 = (ch.u for ch in chars)
+    p = pi_chars[0].p
+    x = sqrt_prime(p) * Fraction(1, p)
+    one = ExactScalar.one()
+    factors = [one - lam * x
+               for lam in (b1 / a1, b1 / a2, b1 / a3, a1 / b2, a2 / b2, b2 / a3)]
+    return math.prod(factors[1:], start=factors[0])
+
+
 def gamma_gl_pair(pi_chars, sigma, x) -> ExactScalar:
     """gamma(1/2, pi x sigma^dual, psi) as the product over the six character
     pairs, evaluated at X = x."""

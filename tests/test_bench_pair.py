@@ -36,6 +36,19 @@ def test_quartiles_and_wins(bench_pair):
     assert bench_pair.summarize(parent, change, "lower")["change_wins"] == 1
 
 
+def test_bypass_check_is_read_from_the_stamp_line(bench_pair):
+    lines = ["== cli-stream seed=7 trace=1",
+             'stamp {"workload": "cli-stream", "bypass_check": "ok"}',
+             '{"correct": true, "metrics": {}}']
+    assert bench_pair.bypass_check(lines) == "ok"
+    bad = ['stamp {"bypass_check": ["plocal.gauss_sum.calls = 0, '
+           'predicted > 0"]}']
+    assert bench_pair.bypass_check(bad) == [
+        "plocal.gauss_sum.calls = 0, predicted > 0"]
+    with pytest.raises(RuntimeError):
+        bench_pair.bypass_check(['{"correct": true}'])
+
+
 def test_fewer_than_ten_pairs_exit_2_before_any_run(bench_pair,
                                                     monkeypatch, tmp_path):
     def no_run(*args, **kwargs):

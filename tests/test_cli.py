@@ -39,7 +39,7 @@ class TestVerify:
         res = run("verify", "all", "--seed", "1")
         assert res.exit_code == 0
         report = json.loads(res.output)
-        assert len(report["suites"]) == 8
+        assert len(report["suites"]) == 9
         assert all(sub["failed"] == 0 for sub in report["suites"])
 
     def test_seed_determinism(self):
@@ -69,6 +69,15 @@ class TestVerify:
             assert f"'{name}'" not in loaded
         assert "'padr.plocal'" in loaded
 
+    def test_cpr_suite_covers_every_prime_to_31(self):
+        res = run("verify", "cpr", "--format", "text")
+        assert res.exit_code == 0
+        lines = res.output.splitlines()
+        assert lines[0] == "suite cpr: 33 passed, 0 failed"
+        primes = {l.split(" p=")[1].split()[0] for l in lines[1:]}
+        assert primes == {str(p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23,
+                                           29, 31)}
+
     def test_unknown_suite_usage_error(self):
         res = run("verify", "nope")
         assert res.exit_code == 2
@@ -92,7 +101,7 @@ class TestGoldenOutputs:
 
     @pytest.mark.parametrize("args, digest", [
         (("verify", "all", "--seed", "1", "--format", "json"),
-         "dfe6986ef79b4c4553c1416ddaa3f965"),
+         "43292e3a01e95e5ebc8d3e14f0978cbc"),
         (("verify", "thm81", "--p", "7", "--ell", "3", "--format", "json"),
          "fd04793a47f8c66ca35c85454ec54b1c"),
         (("verify", "measures", "--p", "5", "--seed", "2"),
@@ -280,6 +289,12 @@ class TestUsageErrors:
         (["interp", "--weights=--1,0,2"], "--weights must be 3 comma-"),
         (["interp", "--weights=\u00b2,0,2"], "--weights must be 3 comma-"),
         (["interp", "--kp=-1,--2"], "--kp must be 2 comma-"),
+        # Fraction would build 10^(10^7) whole, as a number or as a string
+        (["interp", "--satake", '{"pi": [1e10000000, 1, 1], "sigma": [3, 2]}'],
+         "exponent beyond 4300"),
+        (["interp", "--satake",
+          '{"pi": ["1e-10000000", 1, 1], "sigma": [3, 2]}'],
+         "exponent beyond 4300"),
     ])
     def test_exit_2_with_message(self, args, message):
         res = run(*args)
@@ -367,6 +382,30 @@ class TestInterp:
         pi = tuple(PadicChar.unramified(5, u) for u in (5, 1, 1))
         chars = tuple(PadicChar.unramified(5, Fraction(u)) for u in sigma)
         assert report["E_p"] == plocal.euler_modified(pi, chars).serialize()
+
+    @pytest.mark.parametrize("inline", [True, False], ids=["string", "file"])
+    def test_json_numbers_are_read_exactly(self, tmp_path, inline):
+        # a float would round 12345678901234567891.5 to a nearby integer
+        def e_p(text):
+            if not inline:
+                path = tmp_path / "satake.json"
+                path.write_text(text)
+                text = str(path)
+            res = run("interp", "--p", "7", "--satake", text)
+            assert res.exit_code == 0, res.output
+            return json.loads(res.output)["E_p"]
+
+        exact = e_p('{"pi": ["24691357802469135783/2", "1", "1"], '
+                    '"sigma": ["3", "1/2"]}')
+        assert e_p('{"pi": [12345678901234567891.5, "1", "1"], '
+                   '"sigma": [3, 0.5]}') == exact
+        # 1e-400 is a non-zero rational, though no float holds it
+        tiny = e_p('{"pi": [1e-400, "1", "1"], "sigma": ["3", "1/2"]}')
+        pi = (PadicChar.unramified(7, Fraction(1, 10 ** 400)),
+              PadicChar.unramified(7, 1), PadicChar.unramified(7, 1))
+        sigma = (PadicChar.unramified(7, 3),
+                 PadicChar.unramified(7, Fraction(1, 2)))
+        assert tiny == plocal.euler_modified(pi, sigma).serialize()
 
     @pytest.mark.parametrize("content", [b'{"pi": [1, 2', b"\xff\xfe"],
                              ids=["bad-json", "not-utf8"])

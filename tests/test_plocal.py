@@ -11,6 +11,7 @@ from padr.plocal import (
     adjoint_modified,
     depletion_normal_form,
     depletion_pipeline,
+    euler_cpr,
     euler_modified,
     fourier_transform,
     gamma_gl_pair,
@@ -697,6 +698,29 @@ class TestEulerOneInversion:
                  PadicChar(p, Fraction(1, 2), 1, 1))
         assert euler_modified(chars, sigma).serialize() == \
             euler_modified_per_factor(chars, sigma).serialize()
+
+
+class TestEulerCPR:
+    """euler_cpr squared against the L and gamma route of euler_modified,
+    on TestEulerOneInversion's grid."""
+
+    @pytest.mark.parametrize("p", TestEulerOneInversion.PRIMES_TO_31)
+    def test_square_is_euler_modified(self, p):
+        rng = random.Random(p)
+        for _ in range(4):
+            chars = tuple(unram(p, Fraction(rng.randint(1, 9),
+                                            rng.randint(1, 9)))
+                          for _ in range(5))
+            got = euler_cpr(chars[:3], chars[3:]) ** 2
+            assert got.serialize() == \
+                euler_modified(chars[:3], chars[3:]).serialize()
+
+    def test_ramified_sigma_rejected(self):
+        p = 5
+        chars = tuple(unram(p, u) for u in (2, 1, 3))
+        sigma = (PadicChar(p, Fraction(5), 1, 1), unram(p, Fraction(1, 2)))
+        with pytest.raises(AssertionError, match="unramified"):
+            euler_cpr(chars, sigma)
 
 
 class TestUpEigenvalues:

@@ -7,15 +7,16 @@ directory, removed at exit (no worktree is registered), and runs the unmodified 
 of each side, alternately, for every workload of ``BENCHMARK.json``.  Pair i
 runs both sides with seed ``--seed + i``; even pairs start with the parent,
 odd pairs with the working tree.  Then one traced run (``--trace 1``) per
-side and workload at seed 7 gives the per-layer counts, so that every
-benchmark file traces the same inputs.  At least 10 pairs are run: fewer
-cannot show a gain on nine of ten pairs.
+side and workload at seed 7 gives the per-layer counts and the bypass
+check, so that every benchmark file traces the same inputs.  At least 10
+pairs are run: fewer cannot show a gain on nine of ten pairs.
 
 The output file holds, per workload and end-to-end metric, each side's
 runs, median and quartiles, and the number of pairs the working tree won
 (ties count for neither side); per workload, the failed ops of every run;
-and the traced per-layer metrics of both sides.  The two sides must carry
-the same ``perfbench/`` and ``BENCHMARK.json``, or the script stops.
+and the traced per-layer metrics and bypass check of both sides.  The two
+sides must carry the same ``perfbench/`` and ``BENCHMARK.json``, or the
+script stops.
 """
 
 import argparse
@@ -50,7 +51,8 @@ def export(rev, dest):
 
 
 def run(tree, workload, seed, seconds, trace):
-    """The result line of one perfbench/run.py process in tree."""
+    """The result line of one perfbench/run.py process in tree; a traced
+    run adds the bypass check of its stamp line as "bypass_check"."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds),
            "--trace", str(int(trace))]
@@ -59,7 +61,19 @@ def run(tree, workload, seed, seconds, trace):
     if res.returncode or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} failed:\n"
                            f"{res.stdout[-2000:]}{res.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    out = json.loads(lines[-1])
+    if trace:
+        out["bypass_check"] = bypass_check(lines)
+    return out
+
+
+def bypass_check(lines):
+    """The bypass check of the last stamp line among run.py's output lines:
+    "ok", or the list of predicted counts that did not hold."""
+    stamps = [line for line in lines if line.startswith("stamp ")]
+    if not stamps:
+        raise RuntimeError("a traced run printed no stamp line")
+    return json.loads(stamps[-1][len("stamp "):])["bypass_check"]
 
 
 def spread(values):
@@ -146,6 +160,7 @@ def main(argv=None):
             res = run(tree, w, TRACE_SEED, seconds, True)
             out["trace"][w][side] = {k: v["value"]
                                      for k, v in res["metrics"].items()}
+            out["trace"][w][side]["bypass_check"] = res["bypass_check"]
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=1)
         fh.write("\n")
