@@ -26,6 +26,15 @@ from padr.plocal import PadicChar, SchwartzFn, fourier_transform, \
 #: the number of digits Python reads in one integer literal.
 _MAX_EXPONENT = 4300
 
+#: E_p = euler_cpr(pi, sigma)^2 is a product of 12 factors 1 - lam/sqrt(p),
+#: and a Satake value under "pi" enters the lam of 4 of them, one under
+#: "sigma" 6.  So the integers that E_p serializes have fewer than
+#: 4 B(pi) + 6 B(sigma) + 6 bits(p) + 32 bits, B(key) the sum over the
+#: key's values of the larger bit length of numerator and denominator,
+#: and that must stay within the 14284 bits (4300 digits) that Python
+#: writes as a string.
+_SATAKE_BITS = 14284
+
 
 def _parse_fraction(s):
     s = str(s)
@@ -60,7 +69,7 @@ def _pi_string(x):
     return f"{v}*pi^{x.pigrade}" if v and x.pigrade else str(v)
 
 
-def _satake_chars(p, data, key, n):
+def _satake_values(data, key, n):
     vals = data.get(key) if isinstance(data, dict) else None
     if not isinstance(vals, list) or len(vals) != n:
         raise click.UsageError(f"--satake needs a list of {n} values "
@@ -69,7 +78,19 @@ def _satake_chars(p, data, key, n):
     if not all(vals):
         raise click.UsageError(f"--satake values under {key!r} must be "
                                f"non-zero")
-    return tuple(PadicChar.unramified(p, u) for u in vals)
+    return vals
+
+
+def _check_satake_size(p, pi_vals, sigma_vals):
+    def bits(vals):
+        return sum(max(abs(u.numerator), u.denominator).bit_length()
+                   for u in vals)
+    need = (4 * bits(pi_vals) + 6 * bits(sigma_vals)
+            + 6 * p.bit_length() + 32)
+    if need > _SATAKE_BITS:
+        raise click.UsageError(
+            f"--satake values are too large: E_p would need {need} bits, "
+            f"at most {_SATAKE_BITS} can be written out")
 
 
 def _adjoint_or_pole(sigma):
@@ -144,8 +165,11 @@ def interp(p, weights, kp, satake, fmt):
                 data = json.loads(satake, parse_float=_parse_fraction)
         except ValueError as exc:  # bad JSON, or a file that is not text
             raise click.UsageError(f"bad --satake: {exc}")
-    pi_chars = _satake_chars(p, data, "pi", 3)
-    sigma = _satake_chars(p, data, "sigma", 2)
+    pi_vals = _satake_values(data, "pi", 3)
+    sigma_vals = _satake_values(data, "sigma", 2)
+    _check_satake_size(p, pi_vals, sigma_vals)
+    pi_chars = tuple(PadicChar.unramified(p, u) for u in pi_vals)
+    sigma = tuple(PadicChar.unramified(p, u) for u in sigma_vals)
 
     hc, xcrit, ycrit = arch.hc_from_weights(w)
     root, m_q = arch.einf_mq(w)

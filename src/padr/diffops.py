@@ -623,16 +623,9 @@ def _rf_from_parts(parts, D):
 # ---------------------------------------------------------------------------
 
 def mat_mul(A, B):
-    n, m, k = len(A), len(B[0]), len(B)
-    return [[sum_entries([A[i][t] * B[t][j] for t in range(k)])
-             for j in range(m)] for i in range(n)]
-
-
-def sum_entries(xs):
-    total = xs[0]
-    for x in xs[1:]:
-        total = total + x
-    return total
+    return [[sum((A[i][t] * B[t][j] for t in range(1, len(B))),
+                 A[i][0] * B[0][j]) for j in range(len(B[0]))]
+            for i in range(len(A))]
 
 
 def mat_conj_t(A):
@@ -690,13 +683,6 @@ def gen_iota(D, h):
     return [[a, zr, b], [zr, o, zr], [c, zr, d]]
 
 
-def in_small_group(h, D):
-    """Whether 2x2 h satisfies h J (conj h)^t = J."""
-    z, o = QiD(D), QiD(D, 1)
-    J = [[z, o], [-o, z]]
-    return mat_eq(mat_mul(mat_mul(h, J), mat_conj_t(h)), J)
-
-
 def natural_involution(g, D):
     """g -> I g^c I with I = diag(1, 1, -1); equals S I (g^t)^(-1) I S^(-1)."""
     out = [[g[i][j].conj() for j in range(3)] for i in range(3)]
@@ -727,63 +713,60 @@ def symbolic_point(D):
 
 
 def eta_of(Z, D):
-    """eta(Z) = i (conj(tau) - tau - conj(w) w / delta)."""
+    """eta(Z) = i (conj(tau) - tau - conj(w) w / delta), one rf_sum."""
+    return rf_sum(_eta_terms(Z, D), D)
+
+
+def _eta_terms(Z, D):
     t, tb, u, ub = Z
-    return qi(D) * (tb - t - ub * u / RF.const(D, qdelta(D)))
-
-
-def eta_tau(Z, D):
-    """eta(tau) = i (conj(tau) - tau)."""
-    t, tb, _, _ = Z
-    return qi(D) * (tb - t)
+    i = qi(D)
+    return ((i, (tb,)), (-i, (t,)), (-i * qdelta(D).inverse(), (ub, u)))
 
 
 def xi_of(Z, D):
-    """xi(Z) = [[eta(tau), -i w], [i conj(w), -i delta]]."""
-    _, _, u, ub = Z
+    """xi(Z) = [[eta(tau), -i w], [i conj(w), -i delta]], with
+    eta(tau) = i (conj(tau) - tau)."""
+    t, tb, u, ub = Z
     i = qi(D)
-    return [[eta_tau(Z, D), RF.const(D, -1) * i * u],
+    return [[i * (tb - t), -i * u],
             [i * ub, RF.const(D, i * qdelta(D) * (-1))]]
+
+
+def _affine(D, cs, xs):
+    """sum c * x over zip(cs, xs), x None for 1, as one rf_sum."""
+    return rf_sum([(c, () if x is None else (x,))
+                   for c, x in zip(cs, xs) if not c.is_zero()], D)
 
 
 def act_point(alpha, Z, D):
     """Image of Z under alpha together with the automorphy factors:
-    returns (Z', lam 2x2, mu scalar)."""
+    returns (Z', lam 2x2, mu scalar).  Each affine row of alpha or of its
+    conjugate, and each entry of the period matrix, is one rf_sum."""
     t, tb, u, ub = Z
-
-    def row(i, x, y):
-        return (RF.const(D, alpha[i][0]) * x + RF.const(D, alpha[i][1]) * y
-                + RF.const(D, alpha[i][2]))
-
-    mu = row(2, t, u)
+    mu = _affine(D, alpha[2], (t, u, None))
     _check(not mu.is_zero(), "point not in the domain of alpha")
-    tp, up = row(0, t, u) / mu, row(1, t, u) / mu
+    tp, up = (_affine(D, alpha[i], (t, u, None)) / mu for i in (0, 1))
 
     # conjugate coordinates: apply the conjugated matrix to (tb, ub)
-    ac = [[alpha[i][j].conj() for j in range(3)] for i in range(3)]
+    ac = [[x.conj() for x in row] for row in alpha]
+    mub = _affine(D, ac[2], (tb, ub, None))
+    tpb, upb = (_affine(D, ac[i], (tb, ub, None)) / mub for i in (0, 1))
 
-    def crow(i, x, y):
-        return (RF.const(D, ac[i][0]) * x + RF.const(D, ac[i][1]) * y
-                + RF.const(D, ac[i][2]))
+    # lambda from the period matrix M = alpha [[tb, ub], [0, -delta], [1, 0]]:
+    # its bottom row, and its middle row over -delta; period(i, s) = s M[i]
+    d = qdelta(D)
 
-    mub = crow(2, tb, ub)
-    tpb, upb = crow(0, tb, ub) / mub, crow(1, tb, ub) / mub
-
-    # lambda from the first two columns of the period-matrix relation
-    # (whose middle entry is -delta)
-    delta = RF.const(D, qdelta(D))
-    cols = [[tb, ub], [RF.const(D, 0), -delta],
-            [RF.const(D, 1), RF.const(D, 0)]]
-    M = [[sum_entries([RF.const(D, alpha[i][k]) * cols[k][j]
-                       for k in range(3)]) for j in range(2)]
-         for i in range(3)]
-    lam_c = [[M[2][0], M[2][1]],
-             [-(M[1][0] / delta), -(M[1][1] / delta)]]
+    def period(i, s=1):
+        a0, a1, a2 = alpha[i]
+        return [_affine(D, (s * a0, s * a2), (tb, None)),
+                _affine(D, (s * a0, -s * a1 * d), (ub, None))]
+    lam_c = [period(2), period(1, -d.inverse())]
     # consistency of the top row pins down the transformed conjugates
-    for j in range(2):
-        _check(M[0][j] == tpb * lam_c[0][j] + upb * lam_c[1][j],
+    for j, m0j in enumerate(period(0)):
+        _check(m0j == rf_sum(((1, (tpb, lam_c[0][j])),
+                              (1, (upb, lam_c[1][j]))), D),
                "top row of the period matrix")
-    lam = [[lam_c[i][j].conj() for j in range(2)] for i in range(2)]
+    lam = [[x.conj() for x in row] for row in lam_c]
     return (tp, tpb, up, upb), lam, mu
 
 
@@ -791,7 +774,8 @@ def automorphy_cocycle(alpha, beta, D):
     """Exact verification of the chain rules for lambda and mu and of the
     xi/eta equivariances, at a generic symbolic point.  Returns True when
     every identity holds; raises AssertionError (also under -O) naming the
-    first that fails."""
+    first that fails.  Each entry of a product of RF matrices, and the
+    eta check's left side, is one rf_sum."""
     _check(in_group(alpha, D) and in_group(beta, D), "input not in the group")
     Z = symbolic_point(D)
     bZ, lam_b, mu_b = act_point(beta, Z, D)
@@ -799,16 +783,22 @@ def automorphy_cocycle(alpha, beta, D):
     Z2, lam_prod, mu_prod = act_point(mat_mul(alpha, beta), Z, D)
 
     _check(mu_prod == mu_ab * mu_b, "mu chain rule")
-    lam_chain = mat_mul(lam_ab, lam_b)
-    _check(mat_eq(lam_prod, lam_chain), "lambda chain rule")
+    _check(mat_eq(lam_prod, [[rf_sum([(1, (lam_ab[i][t], lam_b[t][j]))
+                                      for t in range(2)], D)
+                              for j in range(2)] for i in range(2)]),
+           "lambda chain rule")
 
     # eta equivariance: conj(mu) eta(alpha Z) mu = eta(Z)
     aZ, lam_a, mu_a = act_point(alpha, Z, D)
-    _check(mu_a.conj() * eta_of(aZ, D) * mu_a == eta_of(Z, D),
-           "eta equivariance")
+    mc = mu_a.conj()
+    _check(rf_sum([(c, (mc,) + xs + (mu_a,)) for c, xs in _eta_terms(aZ, D)],
+                  D) == eta_of(Z, D), "eta equivariance")
     # xi equivariance: (conj lam)^t xi(alpha Z) lam = xi(Z)
     lam_ct = [[lam_a[j][i].conj() for j in range(2)] for i in range(2)]
-    lhs = mat_mul(mat_mul(lam_ct, xi_of(aZ, D)), lam_a)
+    xi = xi_of(aZ, D)
+    lhs = [[rf_sum([(1, (lam_ct[i][a], xi[a][b], lam_a[b][j]))
+                    for a in range(2) for b in range(2)], D)
+            for j in range(2)] for i in range(2)]
     _check(mat_eq(lhs, xi_of(Z, D)), "xi equivariance")
     return True
 
@@ -877,51 +867,61 @@ def _rho_factors(Z, D):
 
 
 _Frame = namedtuple(
-    "_Frame", "Z eta det xit xit_inv args c0 c1 inv_mi_eta_tau")
+    "_Frame", "eta det xit xit_inv args args_w0 c0 c1 inv_mi_eta_tau")
 
 
 @lru_cache(maxsize=None)
-def _frame(D):
+def _frame(D, w0=False):
     """What the nabla routes use of the generic point Z = symbolic_point(D)
-    and depends on D alone: Z, eta(Z), det xi(Z), xi^t and (xi^t)^(-1);
+    and depends on D alone: eta(Z), det xi(Z), xi^t and (xi^t)^(-1);
     args[j] = (xi[j][0] eta, xi[j][1] eta), the coefficients of the slot
-    vector field D_j = args[j][0] d/dtau + args[j][1] d/dw; the contraction
-    coefficients c0, c1 of (xi^t)^(-1) v0 eta^(-1) on e_0, e_1; and
-    (-i eta(tau))^(-1).  The RFs are shared by every caller, so none may be
-    changed in place."""
-    Z = symbolic_point(D)
+    vector field D_j = args[j][0] d/dtau + args[j][1] d/dw, and args_w0
+    the same at w = 0; the contraction coefficients c0, c1 of
+    (xi^t)^(-1) v0 eta^(-1) on e_0, e_1; and (-i eta(tau))^(-1).  With w0,
+    all of it at conj(w) = 0, from Z = (tau, conj tau, w, 0).  The RFs
+    are shared by every caller, so none may be changed in place."""
+    Z = symbolic_point(D)[:3] + (RF.const(D, 0) if w0 else RF.var(D, 3),)
     det, eta, xit = _rho_factors(Z, D)
     xit_inv = _mat2_inv(xit, D)
     args = tuple((xit[0][j] * eta, xit[1][j] * eta) for j in range(2))
-    return _Frame(Z, eta, det, tuple(map(tuple, xit)),
-                  tuple(map(tuple, xit_inv)), args,
+    return _Frame(eta, det, tuple(map(tuple, xit)),
+                  tuple(map(tuple, xit_inv)), args, _nest_w0(args),
                   xit_inv[0][1] / eta, xit_inv[1][1] / eta,
-                  RF.const(D, 1) / (QiD(D, 0, -1) * eta_tau(Z, D)))
+                  RF.const(D, 1) / (QiD(D, 0, -1) * xit[0][0]))
+
+
+def _nest_w0(x):
+    """A nest of tuples and lists of RFs, each restricted to w = 0."""
+    return x.subst_w0() if isinstance(x, RF) else tuple(map(_nest_w0, x))
 
 
 @lru_cache(maxsize=256)
-def _rho_matrix(D, k, inverse):
+def _rho_matrix(D, k, inverse, w0=False):
     """The matrix T of rho_k(Xi(Z))^(+-1) at Z = symbolic_point(D), with
     rho_k(Xi(Z))^(+-1) v = v T: row i is the image of the unit vector e_i,
-    the prefactor det^(-+k1) eta^(+-k3) folded in.  Shared, like _frame."""
-    fr = _frame(D)
+    the prefactor det^(-+k1) eta^(+-k3) folded in.  With w0, as the
+    restricted routes use it: rho_k(Xi) at conj(w) = 0 and its inverse at
+    w = conj(w) = 0.  Shared, like _frame."""
+    fr = _frame(D, w0)
     k1, k2, k3 = k
     s = 1 if inverse else -1
     pref = _sym_power(fr.det, s * k1) * _sym_power(fr.eta, -s * k3)
     M = fr.xit if inverse else fr.xit_inv
     zero = RF.const(D, 0)
     kappa = k2 - k1
-    return tuple(
+    T = tuple(
         tuple(_vec_subst([pref if j == i else zero for j in range(kappa + 1)],
                          M, D))
         for i in range(kappa + 1))
+    return _nest_w0(T) if w0 and inverse else T
 
 
-def rho_xi(vec, k, D, inverse=False):
+def rho_xi(vec, k, D, inverse=False, w0=False):
     """Apply rho_k(Xi(Z)) (or its inverse) to a vector of RF components,
-    at the generic point Z = symbolic_point(D) only: each output component
-    is one rf_sum of vec[i] T[i][m] over the cached matrix T."""
-    T = _rho_matrix(D, tuple(k), inverse)
+    at the generic point Z = symbolic_point(D) only (with w0, at the
+    restrictions of _rho_matrix): each output component is one rf_sum of
+    vec[i] T[i][m] over the cached matrix T."""
+    T = _rho_matrix(D, tuple(k), inverse, w0)
     _check(len(vec) == len(T), "need kappa + 1 components")
     return [rf_sum([(1, (v, row[m])) for v, row in zip(vec, T)
                     if not (v.is_zero() or row[m].is_zero())], D)
@@ -941,20 +941,23 @@ def _mat2_inv(M, D):
 
 
 @lru_cache(maxsize=256)
-def _slot_weights(D, n):
+def _slot_weights(D, n, w0=False):
     """binom(n, b) c0^(n-b) c1^b for b = 0..n: the weight of the drho_n
-    table entry with b slots on e_1.  Shared, like _frame."""
-    fr = _frame(D)
-    return tuple(rf_sum(((comb(n, b), (fr.c0,) * (n - b) + (fr.c1,) * b),),
-                        D)
-                 for b in range(n + 1))
+    table entry with b slots on e_1; with w0, at w = conj(w) = 0.  Shared,
+    like _frame."""
+    fr = _frame(D, w0)
+    out = tuple(rf_sum(((comb(n, b), (fr.c0,) * (n - b) + (fr.c1,) * b),),
+                       D)
+                for b in range(n + 1))
+    return _nest_w0(out) if w0 else out
 
 
-def drho_n(f, n):
+def drho_n(f, n, w0=False):
     """D_rho^n f evaluated on the tuple (v0, ..., v0): implements
     C f(u) = Df(xi(Z)^t u eta(Z)) iterated on formal multilinear slots,
     conjugated by rho_k(Xi).  Returns the list of X^i Y^(kappa-i)
-    components as RFs in (tau, conj tau, w, conj w).
+    components as RFs in (tau, conj tau, w, conj w), or with w0 their
+    restrictions to w = conj(w) = 0 (see drho_restricted).
 
     Slot j of C differentiates along the image of e_j, the vector field
     D_j = args[j][0] d/dtau + args[j][1] d/dw of `_frame`.  D_0 and D_1
@@ -965,41 +968,51 @@ def drho_n(f, n):
     binom(n, b) assignments times c0^(n-b) c1^b."""
     _check(n >= 0, "negative order")
     D, k = f.D, f.k
-    (a00, a01), (a10, a11) = _frame(D).args
+    fr = _frame(D, w0)
+    args = fr.args
 
-    def along(a0, a1, dt, du):
-        return [rf_sum(((1, (a0, x)), (1, (a1, y))), D)
+    def along(a, dt, du):
+        return [rf_sum(((1, (a[0], x)), (1, (a[1], y))), D)
                 for x, y in zip(dt, du)]
-
-    table = [rho_xi([RF(c) for c in f.comps], k, D)]
-    for _ in range(n):
+    table = [rho_xi([RF(c) for c in f.comps], k, D, False, w0)]
+    for m in range(1, n + 1):
         derivs = [([c.deriv(0) for c in vec], [c.deriv(2) for c in vec])
                   for vec in table]
-        table = ([along(a00, a01, dt, du) for dt, du in derivs]
-                 + [along(a10, a11, *derivs[-1])])
-    weights = _slot_weights(D, n)
+        if w0 and m == n:
+            derivs, args = _nest_w0(derivs), fr.args_w0
+        table = ([along(args[0], *d) for d in derivs]
+                 + [along(args[1], *derivs[-1])])
+    if w0 and n == 0:
+        table = _nest_w0(table)
+    weights = _slot_weights(D, n, w0)
     total = [rf_sum([(1, (w, vec[i])) for w, vec in zip(weights, table)], D)
              for i in range(f.kappa + 1)]
-    return rho_xi(total, k, D, inverse=True)
+    return rho_xi(total, k, D, True, w0)
 
 
 def drho_restricted(f, n):
-    """drho_n followed by restriction to w = 0 (the embedded curve)."""
-    return [c.subst_w0() for c in drho_n(f, n)]
+    """drho_n restricted to w = conj(w) = 0 (the embedded curve), each
+    variable as early as stays exact.  d/dtau and d/dw treat conj(w) as a
+    constant, so conj(w) = 0 commutes with them and with ring operations:
+    rho(Xi) and every level run there.  w = 0 comes after the last level's
+    d/dtau and d/dw, so that level's slot sum, the weights and
+    rho(Xi)^(-1) run at w = 0.  Each restriction is a ring homomorphism on
+    RFs with no pole along it, and a pole raises (a division by zero, or
+    `RF.subst_w0`), so this equals [c.subst_w0() for c in drho_n(f, n)]."""
+    return drho_n(f, n, w0=True)
 
 
 def conjugated_derivative_form(f, n):
     """Independent route: rho(Xi)^(-1) (d/dw - conj(w)/delta d/dtau)^n
-    (rho(Xi) f), restricted to w = 0."""
-    D, k = f.D, f.k
-    wb = _frame(D).Z[3]
-    vec = rho_xi([RF(c) for c in f.comps], k, D)
-    mdinv = -qdelta(D).inverse()
+    (rho(Xi) f), restricted to w = conj(w) = 0.  Both derivatives treat
+    conj(w) as a constant, so the n-th power is the sum over j of
+    binom(n, j) (-conj(w)/delta)^j d^(n-j)/dw^(n-j) d^j/dtau^j, whose terms
+    with j > 0 vanish at conj(w) = 0.  So, as in drho_restricted, rho(Xi)
+    runs at conj(w) = 0, d/dw is taken n times, then w = 0."""
+    vec = rho_xi([RF(c) for c in f.comps], f.k, f.D, False, True)
     for _ in range(n):
-        vec = [rf_sum(((1, (c.deriv(2),)), (mdinv, (wb, c.deriv(0)))), D)
-               for c in vec]
-    out = rho_xi(vec, k, D, inverse=True)
-    return [c.subst_w0() for c in out]
+        vec = [c.deriv(2) for c in vec]
+    return rho_xi([c.subst_w0() for c in vec], f.k, f.D, True, True)
 
 
 def coefficient_closed_form(f, n):
@@ -1009,7 +1022,7 @@ def coefficient_closed_form(f, n):
     (-i eta(tau))^(-j)."""
     D = f.D
     kappa = f.kappa
-    inv = _frame(D).inv_mi_eta_tau
+    inv = _frame(D, True).inv_mi_eta_tau
     out = []
     for a in range(kappa + 1):
         terms = []
@@ -1172,16 +1185,3 @@ def maass_shimura(f, k, nu):
             Fraction(comb(nu, a) * ratio * (-1) ** (a - nu)))
     return out
 
-
-def d4_scaling_constant(i, n, k, D=4):
-    """The component rescaling constant (-i)^(i + 2 k1 + k2) / (-2)^n *
-    sqrt(2/|delta|)^(n - k2 + i); rational times a power of i only when
-    D = 4 (where sqrt(2/|delta|) = 1)."""
-    _check(D == 4, "irrational scaling outside discriminant 4")
-    k1, k2, _ = k
-    mi = QiD(4, 0, -1)
-    out = QiD(4, 1)
-    e = (i + 2 * k1 + k2) % 4
-    for _ in range(e):
-        out = out * mi
-    return out * Fraction(1, (-2) ** n)

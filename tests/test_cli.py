@@ -295,6 +295,19 @@ class TestUsageErrors:
         (["interp", "--satake",
           '{"pi": ["1e-10000000", 1, 1], "sigma": [3, 2]}'],
          "exponent beyond 4300"),
+        # E_p of a 3001-digit Satake value has integers beyond the 4300
+        # digits that Python writes as a string
+        (["interp", "--p", "7", "--weights", "0,0,0", "--kp", "0,0",
+          "--satake", '{"pi": ["1' + "0" * 3000 + '", "1", "1"], '
+                      '"sigma": ["3", "1/2"]}'],
+         "--satake values are too large"),
+        (["interp", "--satake",
+          '{"pi": [1, 2, 3], "sigma": ["1/' + "7" * 3000 + '", 2]}'],
+         "--satake values are too large"),
+        # 4 B(pi) + 6 B(sigma) + 6 bits(p) + 32 = 14288 bits, 4 too many
+        (["interp", "--p", "7", "--satake",
+          '{"pi": [3, 3, 3], "sigma": ["' + str(2 ** 2367 + 1) + '", 1]}'],
+         "E_p would need 14288 bits"),
     ])
     def test_exit_2_with_message(self, args, message):
         res = run(*args)
@@ -406,6 +419,21 @@ class TestInterp:
         sigma = (PadicChar.unramified(7, 3),
                  PadicChar.unramified(7, Fraction(1, 2)))
         assert tiny == plocal.euler_modified(pi, sigma).serialize()
+
+    @pytest.mark.parametrize("pi, sigma", [
+        # B(pi) = 1995 bits: large for pi, but sigma leaves room
+        (["1e-200", "1e-200", "1e-200"], ["3", "1/2"]),
+        # 4 B(pi) + 6 B(sigma) + 6 bits(p) + 32 = 14284 bits, the most
+        (["1", "3", "3"], [str(2 ** 2367 + 1), "1"]),
+    ], ids=["large-pi", "bound-edge"])
+    def test_satake_values_within_the_size_bound(self, pi, sigma):
+        text = json.dumps({"pi": pi, "sigma": sigma})
+        res = run("interp", "--p", "7", "--satake", text)
+        assert res.exit_code == 0, res.output
+        chars = [tuple(PadicChar.unramified(7, Fraction(u)) for u in vals)
+                 for vals in (pi, sigma)]
+        assert json.loads(res.output)["E_p"] == \
+            plocal.euler_modified(*chars).serialize()
 
     @pytest.mark.parametrize("content", [b'{"pi": [1, 2', b"\xff\xfe"],
                              ids=["bad-json", "not-utf8"])

@@ -16,6 +16,7 @@ from padr.diffops import (
     QiD,
     SectionPoly,
     SymPoly,
+    act_point,
     am_commutator_phase,
     automorphy_cocycle,
     drho_restricted,
@@ -24,7 +25,6 @@ from padr.diffops import (
     gen_m,
     gen_n,
     in_group,
-    in_small_group,
     conjugated_derivative_form,
     maass_shimura,
     mat_eq,
@@ -34,7 +34,6 @@ from padr.diffops import (
     coefficient_closed_form,
     qdelta,
     qi,
-    d4_scaling_constant,
     drho_n,
     eta_of,
     rf_sum,
@@ -520,15 +519,6 @@ class TestGroup:
         for g in sample_group_elts(D):
             assert in_group(g, D)
 
-    def test_iota_preimages_in_small_group(self):
-        D = 4
-        zr, o = QiD(D), QiD(D, 1)
-        J = [[zr, o], [-o, zr]]
-        np1 = [[o, QiD(D, 3)], [zr, o]]
-        assert in_small_group(J, D)
-        assert in_small_group(np1, D)
-        assert not in_small_group([[o, qi(D)], [zr, o]], D)
-
     def test_non_member_rejected(self):
         D = 3
         zr, o = QiD(D), QiD(D, 1)
@@ -566,7 +556,60 @@ class TestGroup:
             assert mat_eq(lhs, rhs)
 
 
+def _act_point_chain(alpha, Z, D):
+    """act_point by the chain of RF `*` and `+`: every product and partial
+    sum of its rows and period matrix is its own reduced RF."""
+    t, tb, u, ub = Z
+
+    def row(a, i, x, y):
+        return (RF.const(D, a[i][0]) * x + RF.const(D, a[i][1]) * y
+                + RF.const(D, a[i][2]))
+
+    mu = row(alpha, 2, t, u)
+    tp, up = row(alpha, 0, t, u) / mu, row(alpha, 1, t, u) / mu
+    ac = [[alpha[i][j].conj() for j in range(3)] for i in range(3)]
+    mub = row(ac, 2, tb, ub)
+    tpb, upb = row(ac, 0, tb, ub) / mub, row(ac, 1, tb, ub) / mub
+    delta = RF.const(D, qdelta(D))
+    cols = [[tb, ub], [RF.const(D, 0), -delta],
+            [RF.const(D, 1), RF.const(D, 0)]]
+    M = [[RF.const(D, alpha[i][0]) * cols[0][j]
+          + RF.const(D, alpha[i][1]) * cols[1][j]
+          + RF.const(D, alpha[i][2]) * cols[2][j] for j in range(2)]
+         for i in range(3)]
+    lam_c = [[M[2][0], M[2][1]],
+             [-(M[1][0] / delta), -(M[1][1] / delta)]]
+    for j in range(2):
+        assert M[0][j] == tpb * lam_c[0][j] + upb * lam_c[1][j]
+    lam = [[lam_c[i][j].conj() for j in range(2)] for i in range(2)]
+    return (tp, tpb, up, upb), lam, mu
+
+
+def _generators(D):
+    """The three generators whose cyclic pairs the cocycle workloads check."""
+    zr, o = QiD(D), QiD(D, 1)
+    return [gen_n(D, QiD(D, 1, 0, 0, 1), Fraction(1, 2)),
+            gen_m(D, QiD(D, 2, 1)), gen_iota(D, [[zr, o], [-o, zr]])]
+
+
 class TestCocycles:
+    @pytest.mark.parametrize("D", [3, 4])
+    @pytest.mark.parametrize("pair", range(3))
+    def test_act_point_matches_chain_oracle(self, D, pair):
+        # every act_point call of automorphy_cocycle on the generator pair
+        gens = _generators(D)
+        alpha, beta = gens[pair], gens[(pair + 1) % 3]
+        Z = symbolic_point(D)
+        bZ = act_point(beta, Z, D)[0]
+        for g, point in ((beta, Z), (alpha, bZ), (alpha, Z),
+                         (mat_mul(alpha, beta), Z)):
+            (z, lam, mu), (z2, lam2, mu2) = (act_point(g, point, D),
+                                             _act_point_chain(g, point, D))
+            assert all(x == y for x, y in zip(z, z2))
+            assert mat_eq(lam, lam2)
+            assert mu == mu2
+        assert automorphy_cocycle(alpha, beta, D)
+
     @pytest.mark.parametrize("D", [3, 4])
     def test_generator_pairs(self, D):
         gs = sample_group_elts(D)
@@ -794,6 +837,46 @@ class TestPerTermOracle:
         assert all(x == y for x, y in zip(got, want))
 
 
+def _conjugated_full_then_restrict(f, n):
+    """conjugated_derivative_form by its defining formula: all n steps, the
+    conj(w) term included, and rho(Xi)^(-1) on full RFs, then
+    w = conj(w) = 0."""
+    D, k = f.D, f.k
+    wb = symbolic_point(D)[3]
+    vec = rho_xi([RF(c) for c in f.comps], k, D)
+    mdinv = -qdelta(D).inverse()
+    for _ in range(n):
+        vec = [rf_sum(((1, (c.deriv(2),)), (mdinv, (wb, c.deriv(0)))), D)
+               for c in vec]
+    return [c.subst_w0() for c in rho_xi(vec, k, D, inverse=True)]
+
+
+class TestEarlyRestriction:
+    """Both restricted routes run at conj(w) = 0 from the start and set
+    w = 0 after their last derivatives, before rho(Xi)^(-1); each must
+    equal restricting the full result."""
+
+    @pytest.mark.parametrize("D", [3, 4])
+    @pytest.mark.parametrize("probe", range(len(CRITERION_9_PROBES)))
+    @pytest.mark.parametrize("n", range(5))
+    def test_drho_restricted(self, D, probe, n):
+        f = probe_section(D, probe)
+        got = drho_restricted(f, n)
+        want = [c.subst_w0() for c in drho_n(f, n)]
+        assert len(got) == len(want) == f.kappa + 1
+        assert all(x == y for x, y in zip(got, want))
+
+    @pytest.mark.parametrize("D", [3, 4])
+    @pytest.mark.parametrize("probe", range(len(CRITERION_9_PROBES)))
+    @pytest.mark.parametrize("n", range(5))
+    def test_conjugated_form(self, D, probe, n):
+        f = probe_section(D, probe)
+        got = conjugated_derivative_form(f, n)
+        want = _conjugated_full_then_restrict(f, n)
+        assert len(got) == len(want) == f.kappa + 1
+        assert all(x == y for x, y in zip(got, want))
+
+
 def _rfs(x):
     """The RFs in a nest of tuples and lists."""
     if isinstance(x, RF):
@@ -828,22 +911,30 @@ class TestNablaFrame:
                 rho_xi(vec, f.k, D)
                 rho_xi(vec, f.k, D, inverse=True)
                 for n in range(4):
+                    drho_n(f, n)
                     drho_restricted(f, n)
                     conjugated_derivative_form(f, n)
                     coefficient_closed_form(f, n)
-                keys.append((D, f.k))
+                keys.append((D, tuple(f.k)))
+        caches = (_frame, _rho_matrix, _slot_weights)
 
         def cached():
+            # the argument tuples exactly as the routes pass them, since
+            # lru_cache keys on those
             out = []
             for D, k in keys:
-                out += _rfs(_frame(D))
-                out += _rfs(_rho_matrix(D, k, False))
-                out += _rfs(_rho_matrix(D, k, True))
-                for n in range(4):
-                    out += _rfs(_slot_weights(D, n))
+                for w0 in (False, True):
+                    out += _rfs(_frame(D, w0))
+                    for inverse in (False, True):
+                        out += _rfs(_rho_matrix(D, k, inverse, w0))
+                    for n in range(4):
+                        out += _rfs(_slot_weights(D, n, w0))
             return out
+        misses = [c.cache_info().misses for c in caches]
         used = cached()
-        for cache in (_frame, _rho_matrix, _slot_weights):
+        # every value read back is one that the routes built and used
+        assert [c.cache_info().misses for c in caches] == misses
+        for cache in caches:
             cache.cache_clear()
         fresh = cached()
         assert len(used) == len(fresh)
@@ -976,14 +1067,3 @@ class TestMaassShimura:
         with pytest.raises(AssertionError):
             maass_shimura(QRExpansion.monomial(1), 0, 1)
 
-
-class TestRemarkConstant:
-    def test_d4_values(self):
-        c = d4_scaling_constant(0, 0, (0, 0, 0))
-        assert c == QiD(4, 1)
-        c2 = d4_scaling_constant(1, 1, (0, 1, 0))
-        assert c2 == QiD(4, Fraction(1, 2))  # (-i)^2 / (-2)
-
-    def test_other_discriminant_rejected(self):
-        with pytest.raises(AssertionError):
-            d4_scaling_constant(0, 0, (0, 0, 0), D=3)
