@@ -15,7 +15,7 @@ no floating point ever enters.
 from fractions import Fraction
 from math import comb, factorial
 
-from padr.exactnum import ExactScalar, _check
+from padr.scalar import ExactScalar, _check
 from padr.repalg import SignedHCSeq, ggp_check, trilinear_closed, \
     trilinear_value
 

@@ -15,10 +15,9 @@ from fractions import Fraction
 
 import click
 
-from padr import plocal
-from padr.exactnum import ExactScalar, PoleError, sqrt_prime
-from padr.plocal import PadicChar, SchwartzFn, fourier_transform, \
-    gauss_sum, gauss_sum_twisted, tate_factors, tate_integral
+from padr.chars import (PadicChar, flush_gauss_cache, gauss_sum,
+                        gauss_sum_twisted)
+from padr.scalar import ExactScalar, PoleError
 
 
 #: the largest |e| of a scalar written with an exponent, such as 1e-400:
@@ -94,6 +93,7 @@ def _check_satake_size(p, pi_vals, sigma_vals):
 
 
 def _adjoint_or_pole(sigma):
+    from padr import plocal
     try:
         return plocal.adjoint_modified(sigma).serialize()
     except PoleError:
@@ -130,7 +130,7 @@ def main(ctx):
     """Exact-arithmetic toolkit for local interpolation factors."""
     # new Gauss sums go to PADR_CACHE_DIR once, when the command ends
     # (also when it exits 1)
-    ctx.call_on_close(plocal.flush_gauss_cache)
+    ctx.call_on_close(flush_gauss_cache)
 
 
 @main.command()
@@ -146,7 +146,7 @@ def main(ctx):
               default="json", show_default=True)
 def interp(p, weights, kp, satake, fmt):
     """Assemble the local interpolation factors for one configuration."""
-    from padr import arch
+    from padr import arch, plocal
     _check_prime(p)
     k = _parse_ints(weights, 3, "--weights")
     kprime = _parse_ints(kp, 2, "--kp")
@@ -225,6 +225,7 @@ def suite_gauss(p):
 
 
 def suite_fourier(p, rng):
+    from padr.plocal import SchwartzFn, fourier_transform
     out = []
     f0 = SchwartzFn.indicator(p)
     out.append(_ident("unit-ball self-dual", fourier_transform(f0) == f0))
@@ -241,6 +242,7 @@ def suite_fourier(p, rng):
 
 
 def _random_tate_case(rng):
+    from padr.plocal import SchwartzFn
     p = rng.choice([3, 5, 7])
     phi = SchwartzFn(p, [(Fraction(rng.randint(-6, 6), p ** rng.randint(0, 1)),
                           rng.randint(-1, 2), rng.randint(-3, 3))
@@ -255,6 +257,7 @@ def _random_tate_case(rng):
 
 
 def suite_tate(p, rng, count=50):
+    from padr.plocal import fourier_transform, tate_factors, tate_integral
     out = []
     done = 0
     while done < count:
@@ -270,6 +273,7 @@ def suite_tate(p, rng, count=50):
 
 
 def suite_thm81(p, ell):
+    from padr import plocal
     out = []
     chars = tuple(PadicChar.unramified(p, u) for u in (2, 1, 3))
     sigmas = [
@@ -376,6 +380,7 @@ def suite_diffops(rng):
 
 def suite_measures(p, prec_t, rng):
     from padr import iwasawa
+    from padr.plocal import SchwartzFn
     out = []
     for t in range(20):
         pts = [(rng.randint(0, prec_t), Fraction(rng.randint(-3, 3)))
@@ -412,6 +417,7 @@ def suite_cpr(rng):
     """E_p by two routes: the Coates--Perrin-Riou product of Frobenius
     eigenvalues, squared, against the L and gamma factors, on three draws
     of Satake values a/b with 1 <= a, b <= 9 at every prime up to 31."""
+    from padr import plocal
     out = []
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         for _ in range(3):

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
 
-from padr.exactnum import _check
+from padr.scalar import _check
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import ExactScalar, _check, _coerce, root_of_unity_sum
-from .plocal import SchwartzFn, vp_frac
+from .chars import vp_frac
+from .plocal import SchwartzFn
+from .scalar import ExactScalar, _check, _coerce, root_of_unity_sum
 
 
 def _binom_int(a: int, k: int) -> Fraction:

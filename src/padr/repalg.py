@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .exactnum import _check, solve_linear
+from .scalar import Q0, _check
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +372,37 @@ def bipoly_torsion_mul(R: BiPoly) -> BiPoly:
         for key in ((i + 1, j + 1), (i, j)):
             out[key] = out.get(key, Fraction(0)) + v
     return BiPoly(b, c, out)
+
+
+def solve_linear(mat, rhs):
+    """Gaussian elimination over Fraction; returns a solution or None."""
+    n = len(mat)
+    m = len(mat[0]) if n else 0
+    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(mat)]
+    piv_cols = []
+    r = 0
+    for c in range(m):
+        piv = next((i for i in range(r, n) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(n):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        piv_cols.append(c)
+        r += 1
+        if r == n:
+            break
+    for i in range(r, n):
+        if a[i][m] != 0:
+            return None
+    sol = [Q0] * m
+    for i, c in enumerate(piv_cols):
+        sol[c] = a[i][m]
+    return sol
 
 
 def bipoly_project(P: BiPoly) -> BiPoly:

@@ -10,13 +10,10 @@ import time
 from fractions import Fraction
 
 from padr import arch, diffops, iwasawa
-from padr.exactnum import ExactScalar as E
+from padr.chars import PadicChar, gauss_sum, gauss_sum_twisted
 from padr.plocal import (
-    PadicChar,
     SchwartzFn,
     fourier_transform,
-    gauss_sum,
-    gauss_sum_twisted,
     gl2_up_oracle,
     realize_grades,
     schwartz_theta,
@@ -32,6 +29,7 @@ from padr.repalg import (
     trilinear_norm,
     trilinear_value,
 )
+from padr.scalar import ExactScalar as E
 
 CRITERION_LINES = []
 

@@ -23,7 +23,7 @@ from padr.arch import (
     weights_from_hc,
 )
 from padr.cli import _pi_string
-from padr.exactnum import ExactScalar, GradeError
+from padr.scalar import ExactScalar, GradeError
 
 
 def pi(value, k=0):

@@ -9,21 +9,26 @@ import pytest
 from click.testing import CliRunner
 
 import padr
-from padr import plocal
+from padr import chars as pchars, plocal
+from padr.chars import PadicChar
 from padr.cli import main
-from padr.exactnum import ExactScalar
-from padr.plocal import PadicChar
+from padr.scalar import ExactScalar
 
 
 def run(*args):
     return CliRunner().invoke(main, list(args))
 
 
-def run_python(*args):
-    """python with these arguments, in a subprocess that imports this padr."""
+def run_python(*args, cache_dir=None):
+    """python with these arguments, in a subprocess that imports this padr,
+    with PADR_CACHE_DIR set to cache_dir (unset when it is None)."""
     src = os.path.dirname(os.path.dirname(padr.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PADR_CACHE_DIR", None)
+    if cache_dir is not None:
+        env["PADR_CACHE_DIR"] = str(cache_dir)
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=src))
+                          text=True, env=env)
 
 
 class TestVerify:
@@ -56,18 +61,17 @@ class TestVerify:
         assert all(l.lstrip().startswith("ok") for l in lines[1:])
 
     def test_gauss_imports_only_the_layers_it_uses(self):
+        # the scalar kernel and the Gauss sums: no LaurentRF, no Tate code
         res = run_python("-c", "import sys\n"
                          "from padr.cli import main\n"
-                         "main.main(['verify', 'gauss', '--p', '7'], "
+                         "main.main(['verify', 'gauss', '--p', '5'], "
                          "standalone_mode=False)\n"
                          "print(sorted(m for m in sys.modules "
                          "if m.startswith('padr')), file=sys.stderr)")
         assert res.returncode == 0, res.stderr
         loaded = res.stderr.strip().splitlines()[-1]
-        for name in ("padr.arch", "padr.diffops", "padr.iwasawa",
-                     "padr.repalg"):
-            assert f"'{name}'" not in loaded
-        assert "'padr.plocal'" in loaded
+        assert loaded == str(["padr", "padr.chars", "padr.cli",
+                              "padr.scalar"])
 
     def test_cpr_suite_covers_every_prime_to_31(self):
         res = run("verify", "cpr", "--format", "text")
@@ -84,7 +88,7 @@ class TestVerify:
 
     def test_truncated_gauss_cache_is_recomputed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PADR_CACHE_DIR", str(tmp_path))
-        monkeypatch.setattr(plocal, "_GAUSS_MEMO", None)
+        monkeypatch.setattr(pchars, "_GAUSS_MEMO", None)
         cache = tmp_path / "gauss_sums.json"
         cache.write_text('{"7_1_1": "1*z42^')
         res = run("verify", "gauss", "--p", "7")
@@ -119,8 +123,8 @@ class TestGoldenOutputs:
     def test_gauss_cache_md5(self, tmp_path, monkeypatch):
         # the cache file shows each Gauss sum in the field it was built in
         monkeypatch.setenv("PADR_CACHE_DIR", str(tmp_path))
-        monkeypatch.setattr(plocal, "_GAUSS_MEMO", None)
-        monkeypatch.setattr(plocal, "_GAUSS_DIRTY", False)
+        monkeypatch.setattr(pchars, "_GAUSS_MEMO", None)
+        monkeypatch.setattr(pchars, "_GAUSS_DIRTY", False)
         for p in (11, 13, 17, 19, 23):
             assert run("verify", "gauss", "--p", str(p)).exit_code == 0
         data = (tmp_path / "gauss_sums.json").read_bytes()
@@ -134,15 +138,15 @@ class TestGaussCacheWrites:
     @pytest.fixture
     def stores(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PADR_CACHE_DIR", str(tmp_path))
-        monkeypatch.setattr(plocal, "_GAUSS_MEMO", None)
-        monkeypatch.setattr(plocal, "_GAUSS_DIRTY", False)
+        monkeypatch.setattr(pchars, "_GAUSS_MEMO", None)
+        monkeypatch.setattr(pchars, "_GAUSS_DIRTY", False)
         calls = []
-        store = plocal._gauss_cache_store
+        store = pchars._gauss_cache_store
 
         def counted():
             calls.append(1)
             store()
-        monkeypatch.setattr(plocal, "_gauss_cache_store", counted)
+        monkeypatch.setattr(pchars, "_gauss_cache_store", counted)
         return calls
 
     def test_cold_then_warm(self, stores, tmp_path, monkeypatch):
@@ -153,7 +157,7 @@ class TestGaussCacheWrites:
         written = cache.read_bytes()
         assert [f.name for f in tmp_path.iterdir()] == ["gauss_sums.json"]
         # a new process on the filled directory reads every sum it needs
-        monkeypatch.setattr(plocal, "_GAUSS_MEMO", None)
+        monkeypatch.setattr(pchars, "_GAUSS_MEMO", None)
         warm = run("verify", "gauss", "--p", "11")
         assert warm.output == cold.output
         assert len(stores) == 1
@@ -166,7 +170,7 @@ class TestGaussCacheWrites:
     def test_written_when_an_identity_fails(self, stores, tmp_path):
         # -g passes the |g|^2 = q check of a cached entry, so it is used,
         # and the product identity of e = 1 then fails
-        wrong = -plocal._gauss_sum_at(PadicChar(7, 1, 1, 1), 1)
+        wrong = -pchars._gauss_sum_at(PadicChar(7, 1, 1, 1), 1)
         cache = tmp_path / "gauss_sums.json"
         cache.write_text(json.dumps({"7_1_1": wrong.serialize()}))
         assert run("verify", "gauss", "--p", "7").exit_code == 1
@@ -183,7 +187,7 @@ class TestGaussCacheWrites:
         assert res.exit_code == 0
         assert json.loads(res.output)["failed"] == 0
         assert len(stores) == 1
-        want = plocal._gauss_sum_at(PadicChar(7, 1, 1, 1), 1).serialize()
+        want = pchars._gauss_sum_at(PadicChar(7, 1, 1, 1), 1).serialize()
         assert json.loads(cache.read_text())["7_1_1"] == want
 
     def test_entry_under_a_bad_key_is_dropped(self, stores, tmp_path):
@@ -208,13 +212,13 @@ class TestGaussCacheWrites:
         assert run("verify", "gauss", "--p", "7").exit_code == 0
         assert calls == []
         # a new process reads 5 sums: one check, galois(-1), per sum
-        monkeypatch.setattr(plocal, "_GAUSS_MEMO", None)
+        monkeypatch.setattr(pchars, "_GAUSS_MEMO", None)
         assert run("verify", "gauss", "--p", "7").exit_code == 0
         assert calls == [-1] * 5
 
     def test_entry_not_in_serialize_form_is_recomputed(self, stores, tmp_path):
         # parse reads only serialize's form, so "(<value>)/1" is unreadable
-        want = plocal._gauss_sum_at(PadicChar(7, 1, 1, 1), 1).serialize()
+        want = pchars._gauss_sum_at(PadicChar(7, 1, 1, 1), 1).serialize()
         cache = tmp_path / "gauss_sums.json"
         cache.write_text(json.dumps({"7_1_1": f"({want})/1"}))
         res = run("verify", "gauss", "--p", "7")
@@ -233,7 +237,7 @@ class TestGaussCacheWrites:
         entries = json.loads(cache.read_text())
         entries["5_1_1"] = "1*z20^"
         cache.write_text(json.dumps(entries))
-        monkeypatch.setattr(plocal, "_GAUSS_MEMO", None)
+        monkeypatch.setattr(pchars, "_GAUSS_MEMO", None)
         res = run("verify", "gauss", "--p", "7")
         assert res.exit_code == 0
         assert json.loads(res.output)["failed"] == 0
@@ -249,7 +253,7 @@ class TestGaussCacheWrites:
     def test_warm_run_parses_only_the_sums_it_uses(self, stores, tmp_path,
                                                    monkeypatch):
         for p in ("5", "7"):
-            monkeypatch.setattr(plocal, "_GAUSS_MEMO", None)
+            monkeypatch.setattr(pchars, "_GAUSS_MEMO", None)
             assert run("verify", "gauss", "--p", p).exit_code == 0
         cache = tmp_path / "gauss_sums.json"
         written = cache.read_bytes()
@@ -260,12 +264,29 @@ class TestGaussCacheWrites:
             parsed.append(s)
             return parse(s)
         monkeypatch.setattr(ExactScalar, "parse", staticmethod(counted))
-        monkeypatch.setattr(plocal, "_GAUSS_MEMO", None)
+        monkeypatch.setattr(pchars, "_GAUSS_MEMO", None)
         assert run("verify", "gauss", "--p", "7").exit_code == 0
         entries = json.loads(written)
         assert sorted(parsed) == sorted(v for k, v in entries.items()
                                         if k.startswith("7_"))
         assert len(stores) == 2 and cache.read_bytes() == written
+
+    @pytest.mark.parametrize("make", [
+        lambda root: (root / "cache").write_text("a file"),
+        lambda root: (root / "cache" / "gauss_sums.json").mkdir(parents=True),
+    ], ids=["dir-is-a-file", "cache-file-is-a-dir"])
+    @pytest.mark.parametrize("suite", ["gauss", "tate"])
+    def test_unwritable_cache_keeps_the_verdict(self, tmp_path, make, suite):
+        make(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        args = ("-m", "padr.cli", "verify", suite, "--p", "5")
+        res = run_python(*args, cache_dir=tmp_path / "cache")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == run_python(*args).stdout
+        assert res.stderr.startswith("padr: Gauss sums not cached: ")
+        assert len(res.stderr.splitlines()) == 1
+        # nothing written, and no temporary file left behind
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_interp_and_usage_errors_write_nothing(self, stores, tmp_path):
         assert run("interp").exit_code == 0

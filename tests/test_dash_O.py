@@ -32,7 +32,7 @@ PKG = os.path.dirname(os.path.abspath(padr.__file__))
 @pytest.mark.parametrize("module", sorted(
     name[:-3] for name in os.listdir(PKG) if name.endswith(".py")))
 def test_no_bare_assert(module):
-    # the library's checks raise through exactnum._check or a typed error,
+    # the library's checks raise through scalar._check or a typed error,
     # so none of them is stripped under -O
     path = os.path.join(PKG, f"{module}.py")
     with open(path) as fh:

@@ -10,9 +10,17 @@ import pytest
 
 import padr
 from padr.exactnum import (
+    LaurentRF,
+    _laurent_canonical,
+    _lp_mul,
+    _lp_to_poly,
+    _poly_to_lp,
+    _spoly_divmod,
+    _spoly_gcd,
+)
+from padr.scalar import (
     ExactScalar as E,
     GradeError,
-    LaurentRF,
     PoleError,
     cyclotomic_poly,
     euler_phi,
@@ -27,14 +35,8 @@ from padr.exactnum import (
     _make,
     _prime_divisors,
     _pseudo_divmod,
-    _laurent_canonical,
-    _lp_mul,
     _phi_tail,
-    _lp_to_poly,
     _minimal_field,
-    _poly_to_lp,
-    _spoly_divmod,
-    _spoly_gcd,
 )
 
 
@@ -720,7 +722,7 @@ class TestEqualityAndHash:
         assert hash(x * y / y) == hash(x)
 
     def test_tower_checks_survive_dash_O(self):
-        code = ("from padr.exactnum import ExactScalar as E\n"
+        code = ("from padr.scalar import ExactScalar as E\n"
                 "print(E.zeta(8, 2) == E.i_unit(), "
                 "(E.zeta(8) * E.sqrtD(3)) ** 2 == 3 * E.zeta(4))\n"
                 "try:\n"

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from padr.exactnum import ExactScalar as E
 from padr.iwasawa import (
     MeasureSeries,
     QExpansion,
@@ -16,6 +15,7 @@ from padr.iwasawa import (
     theta_twist,
 )
 from padr.plocal import SchwartzFn
+from padr.scalar import ExactScalar as E
 
 
 class TestDiracSeries:

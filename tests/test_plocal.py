@@ -3,10 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from padr.exactnum import ExactScalar as E, GradeError, LaurentRF, sqrt_prime
+from padr.chars import (
+    PadicChar,
+    gauss_sum,
+    gauss_sum_twisted,
+    psi_exponent,
+    psi_value,
+    vp_frac,
+)
+from padr.exactnum import LaurentRF
 from padr.plocal import (
     GL3Vector,
-    PadicChar,
     SchwartzFn,
     adjoint_modified,
     depletion_normal_form,
@@ -15,13 +22,9 @@ from padr.plocal import (
     euler_modified,
     fourier_transform,
     gamma_gl_pair,
-    gauss_sum,
-    gauss_sum_twisted,
     gl2_up_oracle,
     l_gl_pair,
     phi_prime_chi,
-    psi_exponent,
-    psi_value,
     pstab_ratio,
     realize_grades,
     schwartz_theta,
@@ -31,12 +34,12 @@ from padr.plocal import (
     theta_p_level,
     thm81_two_route,
     up_eigenvalues,
-    vp_frac,
     w_operator,
     whittaker_gl3_torus,
     zeta_two_route,
 )
 from padr.plocal import _gamma_gl3_twist
+from padr.scalar import ExactScalar as E, GradeError, sqrt_prime
 
 
 # The per-ball product routes that fourier_transform and tate_integral
