@@ -5,7 +5,8 @@ summation, and modified Euler factors evaluated at the central point.
 
 SchwartzFn is the one type for locally constant functions, also for the
 Z_p-periodic datum phi1 of an induced-model triple and for the twists of
-iwasawa.theta_twist.
+iwasawa.theta_twist.  Its balls are integer keys (level, residue) at one
+scale p^(-D), and the Fourier transform and the zeta integral read them.
 
 Conventions fixed throughout:
   * the additive character psi has conductor Z_p and psi(b/p^k) = zeta_{p^k}^(-b);
@@ -98,54 +99,59 @@ def realize_grades(x: ExactScalar, p: int) -> ExactScalar:
 class SchwartzFn:
     """Finite sum of coefficients times indicators of balls a + p^k Z_p,
     kept in a canonical disjoint form.  It is Z_p-periodic exactly when
-    every ball has level k <= 0."""
+    every ball has level k <= 0.  The form is held as integer keys: the
+    smallest scale D with every centre and radius in p^(-D) Z_p, and sorted
+    (k, r, c), c on the ball r p^(-D) + p^k Z_p with 0 <= r < p^(k+D)."""
 
-    __slots__ = ("p", "terms")
+    __slots__ = ("p", "D", "keys")
 
     def __init__(self, p, terms):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "terms", SchwartzFn._canonical(p, terms))
-
-    def __setattr__(self, *a):
-        raise AttributeError("SchwartzFn is immutable")
-
-    @staticmethod
-    def _canonical(p, terms):
-        """The maximal balls on which the function is constant and non-zero,
-        sorted by level, then by centre; each centre is the element of
-        Z[1/p] in [0, p^k) of its ball.
-
-        One scale D puts every centre and every radius in p^(-D) Z_p, so the
-        ball a + p^k Z_p is the key (k, r), r the residue of a p^D mod
-        p^(k+D).  Coefficients are summed per key; only the ancestors of the
-        keys are split into their p children, carrying the running sum down;
-        then complete families of p equal siblings merge bottom-up.
-        """
-        live = []
-        D = 0
+        live, D = [], 0
         for a, k, c in terms:
             c = _coerce(c)
             if c.is_zero():
                 continue
+            if type(k) is not int and Fraction(k).denominator != 1:
+                raise ValueError(f"ball level {k!r} is not an integer")
+            k = int(k)
             if type(a) is not Fraction and type(a) is not int:
                 a = Fraction(a)
-            k = int(k)
             num, den, e = a.numerator, a.denominator, 0
             while den % p == 0:
                 den //= p
                 e += 1
             live.append((num, den, e, k, c))
             D = max(D, e, -k)
-        own = {}
+        keys = []
         for num, den, e, k, c in live:
             q = p ** (k + D)
-            key = (k, num * p ** (D - e) * pow(den, -1, q) % q)
-            own[key] = own[key] + c if key in own else c
+            keys.append((k, num * p ** (D - e) * pow(den, -1, q) % q, c))
+        self._canonical(p, D, keys)
+
+    @staticmethod
+    def _from_keys(p, D, keys):
+        """From (k, r, c), k >= -D and 0 <= r < p^(k+D), repeats allowed."""
+        return object.__new__(SchwartzFn)._canonical(p, D, keys)
+
+    def __setattr__(self, *a):
+        raise AttributeError("SchwartzFn is immutable")
+
+    def _canonical(self, p, D, keys):
+        """Fill the slots with the maximal balls on which the function is
+        constant and non-zero, sorted by level, then by residue; returns
+        self.
+
+        Coefficients are summed per key; only the ancestors of the keys are
+        split into their p children, carrying the running sum down; then
+        complete families of p equal siblings merge bottom-up, and D drops
+        to the smallest scale that holds the result.
+        """
+        own = {}
+        for k, r, c in keys:
+            own[k, r] = own[k, r] + c if (k, r) in own else c
         own = {key: c for key, c in own.items() if not c.is_zero()}
-        if not own:
-            return ()
         # the ancestors of the keys, up to the coarsest level among them
-        top = min(k for k, _ in own)
+        top = min((k for k, _ in own), default=0)
         inner = set()
         for k, r in own:
             while k > top:
@@ -194,8 +200,20 @@ class SchwartzFn:
                     out.extend((level, r, c) for r, c in members)
             level -= 1
         out.sort()  # the keys (level, r) are distinct
-        scale = p ** D
-        return tuple((Fraction(r, scale), k, c) for k, r, c in out)
+        # the smallest scale D - s: p^s divides every r, and s <= k + D
+        s = min(vp_frac(math.gcd(p ** D, *(r for _, r, _ in out)), p),
+                D + out[0][0]) if out else D
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "D", D - s)
+        object.__setattr__(self, "keys", tuple((k, r // p ** s, c)
+                                               for k, r, c in out))
+        return self
+
+    @property
+    def terms(self):
+        """(a, k, c) per key, the centre a = r p^(-D) a Fraction."""
+        scale = self.p ** self.D
+        return tuple((Fraction(r, scale), k, c) for k, r, c in self.keys)
 
     # -- constructors ------------------------------------------------------
 
@@ -256,11 +274,11 @@ class SchwartzFn:
         return total
 
     def is_zero(self):
-        return not self.terms
+        return not self.keys
 
     def __eq__(self, other):
         return (isinstance(other, SchwartzFn) and self.p == other.p
-                and self.terms == other.terms)
+                and self.D == other.D and self.keys == other.keys)
 
     def __repr__(self):
         body = " + ".join(f"[{c.serialize()}]*1(({a}) + p^{k})"
@@ -275,24 +293,20 @@ def fourier_transform(phi: SchwartzFn) -> SchwartzFn:
     The transform of c 1_{a + p^k Z_p} is c p^(-k) psi(-a y) 1_{p^(-k) Z_p},
     re-expanded into the balls b + p^m Z_p, b = j p^(-k), at the level
     m = max(denominator exponent of a, -k).  On them psi(-a b) = zeta_Q^(e j)
-    for one exponent pair (Q, e) = psi_exponent(-a p^(-k)) per input ball,
+    for one pair (Q, e) = psi_exponent(-r, p^(k+D)) per input key (k, r),
     so the value on an output ball is one root_of_unity_sum over the input
     balls that reach it: the coefficients c are shifted by these exponents
     into one integer accumulator and reduced once, with no product formed.
+    The result is built from the integer keys b p^K, K = max(0, levels).
     """
-    p = phi.p
-    # output centres b are kept as integers b p^K
-    K = max([0] + [k for _, k, _ in phi.terms])
+    p, D = phi.p, phi.D
+    K = max([0] + [k for k, _, _ in phi.keys])
     balls = {}
-    for a, k, c in phi.terms:
-        num, den = a.numerator, a.denominator  # den is a power of p
-        m = max(vp_frac(den, p), -k)
-        if k >= 0:
-            Q, e = psi_exponent(-num, den * p ** k, p)
-            weight = Fraction(1, p ** k)
-        else:
-            Q, e = psi_exponent(-num * p ** -k, den, p)
-            weight = p ** -k
+    for k, r, c in phi.keys:
+        # a = r p^(-D): psi(-a p^(-k)) and the denominator exponent of a
+        Q, e = psi_exponent(-r, p ** (k + D), p)
+        m = max(0, -k, D - vp_frac(r, p) if r else 0)
+        weight = Fraction(1, p ** k) if k >= 0 else p ** -k
         shift = p ** (K - k)
         for j in range(p ** (m + k)):
             # zeta_Q^(e j) in lowest terms, so that the term's conductor is
@@ -300,9 +314,8 @@ def fourier_transform(phi: SchwartzFn) -> SchwartzFn:
             g = math.gcd(j, Q)
             balls.setdefault((m, j * shift), []).append(
                 (weight, c, Q // g, e * (j // g)))
-    scale = p ** K
-    return SchwartzFn(p, [(Fraction(b, scale), m, root_of_unity_sum(terms))
-                          for (m, b), terms in balls.items()])
+    return SchwartzFn._from_keys(p, K, [(m, b, root_of_unity_sum(terms))
+                                        for (m, b), terms in balls.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -399,23 +412,23 @@ def tate_integral(phi: SchwartzFn, chi: PadicChar) -> LaurentRF:
         Z(s, phi, chi) = c u^k X^k / (1 - u X) + sum_v s_v X^v.
 
     On the shell p^v Z_p^x, chi(b) = u^v zeta_m^k with (m, k) the exponent
-    form of chi at the unit b p^(-v).  Each shell is one root_of_unity_sum
-    of the terms (vol, c, m, k) over the sub-balls b + p^klev Z_p at the
-    conductor level, times u^v once.  The shell value is the sum of the
-    products c chi(b) vol; its sum over the sub-balls lies at the lcm of the
-    conductors of c and zeta_m^k over its terms (in Q when rational), and
-    the product with u^v then meets u's field.
+    form of chi at the unit b p^(-v), an integer read from the key (k, r):
+    v = v_p(r) - D and a p^(-v) = r p^(-v-D).  Each shell is one
+    root_of_unity_sum of the terms (vol, c, m, k) over the sub-balls
+    b + p^klev Z_p at the conductor level, times u^v once.  The shell value
+    is the sum of the products c chi(b) vol; its sum over the sub-balls
+    lies at the lcm of the conductors of c and zeta_m^k over its terms (in
+    Q when rational), and the product with u^v then meets u's field.
     """
     p = chi.p
     shells, tails = {}, {}
     level = max(chi.c, 1)
-    for a, k, c in phi.terms:
-        num = a.numerator
-        v = vp_frac(a, p) if num else k
+    for k, r, c in phi.keys:
+        v = vp_frac(r, p) - phi.D if r else k
         if v < k:
             need = v + level
             # the units b p^(-v), integers, of the sub-balls b + p^klev Z_p
-            unit = num // p ** (v + vp_frac(a.denominator, p))
+            unit = r // p ** (v + phi.D)
             if k >= need:
                 units, klev = [unit], k
             else:
@@ -454,7 +467,7 @@ class GL3Vector:
     def __init__(self, p, chars, phi1: SchwartzFn, phi2: SchwartzFn,
                  phi3: SchwartzFn):
         _check(len(chars) == 3, "GL3 needs three characters")
-        _check(all(k <= 0 for _, k, _ in phi1.terms), "phi1 is not Z_p-periodic")
+        _check(all(k <= 0 for k, _, _ in phi1.keys), "phi1 is not Z_p-periodic")
         self.p = p
         self.chars = tuple(chars)
         self.phi1 = phi1

@@ -1,3 +1,5 @@
+import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -303,6 +305,31 @@ class TestSchwartzFn:
     def test_same_ball_cancels(self):
         assert SchwartzFn(3, [(Fraction(1, 2), 0, 1), (0, 0, -1)]).is_zero()
 
+    @pytest.mark.parametrize("level", [Fraction(3, 2), 1.9])
+    def test_non_integral_level_rejected(self, level):
+        # both were read as level 1, the ball 5Z_5
+        with pytest.raises(ValueError):
+            SchwartzFn(5, [(0, level, 1)])
+
+    def test_integral_fraction_level_accepted(self):
+        assert SchwartzFn(5, [(0, Fraction(2), 1)]) == \
+            SchwartzFn.indicator(5, 0, 2)
+
+    def test_keys_at_any_scale(self):
+        # 1/3 + 9Z_3 and 2/3 + 3Z_3 at the scales 3^-1 (minimal) and 3^-4
+        want = SchwartzFn(3, [(Fraction(1, 3), 2, 1), (Fraction(2, 3), 1, 5)])
+        assert want.D == 1
+        assert want.keys == ((1, 2, E.rational(5)), (2, 1, E.one()))
+        for D in (1, 4):
+            s = 3 ** (D - 1)
+            f = SchwartzFn._from_keys(3, D, [(2, s, E.one()),
+                                              (1, 2 * s, E.rational(5))])
+            assert f == want and f.D == 1 and f.terms == want.terms
+        # cancelled and merged keys leave the scale of what remains
+        f = SchwartzFn._from_keys(3, 3, [(3, 1, E.one()), (3, 1, -E.one())]
+                                  + [(1, j * 27, E.rational(2)) for j in range(3)])
+        assert f == SchwartzFn.indicator(3, 0, 0, 2) and f.D == 0
+
     def test_fourier_of_prime_to_p_centre(self):
         f = SchwartzFn.indicator(3, 1, 1).dilate(2)
         assert fourier_transform(f) == \
@@ -328,6 +355,14 @@ class TestSchwartzFn:
                 terms += [(a + j * Fraction(p) ** k, k + 1, c)
                           for j in range(p)]
             f = SchwartzFn(p, terms)
+            # the keys at the smallest scale, read back from the terms, and
+            # built again at a larger scale
+            assert f.D == max([0] + [-k for _, k, _ in f.terms]
+                              + [-vp_frac(a, p) for a, _, _ in f.terms if a])
+            assert SchwartzFn(p, f.terms) == f
+            g = SchwartzFn._from_keys(p, f.D + 2, [(k, r * p * p, c)
+                                                   for k, r, c in f.keys])
+            assert g == f and g.terms == f.terms
             for a, k, c in f.terms:
                 # the denominator is a power of p
                 assert p ** a.denominator.bit_length() % a.denominator == 0
@@ -383,6 +418,24 @@ class TestFourier:
             f = SchwartzFn(p, [(Fraction(rng.randint(-4, 4), p), rng.randint(-1, 1),
                                 rng.randint(-2, 2)) for _ in range(2)])
             assert fourier_transform(fourier_transform(f)) == f.dilate(-1)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_inversion_levels_and_denominators(self, p):
+        # levels -2..3, centres with p-power and prime-to-p denominators;
+        # a ball a + p^k Z_p transforms into p^max(0, k + d) balls, d the
+        # p-exponent of a's denominator, and the transform back sums the
+        # square of that many terms, so p^(k + d) is kept to 125
+        rng = random.Random(p)
+        unit = 3 if p == 2 else 2
+        balls = [(Fraction(rng.choice([1, -1, 2, p + 1]),
+                           p ** d * rng.choice([1, unit])), k, rng.randint(1, 3))
+                 for k in range(-2, 4) for d in range(3)
+                 if p ** max(0, k + d) <= 125]
+        for i, ball in enumerate(balls):
+            for f in (SchwartzFn(p, [ball]),
+                      SchwartzFn(p, [ball, balls[i - 1]])):
+                assert fourier_transform(fourier_transform(f)) == \
+                    f.dilate(-1)
 
 
 class TestExponentRoute:
@@ -488,6 +541,79 @@ class TestTateIntegral:
                 .subst_X(Fraction(1, p), -1)
             assert lhs == tate_factors(chi)[2] * tate_integral(phi, chi)
             done += 1
+
+
+# The 30 shapes of one perfbench tate-fe round (TATE_SHAPE_SEED = 4):
+# (p, order of the character's finite part, 0 when unramified, and the
+# balls as (centre has a p in its denominator, level)).
+TATE_FE_SHAPES = [
+    (3, 1, ((True, 2),)), (3, 0, ((True, 1),)),
+    (3, 0, ((False, 1), (False, 0))), (7, 0, ((True, 2),)),
+    (7, 2, ((True, 1),)), (5, 1, ((True, 1),)),
+    (3, 0, ((True, 2), (False, 0))),
+    (3, 1, ((True, 1), (True, 1), (False, 1))),
+    (5, 2, ((False, -1), (True, 2), (True, -1))),
+    (3, 1, ((True, 0), (True, -1))), (5, 2, ((True, 0),)),
+    (3, 0, ((True, 1), (False, 2))), (3, 0, ((False, -1),)),
+    (7, 0, ((False, 2),)), (3, 1, ((True, 2),)), (3, 0, ((True, 2),)),
+    (3, 0, ((False, 0), (False, 1))), (5, 1, ((False, 2), (False, 1))),
+    (5, 1, ((False, 1), (False, -1))), (7, 1, ((True, 0),)),
+    (3, 1, ((True, 2), (False, 0), (False, 0))),
+    (3, 1, ((False, 0), (False, 0))), (7, 1, ((False, -1), (False, 2))),
+    (3, 1, ((False, -1),)), (3, 0, ((True, 0), (True, 0), (True, -1))),
+    (7, 2, ((True, 2), (True, -1))), (7, 0, ((True, -1), (False, 1))),
+    (7, 1, ((True, 1),)), (7, 0, ((True, -1),)),
+    (7, 1, ((True, 0), (False, -1))),
+]
+
+
+def _pin_cases():
+    """Two seeded draws per tate-fe shape, then p = 2 (unramified
+    characters only) with levels -2..3 and centres with 2-power and odd
+    denominators."""
+    rng = random.Random(20)
+    coeffs = [-3, -2, -1, 1, 2, 3]
+    cases = []
+    for p, order, balls in TATE_FE_SHAPES * 2:
+        terms = []
+        for frac, k in balls:
+            if frac:
+                a = Fraction(rng.choice([x for x in range(-6, 7) if x % p]), p)
+            else:
+                a = Fraction(rng.randint(-6, 6))
+            terms.append((a, k, rng.choice(coeffs)))
+        if order:
+            e = rng.choice([x for x in range(1, p - 1)
+                            if math.gcd(x, p - 1) == order])
+            chi = PadicChar(p, Fraction(rng.randint(1, 4)), 1, e)
+        else:
+            chi = unram(p, Fraction(rng.randint(1, 5), rng.randint(1, 5)))
+        cases.append((SchwartzFn(p, terms), chi))
+    for _ in range(16):
+        terms = [(Fraction(rng.randint(-9, 9),
+                           2 ** rng.randint(0, 2) * rng.choice([1, 3, 5])),
+                  rng.randint(-2, 3), rng.choice(coeffs))
+                 for _ in range(rng.randint(1, 3))]
+        chi = unram(2, Fraction(rng.randint(1, 5), rng.randint(1, 5)))
+        cases.append((SchwartzFn(2, terms), chi))
+    return cases
+
+
+class TestTateValuePin:
+    def test_values_md5(self):
+        # verify tate and verify fourier print only verdicts; this pins the
+        # values: the transform's repr and both sides of Tate's local
+        # functional equation, serialized
+        lines = []
+        for phi, chi in _pin_cases():
+            hat = fourier_transform(phi)
+            p = phi.p
+            lhs = tate_integral(hat, chi.inverse()).subst_X(Fraction(1, p), -1)
+            rhs = tate_factors(chi)[2] * tate_integral(phi, chi)
+            assert lhs == rhs
+            lines += [repr(hat), lhs.serialize(), rhs.serialize()]
+        digest = hashlib.md5("\n".join(lines).encode()).hexdigest()
+        assert digest == "963b2f602ec83d8019c85fdc49b0fc15"
 
 
 def delta(p, j=0, level=0):
