@@ -34,6 +34,11 @@ _MAX_EXPONENT = 4300
 #: writes as a string.
 _SATAKE_BITS = 14284
 
+#: verify thm81 averages over p^ell translates, and its time grows with
+#: p^ell.  In process on a 2-vCPU host: 3^9 = 19683 took 0.45 s (0.8 s for
+#: the command), 13^4 = 28561 0.83 s, and 3^10 = 59049 1.5-2.4 s.
+_THM81_TRANSLATES = 20000
+
 
 def _parse_fraction(s):
     s = str(s)
@@ -78,6 +83,25 @@ def _satake_values(data, key, n):
         raise click.UsageError(f"--satake values under {key!r} must be "
                                f"non-zero")
     return vals
+
+
+def _check_weight_size(hc):
+    """Gamma_VQ is the product over the six pairs (lam_i, mu_j) of
+    Gamma_C(n) = (n-1)!/2^(n-1), n = 1/2 + |lam_i - mu_j|.  With m = n - 1,
+    its numerator divides the product of the odd parts of the m!, which
+    have bits(m!) - v_2(m!) bits, at most S(m) - (m - popcount(m)) with
+    S(m) = the sum of bits(k) for k <= m; its denominator is a smaller
+    power of 2.  Both must stay within the _SATAKE_BITS Python writes."""
+    need = 1
+    for lam in hc.lam:
+        for mu in hc.mu:
+            m = int(abs(lam - mu) - Fraction(1, 2))
+            L = m.bit_length()
+            need += L * (m + 1) - (1 << L) + 1 - m + m.bit_count()
+    if need > _SATAKE_BITS:
+        raise click.UsageError(
+            f"--weights and --kp are too large: Gamma_VQ would need {need} "
+            f"bits, at most {_SATAKE_BITS} can be written out")
 
 
 def _check_satake_size(p, pi_vals, sigma_vals):
@@ -136,7 +160,9 @@ def main(ctx):
 @main.command()
 @click.option("--p", type=int, default=5, show_default=True)
 @click.option("--weights", default="-1,0,2", show_default=True,
-              help="k1,k2,k3 (weakly increasing)")
+              help="k1,k2,k3 (weakly increasing); with --kp they must "
+                   "keep Gamma_VQ within 4300 digits: at the default --kp, "
+                   "-509,0,509 does and -510,0,510 does not")
 @click.option("--kp", default="-1,2", show_default=True,
               help="k1',k2' (weakly increasing)")
 @click.option("--satake", default=None,
@@ -154,6 +180,8 @@ def interp(p, weights, kp, satake, fmt):
         w = arch.WeightTuple(k, kprime)
     except AssertionError as exc:
         raise click.UsageError(f"bad weights: {exc}")
+    hc, xcrit, ycrit = arch.hc_from_weights(w)
+    _check_weight_size(hc)
 
     data = {"pi": ["2", "1", "3"], "sigma": ["5", "1/2"]}
     if satake is not None:
@@ -171,7 +199,6 @@ def interp(p, weights, kp, satake, fmt):
     pi_chars = tuple(PadicChar.unramified(p, u) for u in pi_vals)
     sigma = tuple(PadicChar.unramified(p, u) for u in sigma_vals)
 
-    hc, xcrit, ycrit = arch.hc_from_weights(w)
     root, m_q = arch.einf_mq(w)
     report = {
         "p": p,
@@ -459,7 +486,9 @@ def _run_suite(name, seed, params):
 @main.command()
 @click.argument("suite", type=click.Choice(list(_SUITES) + ["all"]))
 @click.option("--p", type=int, default=3, show_default=True)
-@click.option("--ell", type=int, default=3, show_default=True)
+@click.option("--ell", type=int, default=3, show_default=True,
+              help="thm81's averaging level: ell >= 2 and p^ell <= "
+                   f"{_THM81_TRANSLATES} (ell <= 9 at p = 3)")
 @click.option("--prec-T", "prec_t", type=int, default=8, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]),
@@ -475,6 +504,13 @@ def verify(suite, p, ell, prec_t, seed, fmt):
     # thm81's conductor-1 case needs ell >= n + n' = 2
     if "ell" in used and ell < 2:
         raise click.UsageError(f"--ell must be at least 2, got {ell}")
+    # p^ell >= 2^ell exceeds the bound once ell reaches its bit length, so
+    # such an ell is rejected before p^ell is built
+    if "ell" in used and (ell >= _THM81_TRANSLATES.bit_length()
+                          or p ** ell > _THM81_TRANSLATES):
+        raise click.UsageError(f"--ell {ell} at --p {p}: thm81 averages "
+                               f"p^ell translates, at most "
+                               f"{_THM81_TRANSLATES}")
     # the Mellin moments of the measures suite go up to T^3
     if "prec_t" in used and prec_t < 3:
         raise click.UsageError(f"--prec-T must be at least 3, got {prec_t}")

@@ -34,7 +34,7 @@ def _reduce_mod(x: ExactScalar, p: int, m: int) -> ExactScalar:
         _check(c.denominator % p != 0, "non p-integral coefficient")
         num = (c.numerator * pow(c.denominator, -1, q)) % q
         coeffs.append(Fraction(num))
-    return ExactScalar(coeffs, N=x.N, qgrade=x.qgrade, pigrade=x.pigrade)
+    return ExactScalar(coeffs, N=x.N, pigrade=x.pigrade)
 
 
 class MeasureSeries:

@@ -12,8 +12,7 @@ Conventions fixed throughout:
   * the additive character psi has conductor Z_p and psi(b/p^k) = zeta_{p^k}^(-b);
   * additive Haar measure gives vol(Z_p) = 1, multiplicative gives vol(Z_p^x) = 1;
   * X stands for q^(-s), so q^(-(1-s)) = q^(-1) X^(-1);
-  * half-integral powers of q are realized exactly via sqrt_prime(p) when a
-    value (rather than a formal grade) is required.
+  * a half-integral power of q is an exact value, scalar.half_power.
 
 Roots of unity as exponents (padr.chars).  Gauss sums, Fourier transforms
 and Tate integrals pass (r, x, M, j) terms to scalar.root_of_unity_sum, one
@@ -33,63 +32,48 @@ from .chars import (PadicChar, _gauss_cache, _gauss_cache_store,
                     _gauss_inverse, gauss_sum, psi_exponent, psi_value,
                     vp_frac)
 from .exactnum import LaurentRF
-from .scalar import (ExactScalar, GradeError, PoleError, _check, _coerce,
-                     root_of_unity_sum, sqrt_prime)
+from .scalar import (ExactScalar, PoleError, _check, _coerce, half_power,
+                     root_of_unity_sum)
 
 
 # ---------------------------------------------------------------------------
 # Tate local factors
 # ---------------------------------------------------------------------------
 
-def tate_factors(chi: PadicChar, psi_inverse: bool = False):
-    """(L(s,chi), eps(1/2,chi,psi^(-1)) graded, gamma(s,chi,psi)) with X = q^(-s).
+#: the factor 1, shared: a LaurentRF is immutable, and building one costs
+#: a canonical form
+_RF_ONE = LaurentRF.one()
 
-    gamma(s,chi,psi) = eps(s,chi,psi) L(1-s,chi^(-1)) / L(s,chi), where
-    eps(s,chi,psi) = chi(p)^c g(chi,psi) X^c has no residual q-grade, while
-    the central value eps(1/2) carries the formal factor q^(-c/2).  For
+
+def tate_factors(chi: PadicChar, psi_inverse: bool = False):
+    """(L(s,chi), eps(s,chi,psi), gamma(s,chi,psi)), LaurentRFs in X = q^(-s).
+
+    gamma(s,chi,psi) = eps(s,chi,psi) L(1-s,chi^(-1)) / L(s,chi).  For
     unramified chi, u = chi(p), each factor is one LaurentRF built from its
     numerator and denominator:
         L(s,chi) = 1 / (1 - u X),
         gamma(s,chi,psi) = (1 - u X) / (1 - (u q X)^(-1)),
-    and eps = 1; for c >= 1, L = 1 and gamma = eps = chi(p)^c g(chi,psi) X^c.
-    The flag multiplies eps and gamma by chi(-1), switching psi to psi^(-1).
+    and eps = 1; for c >= 1, L = 1 and gamma = eps = chi(p)^c g(chi,psi) X^c,
+    so that eps(1/2) is its value at X = half_power(p, -1).  The flag
+    multiplies eps and gamma by chi(-1), switching psi to psi^(-1); for
+    unramified chi that is 1.
     """
-    p, c = chi.p, chi.c
+    c = chi.c
     if c == 0:
         u = chi.u
         L = LaurentRF({0: 1}, {0: 1, 1: -u})
-        eps_half = ExactScalar.one()
-        gamma = LaurentRF({0: 1, 1: -u}, {0: 1, -1: -(u * p).inverse()})
-    else:
-        L = LaurentRF.one()
-        g = gauss_sum(chi)
-        root = chi.u ** c * g
-        eps_half = root.with_grades(qgrade=-c)
-        gamma = LaurentRF.monomial(root, c)
+        gamma = LaurentRF({0: 1, 1: -u}, {0: 1, -1: -(u * chi.p).inverse()})
+        return L, _RF_ONE, gamma
+    root = chi.u ** c * gauss_sum(chi)
     if psi_inverse:
-        sign = chi.at_minus_one()
-        eps_half = eps_half * sign
-        gamma = gamma * sign
-    return L, eps_half, gamma
+        root = root * chi.at_minus_one()
+    gamma = LaurentRF.monomial(root, c)
+    return _RF_ONE, gamma, gamma
 
 
 def zeta_local(p: int, k: int) -> Fraction:
     """zeta_F(k) = 1/(1 - q^(-k)) at an integer point."""
     return 1 / (1 - Fraction(1, p) ** k)
-
-
-def realize_grades(x: ExactScalar, p: int) -> ExactScalar:
-    """Fold formal grades into the value: q^(h/2) -> sqrt_prime(p)^h and
-    pi^k -> p^k.  A half-integral pi-grade has no rational value and
-    raises GradeError."""
-    if type(x.pigrade) is not int:
-        raise GradeError(f"pi-grade {x.pigrade} of {x} is not integral")
-    out = x.with_grades(qgrade=0, pigrade=0)
-    if x.qgrade:
-        out = out * sqrt_prime(p) ** x.qgrade
-    if x.pigrade:
-        out = out * ExactScalar.rational(Fraction(p) ** x.pigrade)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -623,14 +607,14 @@ def thm81_two_route(pi_chars, sigma, ell: int):
     h_dep, prefactor = depletion_pipeline(h_ord, chi, chi_prime, ell)
     z = zeta_two_route(h_dep, sigma, ell + n_prime)[1]
 
-    x_half = sqrt_prime(p).inverse()
+    x_half = half_power(p, -1)
     omega = mu_p.u * nu_p.u
     lhs = omega ** (ell + n_prime) * prefactor * z.evaluate(x_half)
 
     gamma_num = tate_factors(mu.inverse() * nu_p, psi_inverse=True)[2]
     gamma_den = _gamma_gl3_twist(pi_chars, mu_p)
     zeta_ratio = zeta_local(p, 2) / zeta_local(p, 1)
-    rhs = (ExactScalar.rational(zeta_ratio) * sqrt_prime(p).inverse() ** ell
+    rhs = (ExactScalar.rational(zeta_ratio) * half_power(p, -ell)
            * nu_p.u ** ell * gamma_num.evaluate(x_half)
            / gamma_den.evaluate(x_half))
     return lhs * lhs, rhs * rhs
@@ -647,7 +631,7 @@ def euler_modified(pi_chars, sigma) -> ExactScalar:
           gamma(1/2, pi^dual x nu', psi^(-1)) gamma(1/2, mu nu'^(-1), psi)^2,
 
     where L(1/2, pi x sigma^dual) is the product over the character pairs of
-    both GL factors.  Half powers of q are realized via sqrt_prime.
+    both GL factors, all at X = q^(-1/2) = half_power(p, -1).
 
     Each Laurent factor is evaluated as a pair (num, den) by
     LaurentRF.evaluate_parts, and E is the product of the denominators over
@@ -656,7 +640,7 @@ def euler_modified(pi_chars, sigma) -> ExactScalar:
     nu, rho, mu = pi_chars
     mu_p, nu_p = sigma
     p = nu.p
-    x_half = sqrt_prime(p).inverse()
+    x_half = half_power(p, -1)
     factors = []
     for eta in pi_chars:
         for xi in (mu_p, nu_p):
@@ -692,15 +676,16 @@ def euler_cpr(pi_chars, sigma) -> ExactScalar:
         and beta_2/alpha_3 (nu' against mu).
     For unramified characters euler_cpr(pi, sigma)^2 equals
     euler_modified(pi, sigma), the route through L and gamma factors, which
-    stays the oracle (`padr verify cpr`).  x is sqrt_prime(p) scaled by 1/p,
-    so no cyclotomic inversion is made.  Ramified characters are rejected.
+    stays the oracle (`padr verify cpr`).  x = half_power(p, -1) is
+    sqrt_prime(p) scaled by 1/p, so no cyclotomic inversion is made.
+    Ramified characters are rejected.
     """
     chars = (*pi_chars, *sigma)
     _check(all(ch.c == 0 for ch in chars),
            "euler_cpr takes unramified characters only")
     a1, a2, a3, b1, b2 = (ch.u for ch in chars)
     p = pi_chars[0].p
-    x = sqrt_prime(p) * Fraction(1, p)
+    x = half_power(p, -1)
     one = ExactScalar.one()
     factors = [one - lam * x
                for lam in (b1 / a1, b1 / a2, b1 / a3, a1 / b2, a2 / b2, b2 / a3)]
@@ -769,12 +754,11 @@ def subgroup_index(p: int, c: int, ell: int) -> int:
 
 def pstab_ratio(sigma, ell: int) -> ExactScalar:
     """q^(l/2) nu(p)^l [K_0(p^c(sigma)) : I_0(p^l)]^(-1) E(sigma, Ad, psi)
-    mu(-1), returned with the q^(l/2) as a formal grade."""
+    mu(-1), with q^(l/2) = half_power(p, l)."""
     mu, nu = sigma
     idx = subgroup_index(mu.p, mu.c + nu.c, ell)
-    val = (nu.u ** ell * adjoint_modified(sigma)
-           * mu.at_minus_one() * ExactScalar.rational(Fraction(1, idx)))
-    return val.with_grades(qgrade=val.qgrade + ell)
+    return (nu.u ** ell * adjoint_modified(sigma) * mu.at_minus_one()
+            * half_power(mu.p, ell) * ExactScalar.rational(Fraction(1, idx)))
 
 
 # ---------------------------------------------------------------------------
@@ -784,21 +768,21 @@ def pstab_ratio(sigma, ell: int) -> ExactScalar:
 def up_eigenvalues(chars, n: int, index: int, mode: str) -> ExactScalar:
     """Eigenvalue of U_p(alpha_i) or U_p(beta_j) on the normalized ordinary
     vector of I(mu_1, ..., mu_n): alpha gives q^(i(n-i)/2) / prod_{l<=i}
-    mu_l(p), beta gives q^(j(n-j)/2) prod_{l>n-j} mu_l(p); the half power of
-    q is a formal grade."""
+    mu_l(p), beta gives q^(j(n-j)/2) prod_{l>n-j} mu_l(p), with the half
+    power of q the value half_power(p, i(n-i))."""
     _check(len(chars) == n, f"{len(chars)} characters for GL_{n}")
     if mode == "alpha":
         _check(1 <= index <= n, f"alpha index {index} outside 1..{n}")
-        val = ExactScalar.one()
+        val = half_power(chars[0].p, index * (n - index))
         for l in range(1, index + 1):
-            val = val * chars[l - 1].u.inverse()
-        return val.with_grades(qgrade=index * (n - index))
+            val = val / chars[l - 1].u
+        return val
     if mode == "beta":
         _check(1 <= index <= n - 1, f"beta index {index} outside 1..{n - 1}")
-        val = ExactScalar.one()
+        val = half_power(chars[0].p, index * (n - index))
         for l in range(n - index + 1, n + 1):
             val = val * chars[l - 1].u
-        return val.with_grades(qgrade=index * (n - index))
+        return val
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -806,18 +790,18 @@ def gl2_up_oracle(phi2: SchwartzFn, chars2) -> ExactScalar:
     """Recompute the U_p(beta_1) eigenvalue from torus Whittaker values
     W(diag(b,1)) = mu(-b) |b|^(1/2) hat(phi2)(b): the operator sends this to
     [sum_{x mod p} psi(bx)] W(diag(pb,1)), and the ratio must be constant on
-    the support.  Returns the realized (sqrt_prime) eigenvalue."""
+    the support.  Returns the eigenvalue as a value, |b|^(1/2) as
+    half_power(p, -v(b))."""
     p = phi2.p
     mu = chars2[1]
     hat2 = fourier_transform(phi2)
-    root = sqrt_prime(p)
 
     def w_val(b):
         f = hat2.evaluate(b)
         if f.is_zero():
             return ExactScalar.zero()
         v = vp_frac(b, p)
-        return mu(-b) * root.inverse() ** v * f
+        return mu(-b) * half_power(p, -v) * f
 
     def coset_sum(b):
         total = ExactScalar.zero()

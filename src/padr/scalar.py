@@ -3,12 +3,12 @@
 Every scalar lies in one field family: a cyclotomic field Q(zeta_N),
 N >= 1, where Q(zeta_1) = Q.  Square roots of integers need no field of
 their own: by Kronecker-Weber sqrt D lies in Q(zeta_4D), and sqrtD(D) is
-built there from quadratic Gauss sums (sqrt_prime).  Every scalar
-additionally carries two formal grades:
-a q-grade h (a formal factor q^(h/2)) and a pi-grade k (a formal factor
-pi^k).  Multiplication adds grades; addition insists on equal grades,
-except that an exact zero is grade-polymorphic.  The q-grade is an
-integer.  The pi-grade is an integer or a half-integer, since
+built there from quadratic Gauss sums (sqrt_prime), and a half power
+p^(h/2) is p^floor(h/2) sqrt_prime(p)^(h mod 2) (half_power).  Every
+scalar additionally carries one formal grade, the pi-grade k (a formal
+factor pi^k), since pi lies in no Q(zeta_N).  Multiplication adds
+grades; addition insists on equal grades, except that an exact zero is
+grade-polymorphic.  The pi-grade is an integer or a half-integer, since
 Gamma(1/2) = pi^(1/2): an integral grade is stored as a plain int, a
 half-integral one as a Fraction, and any other value raises ValueError.
 The archimedean Gamma factors are rational scalars with such grades.
@@ -214,16 +214,6 @@ def _check(ok, what):
         raise AssertionError(what)
 
 
-def _qgrade(k):
-    """A q-grade as a plain int; any other value raises ValueError."""
-    if type(k) is int:
-        return k
-    k = Fraction(k)
-    if k.denominator != 1:
-        raise ValueError(f"q-grade {k} is not an integer")
-    return k.numerator
-
-
 def _pigrade(k):
     """A pi-grade as a plain int, or as a Fraction when it is half-odd;
     any other value raises ValueError."""
@@ -246,13 +236,13 @@ def _as_fraction(x):
 
 
 class ExactScalar:
-    """Immutable element of Q(zeta_N), N >= 1 (N = 1 is Q), with formal
-    grades, stored as integer numerators ``nums`` in the power basis over
+    """Immutable element of Q(zeta_N), N >= 1 (N = 1 is Q), with a formal
+    pi-grade, stored as integer numerators ``nums`` in the power basis over
     one positive ``den``."""
 
-    __slots__ = ("N", "nums", "den", "qgrade", "pigrade")
+    __slots__ = ("N", "nums", "den", "pigrade")
 
-    def __init__(self, coeffs, N=1, qgrade=0, pigrade=0):
+    def __init__(self, coeffs, N=1, pigrade=0):
         coeffs = [c if type(c) is Fraction else _as_fraction(c)
                   for c in coeffs]
         if N < 1:
@@ -268,7 +258,6 @@ class ExactScalar:
         _set_N(self, N)
         _set_nums(self, nums)
         _set_den(self, den)
-        _set_qgrade(self, _qgrade(qgrade))
         _set_pigrade(self, _pigrade(pigrade))
 
     def __setattr__(self, *a):
@@ -283,13 +272,12 @@ class ExactScalar:
     # -- constructors --------------------------------------------------
 
     @staticmethod
-    def rational(x, qgrade=0, pigrade=0):
+    def rational(x, pigrade=0):
         if type(x) is int:
-            return _build(1, (x,), 1, _qgrade(qgrade), _pigrade(pigrade))
+            return _build(1, (x,), 1, _pigrade(pigrade))
         if type(x) is not Fraction:
             x = Fraction(x)
-        return _build(1, (x.numerator,), x.denominator,
-                      _qgrade(qgrade), _pigrade(pigrade))
+        return _build(1, (x.numerator,), x.denominator, _pigrade(pigrade))
 
     @staticmethod
     def zeta(N, k=1):
@@ -299,11 +287,7 @@ class ExactScalar:
         k %= N
         acc = [0] * max(k + 1, euler_phi(N))
         acc[k] = 1
-        return _build(N, tuple(_cyc_reduce(acc, N)), 1, 0, 0)._demote()
-
-    @staticmethod
-    def i_unit():
-        return ExactScalar.zeta(4)
+        return _build(N, tuple(_cyc_reduce(acc, N)), 1, 0)._demote()
 
     @staticmethod
     def sqrtD(D):
@@ -330,8 +314,7 @@ class ExactScalar:
         return not any(self.nums)
 
     def is_one(self):
-        return self.nums == (1,) and self.den == 1 and \
-            not (self.qgrade or self.pigrade)
+        return self.nums == (1,) and self.den == 1 and not self.pigrade
 
     def is_rational(self):
         return self._demote().N == 1
@@ -340,7 +323,7 @@ class ExactScalar:
         d = self._demote()
         # constant messages: an f-string would serialize self on every call
         _check(d.N == 1, "not rational")
-        _check(d.qgrade == 0 and d.pigrade == 0, "graded scalar")
+        _check(d.pigrade == 0, "graded scalar")
         return Fraction(d.nums[0], d.den)
 
     # -- canonicalization ----------------------------------------------
@@ -349,12 +332,10 @@ class ExactScalar:
         """Drop to N = 1 when the element is a plain rational."""
         if self.N == 1 or any(self.nums[1:]):
             return self
-        return _build(1, self.nums[:1], self.den, self.qgrade, self.pigrade)
+        return _build(1, self.nums[:1], self.den, self.pigrade)
 
-    def with_grades(self, qgrade=None, pigrade=None):
-        return _build(self.N, self.nums, self.den,
-                      self.qgrade if qgrade is None else _qgrade(qgrade),
-                      self.pigrade if pigrade is None else _pigrade(pigrade))
+    def with_grades(self, pigrade):
+        return _build(self.N, self.nums, self.den, _pigrade(pigrade))
 
     # -- promotion -----------------------------------------------------
 
@@ -364,14 +345,13 @@ class ExactScalar:
             return self
         if self.N == 1:
             nums = self.nums + (0,) * (euler_phi(N) - 1)
-            return _build(N, nums, self.den, self.qgrade, self.pigrade)
+            return _build(N, nums, self.den, self.pigrade)
         step = N // self.N
         acc = [0] * N
         nums = self.nums
         for k in compress(range(len(nums)), nums):
             acc[k * step] = nums[k]
-        return _make(N, _cyc_reduce(acc, N), self.den,
-                     self.qgrade, self.pigrade)
+        return _make(N, _cyc_reduce(acc, N), self.den, self.pigrade)
 
     @staticmethod
     def _promote_pair(a, b):
@@ -389,10 +369,9 @@ class ExactScalar:
             return other
         if other.is_zero():
             return self
-        if (self.qgrade, self.pigrade) != (other.qgrade, other.pigrade):
-            raise GradeError(
-                f"grade mismatch in addition: (q:{self.qgrade},pi:{self.pigrade})"
-                f" vs (q:{other.qgrade},pi:{other.pigrade})")
+        if self.pigrade != other.pigrade:
+            raise GradeError(f"grade mismatch in addition: pi:{self.pigrade}"
+                             f" vs pi:{other.pigrade}")
         a, b = ExactScalar._promote_pair(self, other)
         da, db = a.den, b.den
         if da == db:
@@ -402,13 +381,13 @@ class ExactScalar:
             fa, fb = db // g, da // g
             nums = [x * fa + y * fb for x, y in zip(a.nums, b.nums)]
             da *= fa
-        return _make(a.N, nums, da, a.qgrade, a.pigrade)._demote()
+        return _make(a.N, nums, da, a.pigrade)._demote()
 
     __radd__ = __add__
 
     def __neg__(self):
         return _build(self.N, tuple([-x for x in self.nums]), self.den,
-                      self.qgrade, self.pigrade)
+                      self.pigrade)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -418,7 +397,6 @@ class ExactScalar:
 
     def __mul__(self, other):
         other = _coerce(other)
-        qg = self.qgrade + other.qgrade
         pg = self.pigrade + other.pigrade
         if type(pg) is not int:
             pg = _pigrade(pg)
@@ -431,20 +409,19 @@ class ExactScalar:
         else:
             a, b = ExactScalar._promote_pair(self, other)
             return _make(a.N, _cyc_mul(a.nums, b.nums, a.N), den,
-                         qg, pg)._demote()
-        return _make(a.N, [x * c for x in a.nums], den, qg, pg)._demote()
+                         pg)._demote()
+        return _make(a.N, [x * c for x in a.nums], den, pg)._demote()
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.is_zero():
             raise AssertionError("division by zero")
-        qg, pg = -self.qgrade, -self.pigrade
+        pg = -self.pigrade
         if self.N == 1:
-            return _make(1, (self.den,), self.nums[0], qg, pg)
+            return _make(1, (self.den,), self.nums[0], pg)
         inv, den = _cyc_inverse(self.nums, self.N)
-        return _make(self.N, [x * self.den for x in inv], den,
-                     qg, pg)._demote()
+        return _make(self.N, [x * self.den for x in inv], den, pg)._demote()
 
     def __truediv__(self, other):
         return self * _coerce(other).inverse()
@@ -473,7 +450,7 @@ class ExactScalar:
             return NotImplemented
         if self.is_zero() and other.is_zero():
             return True
-        if (self.qgrade, self.pigrade) != (other.qgrade, other.pigrade):
+        if self.pigrade != other.pigrade:
             return False
         a, b = ExactScalar._promote_pair(self, other)
         return a.den == b.den and a.nums == b.nums
@@ -482,10 +459,10 @@ class ExactScalar:
         if self.is_zero():
             return hash(Q0)
         N, nums = _minimal_field(self.N, self.nums)
-        if N == 1 and not (self.qgrade or self.pigrade):
+        if N == 1 and not self.pigrade:
             # every ungraded rational hashes as its Fraction
             return hash(Fraction(nums[0], self.den))
-        return hash((N, nums, self.den, self.qgrade, self.pigrade))
+        return hash((N, nums, self.den, self.pigrade))
 
     # -- Galois --------------------------------------------------------
 
@@ -501,8 +478,7 @@ class ExactScalar:
         nums = self.nums
         for k in compress(range(len(nums)), nums):
             acc[k * m % N] += nums[k]
-        return _make(N, _cyc_reduce(acc, N), self.den,
-                     self.qgrade, self.pigrade)._demote()
+        return _make(N, _cyc_reduce(acc, N), self.den, self.pigrade)._demote()
 
     def conjugate(self):
         """Complex conjugation: zeta_N -> zeta_N^(-1)."""
@@ -512,8 +488,8 @@ class ExactScalar:
 
     def serialize(self):
         """The power-basis form: terms c and c*zN^k (c a reduced fraction,
-        0 < k < phi(N)) joined by + or -, "0" for zero, then " @q:g" and
-        " @pi:h" for non-zero grades.  parse reads exactly this form."""
+        0 < k < phi(N)) joined by + or -, "0" for zero, then " @pi:h" for
+        a non-zero pi-grade.  parse reads exactly this form."""
         d = self._demote()
         den = d.den
         terms = []
@@ -525,8 +501,6 @@ class ExactScalar:
             c = f"{n // g}/{den // g}" if g != den else str(n // g)
             terms.append(f"{c}*z{d.N}^{k}" if k else c)
         body = "+".join(terms).replace("+-", "-") if terms else "0"
-        if d.qgrade:
-            body += f" @q:{d.qgrade}"
         if d.pigrade:
             body += f" @pi:{d.pigrade}"
         return body
@@ -544,22 +518,21 @@ class ExactScalar:
 _new = object.__new__
 # the slot descriptors write past ExactScalar.__setattr__, which raises to
 # keep the type immutable, at less cost than object.__setattr__
-_set_N, _set_nums, _set_den, _set_qgrade, _set_pigrade = (
+_set_N, _set_nums, _set_den, _set_pigrade = (
     getattr(ExactScalar, slot).__set__ for slot in ExactScalar.__slots__)
 
 
-def _build(N, nums, den, qgrade, pigrade):
+def _build(N, nums, den, pigrade):
     """ExactScalar from a numerator tuple and den already in lowest terms."""
     x = _new(ExactScalar)
     _set_N(x, N)
     _set_nums(x, nums)
     _set_den(x, den)
-    _set_qgrade(x, qgrade)
     _set_pigrade(x, pigrade)
     return x
 
 
-def _make(N, nums, den, qgrade, pigrade):
+def _make(N, nums, den, pigrade):
     """ExactScalar from integer numerators over den != 0, in lowest terms.
 
     nums is a tuple or a list that no one else holds, since it may be
@@ -579,7 +552,7 @@ def _make(N, nums, den, qgrade, pigrade):
             for k in compress(range(len(nums)), nums):
                 nums[k] //= g
         den //= g
-    return _build(N, tuple(nums), den, qgrade, pigrade)
+    return _build(N, tuple(nums), den, pigrade)
 
 
 def root_of_unity_sum(terms):
@@ -592,11 +565,11 @@ def root_of_unity_sum(terms):
     of two scalars is formed.  A non-zero term has conductor lcm(x.N, M),
     with M counted as 1 when zeta_M^j = +-1; the sum lives at the lcm of
     these, or in Q when it is rational.  Zero terms are skipped; the
-    non-zero ones must share one grade, else GradeError.
+    non-zero ones must share one pi-grade, else GradeError.
     """
     items = []
     N = D = 1
-    qg = pg = last = None
+    pg = last = None
     for r, x, M, j in terms:
         if type(r) is int:
             rn, rd = r, 1
@@ -607,12 +580,11 @@ def root_of_unity_sum(terms):
         if x is not last:  # runs of terms often share x
             if not any(x.nums):
                 continue
-            if x.qgrade != qg or x.pigrade != pg:
-                if qg is not None:
+            if x.pigrade != pg:
+                if pg is not None:
                     raise GradeError(f"grade mismatch in a root-of-unity sum: "
-                                     f"(q:{qg},pi:{pg}) vs "
-                                     f"(q:{x.qgrade},pi:{x.pigrade})")
-                qg, pg = x.qgrade, x.pigrade
+                                     f"pi:{pg} vs pi:{x.pigrade}")
+                pg = x.pigrade
             last = x
             if N % x.N:
                 N = math.lcm(N, x.N)
@@ -631,8 +603,7 @@ def root_of_unity_sum(terms):
             D = math.lcm(D, d)
     if not items:
         return ExactScalar.zero()
-    return _make(N, _cyc_reduce(_accumulate(items, N, D), N), D, qg,
-                 pg)._demote()
+    return _make(N, _cyc_reduce(_accumulate(items, N, D), N), D, pg)._demote()
 
 
 def _accumulate(items, N, D):
@@ -814,21 +785,28 @@ def _cyc_inverse(nums, N):
 
 @functools.lru_cache(maxsize=None)
 def sqrt_prime(p: int) -> ExactScalar:
-    """An exact cyclotomic element whose square is p (p prime)."""
+    """An exact cyclotomic element whose square is p (p prime), as one
+    root_of_unity_sum: zeta_8 + zeta_8^7 for p = 2, and otherwise the
+    quadratic Gauss sum g = sum over a mod p of (a/p) zeta_p^a, which is
+    sqrt(p) for p = 1 mod 4 and i sqrt(p) for p = 3 mod 4; there the
+    value is -i g, whose terms -i zeta_p^a are zeta_4p^(3p + 4a)."""
+    one = ExactScalar.one()
     if p == 2:
-        s = ExactScalar.zeta(8) + ExactScalar.zeta(8, 7)
+        terms = [(1, one, 8, 1), (1, one, 8, 7)]
     else:
-        g0 = ExactScalar.zero()
-        for a in range(1, p):
-            leg = pow(a, (p - 1) // 2, p)
-            sgn = 1 if leg == 1 else -1
-            g0 = g0 + sgn * ExactScalar.zeta(p, a)
-        if p % 4 == 1:
-            s = g0
-        else:
-            s = -ExactScalar.i_unit() * g0
+        M, shift, step = (p, 0, 1) if p % 4 == 1 else (4 * p, 3 * p, 4)
+        terms = [(1 if pow(a, (p - 1) // 2, p) == 1 else -1, one, M,
+                  shift + step * a) for a in range(1, p)]
+    s = root_of_unity_sum(terms)
     _check(s * s == ExactScalar.rational(p), f"sqrt_prime({p})^2 != {p}")
     return s
+
+
+def half_power(p: int, h: int) -> ExactScalar:
+    """p^(h/2) for a prime p and an integer h, as the rational
+    p^floor(h/2) times sqrt_prime(p) when h is odd: no field inversion."""
+    r = ExactScalar.rational(Fraction(p) ** (h >> 1))
+    return r * sqrt_prime(p) if h & 1 else r
 
 
 # ----------------------------------------------------------------------
@@ -836,19 +814,13 @@ def sqrt_prime(p: int) -> ExactScalar:
 # ----------------------------------------------------------------------
 
 def _parse_scalar(s: str) -> ExactScalar:
-    s = s.strip()
-    qg = pg = 0
-    while "@" in s:
-        s, _, tail = s.rpartition("@")
-        tail = tail.strip()
-        if tail.startswith("q:"):
-            qg = _qgrade(tail[2:])
-        elif tail.startswith("pi:"):
-            pg = _pigrade(tail[3:])
-        else:
-            raise ValueError(f"bad grade annotation: @{tail}")
-        s = s.strip()
-    return _parse_power_basis(s).with_grades(qgrade=qg, pigrade=pg)
+    s, at, tail = s.strip().partition(" @")
+    x = _parse_power_basis(s)
+    if not at:
+        return x
+    if not tail.startswith("pi:"):
+        raise ValueError(f"bad grade annotation: @{tail}")
+    return x.with_grades(tail[3:])
 
 
 _POWER_TERM = re.compile(r"([+-]?)(\d+)(?:/(\d+))?(?:\*z(\d+)\^(\d+))?")
@@ -883,4 +855,4 @@ def _parse_power_basis(s):
     nums = [0] * euler_phi(N)
     for num, d, k in terms:
         nums[k] += num * (den // d)
-    return _make(N, nums, den, 0, 0)._demote()
+    return _make(N, nums, den, 0)._demote()

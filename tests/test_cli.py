@@ -180,7 +180,8 @@ class TestGaussCacheWrites:
     @pytest.mark.parametrize("entry", ["5", "1*z42^1", "0", "5 @q:1"])
     def test_entry_that_is_no_gauss_sum_is_recomputed(self, stores, tmp_path,
                                                      entry):
-        # each entry parses, but its product with its conjugate is not 7
+        # "5 @q:1" does not parse, since a scalar's one grade is @pi; each
+        # other entry parses, but its product with its conjugate is not 7
         cache = tmp_path / "gauss_sums.json"
         cache.write_text(json.dumps({"7_1_1": entry}))
         res = run("verify", "gauss", "--p", "7")
@@ -329,6 +330,23 @@ class TestUsageErrors:
         (["interp", "--p", "7", "--satake",
           '{"pi": [3, 3, 3], "sigma": ["' + str(2 ** 2367 + 1) + '", 1]}'],
          "E_p would need 14288 bits"),
+        # Gamma_VQ's numerator would have 4031 digits, but the bound on the
+        # odd parts of its six factorials is 14315 bits, 31 too many; past
+        # the bound, writing Gamma_VQ raises ValueError (over 4300 digits)
+        # and factorial OverflowError (23-digit weights)
+        (["interp", "--weights=-510,0,510"], "Gamma_VQ would need 14315 bits"),
+        (["interp", "--weights=-1000,0,1000"], "--weights and --kp are too"),
+        (["interp", "--weights", "1,2,99999999999999999999999"],
+         "--weights and --kp are too large"),
+        (["interp", "--kp", "-1,99999999999999999999999"],
+         "--weights and --kp are too large"),
+        # p^ell translates: 3^10 = 59049 and 5^7 = 78125 exceed 20000
+        (["verify", "thm81", "--ell", "10"], "--ell 10 at --p 3"),
+        (["verify", "thm81", "--p", "5", "--ell", "7"], "--ell 7 at --p 5"),
+        (["verify", "all", "--ell", "10"], "at most 20000"),
+        (["verify", "thm81", "--ell", "100"], "at most 20000"),
+        (["verify", "thm81", "--ell", "99999999999999999999"],
+         "at most 20000"),
     ])
     def test_exit_2_with_message(self, args, message):
         res = run(*args)
@@ -342,6 +360,8 @@ class TestUsageErrors:
         ["interp", "--p", "2"],
         ["verify", "fourier", "--p", "2"],
         ["verify", "thm81", "--ell", "2"],
+        # 3^9 = 19683 translates, the most at p = 3
+        ["verify", "thm81", "--ell", "9"],
         ["verify", "measures", "--prec-T", "3"],
     ])
     def test_boundary_values_run(self, args):
@@ -367,6 +387,17 @@ class TestInterp:
         assert report["E_p"] == plocal.euler_modified(pi, sigma).serialize()
         assert report["E_adjoint"] == \
             plocal.adjoint_modified(sigma).serialize()
+
+    def test_weights_at_the_size_bound(self):
+        # the bound on Gamma_VQ's factorials reads 14284 bits or fewer
+        from padr import arch
+        res = run("interp", "--weights=-509,0,509")
+        assert res.exit_code == 0, res.output
+        w = arch.WeightTuple((-509, 0, 509), (-1, 2))
+        v = arch.gamma_vq(w)
+        want = f"{v.with_grades(pigrade=0).as_fraction()}*pi^{v.pigrade}"
+        assert json.loads(res.output)["Gamma_VQ"] == want
+        assert len(want.split("/")[0]) == 4020
 
     def test_satake_override(self):
         data = json.dumps({"pi": ["3", "1", "2"], "sigma": ["7", "1/3"]})

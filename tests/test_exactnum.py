@@ -24,6 +24,7 @@ from padr.scalar import (
     PoleError,
     cyclotomic_poly,
     euler_phi,
+    half_power,
     root_of_unity_sum,
     sqrt_prime,
     _KRON_MIN_TERMS,
@@ -46,10 +47,10 @@ def rand_scalar(rng, N):
     return E(coeffs, N=N)
 
 
-def quad(D, a=0, b=0, c=0, d=0, qgrade=0):
+def quad(D, a=0, b=0, c=0, d=0, pigrade=0):
     """a + b i + c sqrtD + d i sqrtD, in Q(zeta_4D)."""
-    i, s = E.i_unit(), E.sqrtD(D)
-    return (a + b * i + c * s + d * i * s).with_grades(qgrade=qgrade)
+    i, s = E.zeta(4), E.sqrtD(D)
+    return (a + b * i + c * s + d * i * s).with_grades(pigrade=pigrade)
 
 
 class TestCycloArith:
@@ -60,16 +61,21 @@ class TestCycloArith:
         assert (E.one() + E.zeta(3)) + E.zeta(3, 2) == E.zero()
 
     def test_grade_addition_under_mul(self):
-        a = E.rational(2, qgrade=1)
-        b = E.rational(3, qgrade=1)
-        assert a * b == E.rational(6, qgrade=2)
+        a = E.rational(2, pigrade=1)
+        b = E.rational(3, pigrade=1)
+        assert a * b == E.rational(6, pigrade=2)
+        assert a * b != E.rational(6)
 
     def test_grade_mismatch_on_add(self):
         with pytest.raises(GradeError):
-            E.rational(1, qgrade=1) + E.rational(1)
+            E.rational(1, pigrade=1) + E.rational(1)
+        with pytest.raises(GradeError):
+            E.zeta(3).with_grades(pigrade=Fraction(1, 2)) + E.zeta(3)
 
     def test_zero_is_grade_polymorphic(self):
-        assert E.zero() + E.rational(5, qgrade=3) == E.rational(5, qgrade=3)
+        assert E.zero() + E.rational(5, pigrade=3) == E.rational(5, pigrade=3)
+        assert E.rational(5, pigrade=3) + E.rational(0, pigrade=-1) == \
+            E.rational(5, pigrade=3)
 
     def test_division_by_zero(self):
         with pytest.raises(AssertionError):
@@ -121,37 +127,35 @@ class TestCycloArith:
         with pytest.raises(ValueError):
             E.parse(f"1 @pi:{bad}")
 
-    @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(-3, 4), "1/2"])
-    def test_non_integral_qgrade_rejected(self, bad):
+    @pytest.mark.parametrize("s", ["1 @q:1", "1 @q:-3", "1 @q:1 @pi:2",
+                                   "1 @pi:2 @q:1", "1 @pi:1 @pi:1",
+                                   "1@pi:1", "1 @pi:"])
+    def test_only_the_pi_grade_is_written(self, s):
+        # a half power of q is a value (half_power), never a formal grade
         with pytest.raises(ValueError):
-            E.rational(1, qgrade=bad)
-        with pytest.raises(ValueError):
-            E([1], qgrade=bad)
-        with pytest.raises(ValueError):
-            E.one().with_grades(qgrade=bad)
-        with pytest.raises(ValueError):
-            E.parse(f"1 @q:{bad}")
-
-    def test_integral_qgrade_accepted(self):
-        assert E.rational(1, qgrade=Fraction(4, 2)).qgrade == 2
-        assert E.parse("1 @q:-3").qgrade == -3
+            E.parse(s)
 
 
 def test_is_one():
     assert E.one().is_one() and E.zeta(1).is_one() and E.zeta(4, 4).is_one()
     assert (E.zeta(3) * E.zeta(3, 2)).is_one()
     for v in (E.zero(), E.rational(-1), E.rational(Fraction(1, 2)), E.zeta(4),
-              E.rational(1, qgrade=1), E.rational(1, pigrade=Fraction(1, 2))):
+              E.rational(1, pigrade=1), E.rational(1, pigrade=Fraction(1, 2))):
         assert not v.is_one()
 
 
 def test_scalars_stay_immutable():
     x = E([1, 2], N=3)
-    for slot, value in (("N", 2), ("nums", (1,)), ("den", 2), ("qgrade", 1),
-                        ("pigrade", 1), ("other", 0)):
+    assert E.__slots__ == ("N", "nums", "den", "pigrade")
+    for slot, value in (("N", 2), ("nums", (1,)), ("den", 2), ("pigrade", 1),
+                        ("qgrade", 1), ("other", 0)):
         with pytest.raises(AttributeError):
             setattr(x, slot, value)
-    assert (x.N, x.nums, x.den, x.qgrade, x.pigrade) == (3, (1, 2), 1, 0, 0)
+    assert (x.N, x.nums, x.den, x.pigrade) == (3, (1, 2), 1, 0)
+    for make in (lambda: E([1], qgrade=1), lambda: E.rational(1, qgrade=1),
+                 lambda: x.with_grades(qgrade=1)):
+        with pytest.raises(TypeError):
+            make()
 
 
 # The kernel's earlier routes, kept as oracles: the schoolbook product over
@@ -297,24 +301,24 @@ class TestCyclotomicPoly:
 # Dense-loop oracles for the kernel's sparse walks: each walks every
 # numerator, zero or not, as the kernel did before it skipped the zeros.
 
-def _make_dense(N, nums, den, qgrade, pigrade):
+def _make_dense(N, nums, den, pigrade):
     g = math.gcd(den, *nums)
     if den < 0:
         g = -g
-    return _build(N, tuple(x // g for x in nums), den // g, qgrade, pigrade)
+    return _build(N, tuple(x // g for x in nums), den // g, pigrade)
 
 
 def _demote_dense(x):
     if x.N == 1 or any(x.nums[1:]):
         return x
-    return _build(1, x.nums[:1], x.den, x.qgrade, x.pigrade)
+    return _build(1, x.nums[:1], x.den, x.pigrade)
 
 
 def _to_cyc_dense(x, N):
     acc = [0] * N
     for k, c in enumerate(x.nums):
         acc[k * (N // x.N)] += c
-    return _make_dense(N, _cyc_reduce(acc, N), x.den, x.qgrade, x.pigrade)
+    return _make_dense(N, _cyc_reduce(acc, N), x.den, x.pigrade)
 
 
 def _galois_dense(x, m):
@@ -322,7 +326,7 @@ def _galois_dense(x, m):
     for k, c in enumerate(x.nums):
         acc[k * m % x.N] += c
     return _demote_dense(_make_dense(x.N, _cyc_reduce(acc, x.N), x.den,
-                                     x.qgrade, x.pigrade))
+                                     x.pigrade))
 
 
 def _descend_dense(N, q, nums):
@@ -343,7 +347,7 @@ def _descend_dense(N, q, nums):
 
 
 def _root_of_unity_sum_dense(terms):
-    items, N, D, grades = [], 1, 1, (0, 0)
+    items, N, D, grade = [], 1, 1, 0
     for r, x, M, j in terms:
         r = Fraction(r)
         if not r or x.is_zero():
@@ -353,7 +357,7 @@ def _root_of_unity_sum_dense(terms):
             r, M, j = (-r if j else r), 1, 0
         N, D = math.lcm(N, x.N, M), math.lcm(D, r.denominator * x.den)
         items.append((r, x, M, j))
-        grades = (x.qgrade, x.pigrade)
+        grade = x.pigrade
     if not items:
         return E.zero()
     acc = [0] * N
@@ -361,12 +365,12 @@ def _root_of_unity_sum_dense(terms):
         f = r.numerator * (D // (r.denominator * x.den))
         for k, c in enumerate(x.nums):
             acc[(j * (N // M) + k * (N // x.N)) % N] += c * f
-    return _demote_dense(_make_dense(N, _cyc_reduce(acc, N), D, *grades))
+    return _demote_dense(_make_dense(N, _cyc_reduce(acc, N), D, grade))
 
 
 class TestSparseWalks:
     """The kernel loops that walk only the non-zero numerators give the
-    dense loops' scalars: the same (N, nums, den, grades), so the same
+    dense loops' scalars: the same (N, nums, den, pigrade), so the same
     serialize() and value, at every density."""
 
     CONDUCTORS = [1, 2, 42, 49, 343, 506]
@@ -392,15 +396,15 @@ class TestSparseWalks:
         return out
 
     @classmethod
-    def scalar(cls, rng, N, density, qgrade=0):
+    def scalar(cls, rng, N, density, pigrade=0):
         """A scalar at N as _make leaves it, before any demotion."""
         nums = cls.numerators(rng, N, density)
-        return _make_dense(N, nums, rng.randint(1, 60), qgrade, 0)
+        return _make_dense(N, nums, rng.randint(1, 60), pigrade)
 
     @staticmethod
     def same(got, want):
-        assert (got.N, got.nums, got.den, got.qgrade, got.pigrade) == \
-            (want.N, want.nums, want.den, want.qgrade, want.pigrade)
+        assert (got.N, got.nums, got.den, got.pigrade) == \
+            (want.N, want.nums, want.den, want.pigrade)
         assert got.serialize() == want.serialize()
         assert got == want
 
@@ -417,8 +421,8 @@ class TestSparseWalks:
                                                          N, dens)]
             den *= factor
             arg = tuple(nums) if as_tuple else list(nums)
-            self.same(_make(N, arg, den, 1, 0),
-                      _make_dense(N, nums, den, 1, 0))
+            self.same(_make(N, arg, den, 1),
+                      _make_dense(N, nums, den, 1))
 
         check()
 
@@ -430,14 +434,14 @@ class TestSparseWalks:
         def check(N, dens, constant, s):
             x = self.scalar(random.Random(s), N, dens)
             if constant and x.nums[0] == 0:
-                x = _build(N, (7,) + x.nums[1:], x.den, 0, 0)
+                x = _build(N, (7,) + x.nums[1:], x.den, 0)
             self.same(x._demote(), _demote_dense(x))
 
         check()
 
     @pytest.mark.parametrize("N", [2, 42, 49, 343, 506])
     def test_zero_vector_demotes_to_Q(self, N):
-        zero = _make(N, [0] * euler_phi(N), -5, 0, 0)
+        zero = _make(N, [0] * euler_phi(N), -5, 0)
         assert zero.nums == (0,) * euler_phi(N) and zero.den == 1
         got = zero._demote()
         assert (got.N, got.nums, got.den) == (1, (0,), 1)
@@ -461,7 +465,7 @@ class TestSparseWalks:
         @hyp.settings(max_examples=100, deadline=None)
         @hyp.given(conductor, density, st.integers(-3000, 3000), seed)
         def check(N, dens, m, s):
-            x = self.scalar(random.Random(s), N, dens, qgrade=2)
+            x = self.scalar(random.Random(s), N, dens, pigrade=2)
             hyp.assume(math.gcd(m, N) == 1)
             self.same(x.galois(m), _galois_dense(x, m))
 
@@ -501,7 +505,8 @@ class TestSparseWalks:
             rng = random.Random(s)
             terms = []
             for r, dens, at_N, j in raw:
-                x = self.scalar(rng, N if at_N else 1, dens, qgrade=1)
+                x = self.scalar(rng, N if at_N else 1, dens,
+                                pigrade=Fraction(1, 2))
                 M = rng.choice([1, 2, N] + _prime_divisors(N))
                 # a run of terms that share x, as the callers make
                 terms += [(r, x, M, j + t) for t in range(rng.randint(1, 3))]
@@ -514,7 +519,7 @@ class TestSparseWalks:
 class TestRootOfUnitySum:
     POOL = [E.zero(), E.one(), E.rational(Fraction(-2, 3)), E.zeta(3),
             E.zeta(4, 3), E.zeta(6, 2), 1 + E.zeta(6), E.zeta(9, 3),
-            E.zeta(12, 5), E.rational(3, qgrade=1)]
+            E.zeta(12, 5), E.rational(3, pigrade=1)]
 
     @staticmethod
     def chain(terms):
@@ -553,8 +558,7 @@ class TestRootOfUnitySum:
             assert got.N == self.conductor(terms, want)
             # a zero is grade-polymorphic: only a non-zero sum shows its grade
             if not want.is_zero():
-                assert (got.qgrade, got.pigrade) == \
-                    (want.qgrade, want.pigrade)
+                assert got.pigrade == want.pigrade
 
         check()
 
@@ -583,7 +587,7 @@ class TestRootOfUnitySum:
                                   (1, E.one(), 4, 3)]) == E.zero()
 
     def test_mixed_grades_raise(self):
-        graded = E.rational(2, qgrade=1)
+        graded = E.rational(2, pigrade=1)
         with pytest.raises(GradeError):
             root_of_unity_sum([(1, E.one(), 3, 1), (1, graded, 3, 2)])
         # a zero term is grade-polymorphic
@@ -628,12 +632,12 @@ class TestConjugate:
 class TestSerialization:
     @staticmethod
     def cases():
-        i, z, h = E.i_unit(), E.zeta, Fraction(1, 2)
+        i, z, h = E.zeta(4), E.zeta, Fraction(1, 2)
         return [E.rational(Fraction(3, 4)), E.rational(-2), h * z(8, 3),
-                ((1 + i * E.sqrtD(5)) * h).with_grades(qgrade=1, pigrade=-2),
+                ((1 + i * E.sqrtD(5)) * h).with_grades(pigrade=-2),
                 E.zero(), E.one(), 2 * z(5) - z(5, 3), z(8, 5), z(4) + z(3),
                 z(8, 3) - h,
-                (Fraction(3, 4) * z(12, 2) - z(12)).with_grades(qgrade=-1),
+                (Fraction(3, 4) * z(12, 2) - z(12)).with_grades(pigrade=-1),
                 E.rational(Fraction(3, 4), pigrade=h),
                 (-2 * z(5)).with_grades(pigrade=Fraction(-7, 2))]
 
@@ -660,13 +664,13 @@ class TestSerialization:
     def test_power_basis_round_trip(self, N):
         rng = random.Random(N)
         for _ in range(4):
-            v = rand_scalar(rng, N).with_grades(qgrade=rng.randint(-1, 1))
+            v = rand_scalar(rng, N).with_grades(pigrade=rng.randint(-1, 1))
             s = v.serialize()
             assert E.parse(s) == v
             assert E.parse(s).serialize() == s
 
     def test_quad_round_trip(self):
-        v = quad(7, Fraction(1, 2), -1, 0, Fraction(3, 5), qgrade=-1)
+        v = quad(7, Fraction(1, 2), -1, 0, Fraction(3, 5), pigrade=-1)
         assert E.parse(v.serialize()) == v
         assert E.parse(v.serialize()).serialize() == v.serialize()
 
@@ -678,33 +682,31 @@ class TestSerialization:
                  else str(Fraction(n, d.den))
                  for k, n in enumerate(d.nums) if n]
         body = "+".join(terms).replace("+-", "-") if terms else "0"
-        if d.qgrade:
-            body += f" @q:{d.qgrade}"
         if d.pigrade:
             body += f" @pi:{d.pigrade}"
         return body
 
     def test_coefficients_written_as_fractions(self):
         rng = random.Random(29)
-        values = [E.zero(), E.one(), E.rational(-7), E.rational(12, qgrade=1),
+        values = [E.zero(), E.one(), E.rational(-7), E.rational(12, pigrade=1),
                   E.rational(Fraction(-6, 4), pigrade=Fraction(-7, 2)),
                   E([Fraction(4, 6), Fraction(-9, 3), 0, 5], N=5),
-                  E([0, 0, Fraction(-1, 2), 0, 0, 3], N=9).with_grades(qgrade=-1)]
+                  E([0, 0, Fraction(-1, 2), 0, 0, 3], N=9).with_grades(pigrade=-1)]
         for N in (1, 3, 5, 8, 12):
             for _ in range(6):
                 deg = euler_phi(N)
                 den = rng.choice([1, 2, 6, 12])
                 v = E([Fraction(rng.choice([0, 1, -1, 2, -3, 4, -6, 12]), den)
                        for _ in range(deg)], N=N)
-                values.append(v.with_grades(qgrade=rng.randint(-2, 2),
-                                            pigrade=rng.randint(-1, 1)))
+                values.append(v.with_grades(
+                    pigrade=Fraction(rng.randint(-4, 4), 2)))
         for v in values:
             assert v.serialize() == self.fraction_serialize(v)
 
 
 class TestEqualityAndHash:
     def test_all_zeros_hash_alike(self):
-        zeros = {E.zero(), E.rational(0, qgrade=1), E.zeta(5) - E.zeta(5)}
+        zeros = {E.zero(), E.rational(0, pigrade=1), E.zeta(5) - E.zeta(5)}
         assert len(zeros) == 1
 
     def test_equal_values_hash_alike(self):
@@ -723,7 +725,7 @@ class TestEqualityAndHash:
 
     def test_tower_checks_survive_dash_O(self):
         code = ("from padr.scalar import ExactScalar as E\n"
-                "print(E.zeta(8, 2) == E.i_unit(), "
+                "print(E.zeta(8, 2) == E.zeta(4), "
                 "(E.zeta(8) * E.sqrtD(3)) ** 2 == 3 * E.zeta(4))\n"
                 "try:\n"
                 "    E.one() / E.zero()\n"
@@ -736,11 +738,11 @@ class TestEqualityAndHash:
         assert out.stdout.split() == ["True", "True", "raised"]
 
     def test_embedded_values_are_equal(self):
-        i = E.i_unit()
+        i = E.zeta(4)
         assert E.zeta(8, 2) == i and hash(E.zeta(8, 2)) == hash(i)
         assert E.zeta(8, 2) * i == -1
         assert (E.zeta(8) * E.sqrtD(3)) ** 2 == 3 * E.zeta(4)
-        assert len({E.zeta(4), E.zeta(8, 2), i, E.zeta(12, 3)}) == 1
+        assert len({E.zeta(8, 2), i, E.zeta(12, 3)}) == 1
 
     @pytest.mark.parametrize("D", [2, 3, 5, 6, 7, 15, 30])
     def test_sqrtD_squares_to_D(self, D):
@@ -798,8 +800,7 @@ class TestEqualityAndHash:
 def _in_minimal_field(v):
     """v rebuilt in the power basis of its smallest cyclotomic field."""
     M, nums = _minimal_field(v.N, v.nums)
-    return E([Fraction(n, v.den) for n in nums], N=M, qgrade=v.qgrade,
-             pigrade=v.pigrade)
+    return E([Fraction(n, v.den) for n in nums], N=M, pigrade=v.pigrade)
 
 
 def _sympy_value(sp, v, x, m=1):
@@ -888,11 +889,46 @@ class TestSympyOracle:
                 assert inv == to_scalar([sol[x] for x in w])
 
 
+def _sqrt_prime_by_legendre_chain(p):
+    """sqrt(p) as a chain of ExactScalar additions of the Legendre terms
+    (a/p) zeta_p^a, times -i for p = 3 mod 4: the oracle of sqrt_prime's
+    one root_of_unity_sum."""
+    if p == 2:
+        return E.zeta(8) + E.zeta(8, 7)
+    g0 = E.zero()
+    for a in range(1, p):
+        sgn = 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+        g0 = g0 + sgn * E.zeta(p, a)
+    return g0 if p % 4 == 1 else -E.zeta(4) * g0
+
+
+PRIMES_TO_400 = [p for p in range(2, 400) if _prime_divisors(p) == [p]]
+
+
 class TestSqrtPrime:
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
     def test_square(self, p):
         s = sqrt_prime(p)
         assert s * s == E.rational(p)
+
+    def test_equals_legendre_chain(self):
+        assert len(PRIMES_TO_400) == 78
+        for p in PRIMES_TO_400:
+            want = _sqrt_prime_by_legendre_chain(p)
+            got = sqrt_prime(p)
+            assert (got.N, got.serialize()) == (want.N, want.serialize()), p
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_half_power(self, p):
+        # p^(h/2) with no inversion reads as the powers of sqrt_prime(p)
+        # and of its inverse: the same value at the same conductor
+        s = sqrt_prime(p)
+        for h in range(-7, 8):
+            want = s ** h
+            got = half_power(p, h)
+            assert (got.N, got.serialize()) == (want.N, want.serialize()), h
+        assert half_power(p, 2) == E.rational(p)
+        assert half_power(p, -1) * s == E.one()
 
 
 class TestLaurentRF:
@@ -1000,7 +1036,7 @@ class TestLaurentRF:
         factor = st.sampled_from([{}, {0: 1, 1: -1}, {0: 2, 2: 1},
                                   {-1: 1, 0: E.zeta(3)}])
 
-        q = E.rational(1, qgrade=1)
+        q = E.rational(1, pigrade=1)
 
         @hyp.settings(max_examples=300, deadline=None)
         @hyp.given(side, side, factor, st.integers(0, 1), st.integers(0, 1),
@@ -1058,6 +1094,6 @@ class TestLaurentRF:
         assert poles  # the points reach the poles X = 3 of f, 1/3 and -1/2 of g
 
     def test_graded_coefficients(self):
-        c = E.rational(2, qgrade=1)
+        c = E.rational(2, pigrade=1)
         f = LaurentRF({1: c})
-        assert (f * f) == LaurentRF({2: E.rational(4, qgrade=2)})
+        assert (f * f) == LaurentRF({2: E.rational(4, pigrade=2)})

@@ -28,7 +28,6 @@ from padr.plocal import (
     l_gl_pair,
     phi_prime_chi,
     pstab_ratio,
-    realize_grades,
     schwartz_theta,
     subgroup_index,
     tate_factors,
@@ -41,7 +40,7 @@ from padr.plocal import (
     zeta_two_route,
 )
 from padr.plocal import _gamma_gl3_twist
-from padr.scalar import ExactScalar as E, GradeError, sqrt_prime
+from padr.scalar import ExactScalar as E, half_power, sqrt_prime
 
 
 # The per-ball product routes that fourier_transform and tate_integral
@@ -111,18 +110,17 @@ def _tate_factors_by_chains(chi, psi_inverse=False):
     if c == 0:
         L = one / (one - LaurentRF.monomial(chi.u, 1))
         L_dual_oneminus = one / (one - LaurentRF.monomial(chi.u.inverse() / q, -1))
-        eps_half = E.one()
+        eps = one
         gamma = L_dual_oneminus / L
     else:
         L = one
         root = chi.u ** c * gauss_sum(chi)
-        eps_half = root.with_grades(qgrade=-c)
-        gamma = LaurentRF.monomial(root, c)
+        eps = gamma = LaurentRF.monomial(root, c)
     if psi_inverse:
         sign = chi.at_minus_one()
-        eps_half = eps_half * sign
+        eps = eps * sign
         gamma = gamma * sign
-    return L, eps_half, gamma
+    return L, eps, gamma
 
 
 PRIMES_TO_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -255,9 +253,23 @@ class TestTateFactors:
         chi = PadicChar(5, Fraction(3), 1, 1)
         L, eps, gamma = tate_factors(chi)
         assert L == LaurentRF.one()
-        assert eps.qgrade == -1
         root = chi.u * gauss_sum(chi)
         assert gamma == LaurentRF.monomial(root, 1)
+        assert eps == gamma
+
+    @pytest.mark.parametrize("p, c", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1)])
+    def test_central_epsilon_product(self, p, c):
+        # eps(1/2, chi, psi) eps(1/2, chi^(-1), psi) = chi(-1), at
+        # X = q^(-1/2), for ramified chi
+        x_half = half_power(p, -1)
+        for ch in ramified_chars(p, c, 4):
+            chi = PadicChar(p, Fraction(3, 2), c, ch.e)
+            e1 = tate_factors(chi)[1].evaluate(x_half)
+            e2 = tate_factors(chi.inverse())[1].evaluate(x_half)
+            assert e1 * e2 == chi.at_minus_one()
+            # the flag: eps(1/2, chi, psi^(-1)) = chi(-1) eps(1/2, chi, psi)
+            e3 = tate_factors(chi, psi_inverse=True)[1].evaluate(x_half)
+            assert e3 == chi.at_minus_one() * e1
 
     @pytest.mark.parametrize("p", PRIMES_TO_31)
     def test_closed_forms_match_chains(self, p):
@@ -459,12 +471,12 @@ class TestExponentRoute:
         @hyp.given(st.sampled_from([2, 3, 5, 7]),
                    st.lists(ball, min_size=1, max_size=4), st.data())
         def check(p, raw, data):
-            grade = data.draw(st.integers(-1, 1))
+            grade = Fraction(data.draw(st.integers(-2, 2)), 2)
 
             def scalar(n, d, kind, k):
                 base = {"1": E.one(), "z3": E.zeta(3, k), "z4": E.zeta(4, k),
                         "zp": E.zeta(p, k), "1+zp": 1 + E.zeta(p, k)}[kind]
-                return (Fraction(n, d) * base).with_grades(qgrade=grade)
+                return (Fraction(n, d) * base).with_grades(pigrade=grade)
 
             phi = SchwartzFn(p, [(Fraction(n, p ** e * u), k, scalar(*cf))
                                  for n, e, u, k, cf in raw])
@@ -474,7 +486,8 @@ class TestExponentRoute:
             c = 0 if p == 2 else data.draw(st.integers(0, 1 if p == 7 else 2))
             u = data.draw(st.sampled_from(
                 [E.one(), E.rational(2), E.rational(Fraction(1, 3)),
-                 E.rational(2, qgrade=1), E.zeta(3), 2 * E.zeta(4, 3)]))
+                 E.rational(2, pigrade=1), E.rational(3, pigrade=Fraction(1, 2)),
+                 E.zeta(3), 2 * E.zeta(4, 3)]))
             m = (p - 1) * p ** max(c - 1, 0)
             e = data.draw(st.sampled_from(
                 [x for x in range(1, m) if c != 2 or x % p])) if c else 0
@@ -780,8 +793,8 @@ class TestEulerFactors:
     def test_pstab_growth(self):
         p = 5
         sigma = (unram(p, 3), unram(p, Fraction(1, 3)))
-        r3 = realize_grades(pstab_ratio(sigma, 3), p)
-        r4 = realize_grades(pstab_ratio(sigma, 4), p)
+        r3 = pstab_ratio(sigma, 3)
+        r4 = pstab_ratio(sigma, 4)
         assert r4 / r3 == sqrt_prime(p) * sigma[1].u / E.rational(p)
 
 
@@ -856,19 +869,12 @@ class TestUpEigenvalues:
     def test_alpha_example(self):
         chars = tuple(unram(5, u) for u in (2, 7, 11))
         ev = up_eigenvalues(chars, 3, 1, "alpha")
-        assert realize_grades(ev, 5) == E.rational(Fraction(5, 2))
-
-    def test_half_integral_pigrade_not_realized(self):
-        # p^(1/2) is not rational: no float may stand in for it
-        with pytest.raises(GradeError):
-            realize_grades(E.rational(2, pigrade=Fraction(1, 2)), 5)
-        assert realize_grades(E.rational(2, pigrade=-1), 5) == \
-            E.rational(Fraction(2, 5))
+        assert ev == E.rational(Fraction(5, 2))
 
     def test_beta_example(self):
         chars = (unram(5, 7), unram(5, 3))
         ev = up_eigenvalues(chars, 2, 1, "beta")
-        assert ev == E.rational(3, qgrade=1)
+        assert ev == 3 * sqrt_prime(5)
 
     def test_gl2_oracle_matches_formula(self):
         for p in (3, 5):
@@ -876,7 +882,7 @@ class TestUpEigenvalues:
                 chars = (unram(p, 7), unram(p, u))
                 ev = up_eigenvalues(chars, 2, 1, "beta")
                 got = gl2_up_oracle(SchwartzFn.indicator(p), chars)
-                assert got == realize_grades(ev, p)
+                assert got == ev
 
     def test_alpha_beta_compatibility(self):
         # beta_j is alpha_{n-j} divided by the central uniformizer, so the
