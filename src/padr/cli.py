@@ -39,6 +39,14 @@ _SATAKE_BITS = 14284
 #: the command), 13^4 = 28561 0.83 s, and 3^10 = 59049 1.5-2.4 s.
 _THM81_TRANSLATES = 20000
 
+#: the largest --p of the gauss and thm81 suites.  Their time follows the
+#: factorisation of p - 1, so it is not monotone in p.  As processes on a
+#: 2-vCPU host, verify gauss took at most 1.4 s for every prime up to 61
+#: (p = 61), and 2.4 s at 67, 3.7 s at 71 and 131 s at 199; verify thm81
+#: --ell 2 took at most 1.3 s up to 31 (p = 29), and 3.0 s at 37 and 11 s
+#: at 41.
+_MAX_P = {"gauss": 61, "thm81": 31}
+
 
 def _parse_fraction(s):
     s = str(s)
@@ -485,7 +493,10 @@ def _run_suite(name, seed, params):
 
 @main.command()
 @click.argument("suite", type=click.Choice(list(_SUITES) + ["all"]))
-@click.option("--p", type=int, default=3, show_default=True)
+@click.option("--p", type=int, default=3, show_default=True,
+              help="a prime; an odd one at most "
+                   f"{_MAX_P['gauss']} for gauss and at most "
+                   f"{_MAX_P['thm81']} for thm81, also under all")
 @click.option("--ell", type=int, default=3, show_default=True,
               help="thm81's averaging level: ell >= 2 and p^ell <= "
                    f"{_THM81_TRANSLATES} (ell <= 9 at p = 3)")
@@ -497,6 +508,11 @@ def verify(suite, p, ell, prec_t, seed, fmt):
     """Run a named identity battery; exit 0 only if every identity holds."""
     names = list(_SUITES) if suite == "all" else [suite]
     used = {n for name in names for n in _SUITES[name][1]}
+    # before _check_prime, whose trial division is slow on a large prime
+    for name, most in _MAX_P.items():
+        if name in names and p > most:
+            raise click.UsageError(f"--p {p}: {name} takes primes up to "
+                                   f"{most}")
     if "p" in used:
         _check_prime(p)
     if p == 2 and {"gauss", "thm81"} & set(names):

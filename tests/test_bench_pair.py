@@ -62,6 +62,26 @@ def test_fewer_than_ten_pairs_exit_2_before_any_run(bench_pair,
     assert not (tmp_path / "b.json").exists()
 
 
+def test_a_failing_traced_run_stops_before_any_pair(bench_pair, monkeypatch,
+                                                   tmp_path):
+    calls = []
+
+    def run(tree, workload, seed, seconds, trace):
+        calls.append(trace)
+        if trace:
+            raise RuntimeError("a traced run failed")
+        raise AssertionError("an untraced run was started")
+
+    monkeypatch.setattr(bench_pair, "run", run)
+    monkeypatch.setattr(bench_pair, "export", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pair, "benchmark_differs", lambda *a: False)
+    monkeypatch.setattr(bench_pair, "git", lambda *args: "0" * 40)
+    with pytest.raises(RuntimeError, match="a traced run failed"):
+        bench_pair.main(["--out", str(tmp_path / "b.json")])
+    assert calls == [True]
+    assert not (tmp_path / "b.json").exists()
+
+
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
 def test_refuses_when_the_benchmark_differs_from_the_parent(tmp_path):
     repo = tmp_path / "repo"

@@ -347,6 +347,19 @@ class TestUsageErrors:
         (["verify", "thm81", "--ell", "100"], "at most 20000"),
         (["verify", "thm81", "--ell", "99999999999999999999"],
          "at most 20000"),
+        # the next primes above the --p bounds of gauss (61) and thm81 (31)
+        (["verify", "gauss", "--p", "67"],
+         "--p 67: gauss takes primes up to 61"),
+        (["verify", "thm81", "--p", "37", "--ell", "2"],
+         "--p 37: thm81 takes primes up to 31"),
+        (["verify", "all", "--p", "37", "--ell", "2"],
+         "--p 37: thm81 takes primes up to 31"),
+        (["verify", "all", "--p", "67", "--ell", "2"],
+         "--p 67: gauss takes primes up to 61"),
+        # the prime 2^89 - 1 is refused before _check_prime, whose trial
+        # division up to its square root would not finish
+        (["verify", "gauss", "--p", str(2 ** 89 - 1)],
+         "gauss takes primes up to 61"),
     ])
     def test_exit_2_with_message(self, args, message):
         res = run(*args)
@@ -362,6 +375,9 @@ class TestUsageErrors:
         ["verify", "thm81", "--ell", "2"],
         # 3^9 = 19683 translates, the most at p = 3
         ["verify", "thm81", "--ell", "9"],
+        # the largest primes that gauss and thm81 take
+        ["verify", "gauss", "--p", "61"],
+        ["verify", "thm81", "--p", "31", "--ell", "2"],
         ["verify", "measures", "--prec-T", "3"],
     ])
     def test_boundary_values_run(self, args):

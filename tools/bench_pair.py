@@ -6,10 +6,12 @@ Exports the parent revision with ``git archive`` into a temporary
 directory, removed at exit (no worktree is registered), and runs the unmodified ``perfbench/run.py``
 of each side, alternately, for every workload of ``BENCHMARK.json``.  Pair i
 runs both sides with seed ``--seed + i``; even pairs start with the parent,
-odd pairs with the working tree.  Then one traced run (``--trace 1``) per
-side and workload at seed 7 gives the per-layer counts and the bypass
-check, so that every benchmark file traces the same inputs.  At least 10
-pairs are run: fewer cannot show a gain on nine of ten pairs.
+odd pairs with the working tree.  One traced run (``--trace 1``) per side
+and workload at seed 7 gives the per-layer counts and the bypass check, so
+that every benchmark file traces the same inputs.  The traced runs come
+before the pairs, so a traced run that fails stops the script within
+minutes, before the long paired runs.  At least 10 pairs are run: fewer
+cannot show a gain on nine of ten pairs.
 
 The output file holds, per workload and end-to-end metric, each side's
 runs, median and quartiles, and the number of pairs the working tree won
@@ -67,6 +69,14 @@ def run(tree, workload, seed, seconds, trace):
     return out
 
 
+def benchmark_differs(rev, paths):
+    """Whether paths differ between rev and the working tree, committed or
+    not."""
+    return bool(git("status", "--porcelain", "--", *paths).strip()) or \
+        subprocess.run(["git", "-C", ROOT, "diff", "--quiet", rev,
+                        "--", *paths]).returncode != 0
+
+
 def bypass_check(lines):
     """The bypass check of the last stamp line among run.py's output lines:
     "ok", or the list of predicted counts that did not hold."""
@@ -106,9 +116,7 @@ def main(argv=None):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     paths = bench["paths"] + ["BENCHMARK.json"]
-    if git("status", "--porcelain", "--", *paths).strip() or \
-            subprocess.run(["git", "-C", ROOT, "diff", "--quiet", args.parent,
-                            "--", *paths]).returncode:
+    if benchmark_differs(args.parent, paths):
         sys.exit(f"{' '.join(paths)} differ from {args.parent}: "
                  "the sides would not run the same benchmark")
     parent_sha = git("rev-parse", args.parent).strip()
@@ -121,6 +129,8 @@ def main(argv=None):
     workloads = [w["name"] for w in bench["workloads"]]
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
 
+    traced = {w: {side: run(tree, w, TRACE_SEED, seconds, True)
+                  for side, tree in trees.items()} for w in workloads}
     runs = {w: {side: [] for side in trees} for w in workloads}
     for i in range(args.pairs):
         seed = args.seed + i
@@ -156,8 +166,7 @@ def main(argv=None):
         out["workloads"][w] = entry
     for w in workloads:
         out["trace"][w] = {}
-        for side, tree in trees.items():
-            res = run(tree, w, TRACE_SEED, seconds, True)
+        for side, res in traced[w].items():
             out["trace"][w][side] = {k: v["value"]
                                      for k, v in res["metrics"].items()}
             out["trace"][w][side]["bypass_check"] = res["bypass_check"]
