@@ -16,8 +16,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from padr.scalar import ExactScalar, _check
-from padr.repalg import SignedHCSeq, ggp_check, trilinear_closed, \
-    trilinear_value
+from padr.repalg import SignedHCSeq, ggp_check, trilinear_closed
 
 
 def _pi(value, k):
@@ -242,7 +241,7 @@ def _interlace_data(lam, mu):
     return lam, mu, n, nstars, b, c, k, kp
 
 
-def prop_b1_verify(lam, mu, use_haar=False):
+def prop_b1_verify(lam, mu):
     """Two-route check of the archimedean period identity.
 
     LHS: the invariant integral assembled from the seesaw combinatorics --
@@ -252,9 +251,9 @@ def prop_b1_verify(lam, mu, use_haar=False):
 
     RHS: Gamma_R(2)^2 Gamma_R(4) times the central L-ratio.
 
-    Returns (equal, lhs, rhs).  With use_haar=True the trilinear values
-    are recomputed by exact Haar integration (slow for large weights) and
-    checked against the closed form.
+    Returns (equal, lhs, rhs).  The trilinear values are the closed form
+    trilinear_closed, which repalg.trilinear_value checks against exact
+    Haar integration.
     """
     lam, mu, n, nstars, b, c, k, kp = _interlace_data(lam, mu)
     n1s = nstars[0]
@@ -263,13 +262,8 @@ def prop_b1_verify(lam, mu, use_haar=False):
     total = Fraction(0)
     for i in range(n1s + 1):
         for j in range(n1s + 1):
-            if use_haar:
-                route_a, route_b = trilinear_value(n, i, j)
-                _check(route_a == route_b, "trilinear routes disagree")
-                val = route_a
-            else:
-                val = trilinear_closed(n, i, j)
-            total += (-1) ** (i + j) * comb(n1s, i) * comb(n1s, j) * val
+            total += (-1) ** (i + j) * comb(n1s, i) * comb(n1s, j) \
+                * trilinear_closed(n, i, j)
 
     front = ExactScalar.rational(factorial(b) * factorial(c) * factorial(n[2])
                                  * (n[0] + 1)) / d_sigma \
@@ -286,10 +280,9 @@ def prop_b1_verify(lam, mu, use_haar=False):
     return lhs == rhs, lhs, rhs
 
 
-def i_inf(w, D=4):
+def i_inf(w):
     """The archimedean zeta-integral constant (-1)^m 2^(2 k3 - 2 k2') for
     discriminant D = 4, the one case where (2/|delta|)^m is rational."""
-    _check(D == 4, "rational only for discriminant 4")
     _, m = einf_mq(w)
     return Fraction((-1) ** m * 2 ** (2 * w.k[2]), 2 ** (2 * w.kp[1]))
 

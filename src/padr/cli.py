@@ -39,13 +39,16 @@ _SATAKE_BITS = 14284
 #: the command), 13^4 = 28561 0.83 s, and 3^10 = 59049 1.5-2.4 s.
 _THM81_TRANSLATES = 20000
 
-#: the largest --p of the gauss and thm81 suites.  Their time follows the
-#: factorisation of p - 1, so it is not monotone in p.  As processes on a
-#: 2-vCPU host, verify gauss took at most 1.4 s for every prime up to 61
-#: (p = 61), and 2.4 s at 67, 3.7 s at 71 and 131 s at 199; verify thm81
-#: --ell 2 took at most 1.3 s up to 31 (p = 29), and 3.0 s at 37 and 11 s
-#: at 41.
-_MAX_P = {"gauss": 61, "thm81": 31}
+#: the largest --p of the suites whose time grows with p, checked in this
+#: order.  The times of gauss and thm81 follow the factorisation of p - 1,
+#: so they are not monotone in p.  As processes on a 2-vCPU host, verify
+#: gauss took at most 1.4 s for every prime up to 61 (p = 61), and 2.4 s
+#: at 67, 3.7 s at 71 and 131 s at 199; verify thm81 --ell 2 took at most
+#: 1.3 s up to 31 (p = 29), and 3.0 s at 37 and 11 s at 41; verify fourier
+#: took 0.64 s at 13 (median of seeds 0-19, at most 0.92 s), and 2.3 s at
+#: 17 and over 30 s at 31; verify measures took 0.94 s at 101 (median of
+#: seeds 0-9, at most 1.3 s), and 1.1 s at 113 and over 20 s at 1009.
+_MAX_P = {"gauss": 61, "thm81": 31, "fourier": 13, "measures": 101}
 
 
 def _parse_fraction(s):
@@ -140,20 +143,20 @@ def _emit(report, fmt):
         click.echo(line)
 
 
-def _text_lines(report, prefix=""):
+def _text_lines(report):
     if "suites" in report:
         for sub in report["suites"]:
-            yield from _text_lines(sub, prefix)
+            yield from _text_lines(sub)
         return
     if "identities" in report:
-        yield f"{prefix}suite {report['suite']}: " \
+        yield f"suite {report['suite']}: " \
             f"{report['passed']} passed, {report['failed']} failed"
         for ident in report["identities"]:
             mark = "ok  " if ident["ok"] else "FAIL"
-            yield f"{prefix}  {mark} {ident['name']}"
+            yield f"  {mark} {ident['name']}"
         return
     for key, val in report.items():
-        yield f"{prefix}{key}: {val}"
+        yield f"{key}: {val}"
 
 
 @click.group()
@@ -291,11 +294,11 @@ def _random_tate_case(rng):
     return p, phi, chi
 
 
-def suite_tate(p, rng, count=50):
+def suite_tate(p, rng):
     from padr.plocal import fourier_transform, tate_factors, tate_integral
     out = []
     done = 0
-    while done < count:
+    while done < 50:
         q, phi, chi = _random_tate_case(rng)
         if phi.is_zero():
             continue
@@ -343,10 +346,10 @@ def suite_trilinear():
     return out
 
 
-def suite_propb1(lam1_max=3):
+def suite_propb1():
     from padr import arch
     out = []
-    for l1 in range(1, lam1_max + 1):
+    for l1 in range(1, 4):
         for l3 in range(-3, 1):
             m1 = Fraction(1, 2)
             while m1 < l1:
@@ -494,8 +497,10 @@ def _run_suite(name, seed, params):
 @main.command()
 @click.argument("suite", type=click.Choice(list(_SUITES) + ["all"]))
 @click.option("--p", type=int, default=3, show_default=True,
-              help="a prime; an odd one at most "
-                   f"{_MAX_P['gauss']} for gauss and at most "
+              help="a prime: at most "
+                   f"{_MAX_P['fourier']} for fourier and "
+                   f"{_MAX_P['measures']} for measures, and an odd one at "
+                   f"most {_MAX_P['gauss']} for gauss and "
                    f"{_MAX_P['thm81']} for thm81, also under all")
 @click.option("--ell", type=int, default=3, show_default=True,
               help="thm81's averaging level: ell >= 2 and p^ell <= "

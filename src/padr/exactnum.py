@@ -11,7 +11,7 @@ from .scalar import ExactScalar, PoleError, _check, _coerce
 
 
 def _lp_clean(d):
-    return {e: c for e, c in d.items() if not _coerce(c).is_zero()}
+    return {e: c for e, c in d.items() if not c.is_zero()}
 
 
 def _lp_add(a, b):
@@ -51,38 +51,38 @@ def _spoly_divmod(a, b):
     """divmod of dense ExactScalar polynomial lists."""
     a = list(a)
     b = list(b)
-    while b and _coerce(b[-1]).is_zero():
+    while b and b[-1].is_zero():
         b.pop()
     _check(b, "polynomial division by zero")
     q = [ExactScalar.zero()] * max(0, len(a) - len(b) + 1)
-    lead_inv = _coerce(b[-1]).inverse()
+    lead_inv = b[-1].inverse()
     while True:
-        while a and _coerce(a[-1]).is_zero():
+        while a and a[-1].is_zero():
             a.pop()
         if len(a) < len(b):
             break
         d = len(a) - len(b)
-        c = _coerce(a[-1]) * lead_inv
+        c = a[-1] * lead_inv
         q[d] = q[d] + c
         for i, y in enumerate(b):
-            a[i + d] = _coerce(a[i + d]) - c * y
+            a[i + d] = a[i + d] - c * y
     return q, a
 
 
 def _spoly_gcd(a, b):
     a, b = list(a), list(b)
     while True:
-        while b and _coerce(b[-1]).is_zero():
+        while b and b[-1].is_zero():
             b.pop()
         if not b:
             break
         _, r = _spoly_divmod(a, b)
         a, b = b, r
-    while a and _coerce(a[-1]).is_zero():
+    while a and a[-1].is_zero():
         a.pop()
     if a:
-        lead_inv = _coerce(a[-1]).inverse()
-        a = [_coerce(x) * lead_inv for x in a]
+        lead_inv = a[-1].inverse()
+        a = [x * lead_inv for x in a]
     return a
 
 
@@ -92,7 +92,9 @@ class LaurentRF:
     The constructor canonicalises once (_laurent_canonical): den is a
     polynomial with constant term 1, and num and den are divided by their
     gcd, which is taken only when both sides have two or more terms (a
-    one-term side c X^k is a unit times a power of X).  evaluate_parts
+    one-term side c X^k is a unit times a power of X).  That form is
+    unique per value (coprime sides, den(0) = 1, no zero entries), so
+    == compares the two forms and forms no product.  evaluate_parts
     returns num(x) and den(x) undivided, for callers that invert one
     product of denominators.
     """
@@ -194,14 +196,11 @@ class LaurentRF:
             other = _coerce_rf(other)
         except TypeError:
             return NotImplemented
-        lhs = _lp_mul(self.num, other.den)
-        rhs = _lp_mul(other.num, self.den)
-        diff = _lp_add(lhs, _lp_neg(rhs))
-        return not diff
+        # the canonical form is unique per value; its coefficients compare
+        # by value across field embeddings
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        # the canonical form is unique per value; the coefficients hash
-        # by value across field embeddings
         return hash((tuple(sorted(self.num.items())),
                      tuple(sorted(self.den.items()))))
 
@@ -279,23 +278,20 @@ def _laurent_canonical(num, den):
     # degree-1 sides share a root only when they are proportional
     if len(num) > 1 and len(den) > 1 and (
             len(pn) != 2 or len(pd) != 2
-            or _coerce(pn[0]) * pd[1] == _coerce(pn[1]) * pd[0]):
+            or pn[0] * pd[1] == pn[1] * pd[0]):
         g = _spoly_gcd(pn, pd)
         if len(g) > 1:
             pn, rn = _spoly_divmod(pn, g)
             pd, rd = _spoly_divmod(pd, g)
-            _check(all(_coerce(x).is_zero() for x in rn + rd),
+            _check(all(x.is_zero() for x in rn + rd),
                    "the gcd does not divide both sides")
-    # strip trailing/leading zeros of den, make constant term 1
-    lead_shift = 0
-    while pd and _coerce(pd[0]).is_zero():
-        pd.pop(0)
-        lead_shift += 1
-    c0 = _coerce(pd[0])
+    # pd[0] is den's lowest term, non-zero, and so is its quotient by a gcd
+    # (which divides den, so is not divisible by X): make it 1
+    c0 = pd[0]
     if not c0.is_one():
         c0_inv = c0.inverse()
-        pd = [_coerce(x) * c0_inv for x in pd]
-        pn = [_coerce(x) * c0_inv for x in pn]
-    num = _poly_to_lp(off_n - off_d - lead_shift, pn)
+        pd = [x * c0_inv for x in pd]
+        pn = [x * c0_inv for x in pn]
+    num = _poly_to_lp(off_n - off_d, pn)
     den = _poly_to_lp(0, pd)
     return num, den

@@ -28,19 +28,21 @@ two big integers, each vector packed into one by Kronecker substitution;
 short or sparse vectors multiply term by term.  The product is reduced
 mod Phi_N once: first folded through x^(N/2) + 1 (x^N - 1 for odd N),
 which Phi_N divides, and then by Phi_N itself on the degrees left.
-``coeffs`` gives the coefficients as Fractions.  ``hash`` reduces to the
-smallest conductor that holds the value, so equal values hash alike
-whatever field they were computed in.
+``coeffs`` gives the coefficients as Fractions.  ``hash`` reads the
+normalized trace Tr(x)/phi(N), which is the same in every Q(zeta_N) that
+holds x and is x itself for a rational, so equal values hash alike
+whatever field they were computed in and a rational hashes as its
+Fraction.
 
 Sparse numerators.  A value at a large N often has few non-zero
 numerators: the Fourier transforms and Tate integrals of ``verify tate``
 give values in Q(zeta_343) with one non-zero numerator of 294.  So every
 Python loop over one vector's numerators -- lowest terms (_make),
-embedding (_to_cyc), ``galois``, field descent (_descend) and the
-exponent shifts of ``root_of_unity_sum`` -- walks only the non-zero
-ones, found at C speed by itertools.compress.  _make takes the plain
-loop over every numerator when fewer than half of them are zero, as
-list.count(0) tells, since it is the faster one on a dense vector.
+embedding (_to_cyc), ``galois`` and the exponent shifts of
+``root_of_unity_sum`` -- walks only the non-zero ones, found at C speed
+by itertools.compress.  _make takes the plain loop over every numerator
+when fewer than half of them are zero, as list.count(0) tells, since it
+is the faster one on a dense vector.
 
 Sums of roots of unity.  Gauss sums, Fourier transforms and Tate integrals
 add up scalars times roots of unity.  ``root_of_unity_sum`` takes each
@@ -456,13 +458,15 @@ class ExactScalar:
         return a.den == b.den and a.nums == b.nums
 
     def __hash__(self):
+        # zero is grade-polymorphic, so every zero hashes alike
         if self.is_zero():
             return hash(Q0)
-        N, nums = _minimal_field(self.N, self.nums)
-        if N == 1 and not self.pigrade:
-            # every ungraded rational hashes as its Fraction
-            return hash(Fraction(nums[0], self.den))
-        return hash((N, nums, self.den, self.pigrade))
+        # the normalized trace Tr(x)/phi(N) is the same in every Q(zeta_N)
+        # that holds x, and it is x itself when x is rational
+        N = self.N
+        tr = Fraction(sum(n * t for n, t in zip(self.nums, _traces(N))),
+                      self.den * euler_phi(N))
+        return hash((tr, self.pigrade) if self.pigrade else tr)
 
     # -- Galois --------------------------------------------------------
 
@@ -655,45 +659,17 @@ def _prime_divisors(n):
     return out
 
 
-def _minimal_field(N, nums):
-    """(M, nums') with M the smallest conductor M | N such that the element
-    sum nums[k] zeta_N^k lies in Q(zeta_M), and nums' its numerators in the
-    power basis of Q(zeta_M).  Since these power bases span the rings of
-    integers, the common denominator stays in lowest terms."""
-    while True:
-        for q in _prime_divisors(N):
-            smaller = _descend(N, q, nums)
-            if smaller is not None:
-                N, nums = N // q, smaller
-                break
-        else:
-            return N, nums
-
-
-def _descend(N, q, nums):
-    """The numerators in Q(zeta_(N/q)) of sum nums[k] zeta_N^k, for a prime
-    q | N, or None when the element does not lie in that subfield."""
-    M = N // q
-    if M % q == 0:
-        # 1, zeta_N, ..., zeta_N^(q-1) is a basis over Q(zeta_M), zeta_N^q = zeta_M;
-        # x lies in Q(zeta_M) when every numerator off the stride q is zero
-        sub = nums[::q]
-        if nums.count(0) - sub.count(0) != len(nums) - len(sub):
-            return None
-        return sub
-    # q coprime to M: zeta_N^k = zeta_M^(k u) zeta_q^(k v) by CRT; with
-    # x = sum_r Y_r zeta_q^r and 1 + zeta_q + ... + zeta_q^(q-1) = 0,
-    # x = sum_(r>0) (Y_r - Y_0) zeta_q^r, which lies in Q(zeta_M) iff
-    # every Y_r - Y_0 is one value Z, and then x = -Z
-    u, v = pow(q, -1, M), pow(M, -1, q)
-    Y = [[0] * M for _ in range(q)]
-    for k in compress(range(len(nums)), nums):
-        Y[k * v % q][k * u % M] += nums[k]
-    Y = [_cyc_reduce(y, M) for y in Y]
-    Z = [y - y0 for y, y0 in zip(Y[1], Y[0])]
-    if any([y - y0 for y, y0 in zip(Yr, Y[0])] != Z for Yr in Y[2:]):
-        return None
-    return tuple(-z for z in Z)
+@functools.lru_cache(maxsize=None)
+def _traces(N):
+    """The traces Tr(zeta_N^k) from Q(zeta_N) to Q for k < phi(N):
+    mu(m) phi(N)/phi(m), with m = N/gcd(N, k) the order of zeta_N^k."""
+    out = []
+    for k in range(euler_phi(N)):
+        m = N // math.gcd(N, k)
+        primes = _prime_divisors(m)
+        mu = 0 if math.prod(primes) != m else (-1) ** len(primes)
+        out.append(mu * (euler_phi(N) // euler_phi(m)))
+    return tuple(out)
 
 
 #: _cyc_mul packs its operands when both have at least this many non-zero

@@ -191,15 +191,13 @@ class TestArchL:
 class TestPropB1:
     def test_example_200(self):
         ok, lhs, rhs = prop_b1_verify((2, 0, 0),
-                                      (Fraction(1, 2), Fraction(-3, 2)),
-                                      use_haar=True)
+                                      (Fraction(1, 2), Fraction(-3, 2)))
         assert ok
         assert lhs == rhs == pi(Fraction(3, 4), -1)
 
     def test_example_300(self):
         ok, lhs, rhs = prop_b1_verify((3, 0, 0),
-                                      (Fraction(3, 2), Fraction(-1, 2)),
-                                      use_haar=True)
+                                      (Fraction(3, 2), Fraction(-1, 2)))
         assert ok and lhs == rhs
 
     def test_all_interlacing_lam1_le_5(self):
@@ -216,8 +214,6 @@ class TestPropB1:
         assert i_inf(w) == Fraction(1)
         w2 = WeightTuple((-1, 0, 2), (-1, 3))
         assert i_inf(w2) == -Fraction(2 ** 4, 2 ** 6)
-        with pytest.raises(AssertionError):
-            i_inf(w, D=3)
 
 
 class TestGGPCrossCheck:

@@ -360,6 +360,19 @@ class TestUsageErrors:
         # division up to its square root would not finish
         (["verify", "gauss", "--p", str(2 ** 89 - 1)],
          "gauss takes primes up to 61"),
+        # the next primes above the --p bounds of fourier (13) and
+        # measures (101); all takes fourier's bound, so --p 31 --ell 2,
+        # which gauss and thm81 accept, stops at fourier
+        (["verify", "fourier", "--p", "17"],
+         "--p 17: fourier takes primes up to 13"),
+        (["verify", "measures", "--p", "103"],
+         "--p 103: measures takes primes up to 101"),
+        (["verify", "measures", "--p", "1009"],
+         "--p 1009: measures takes primes up to 101"),
+        (["verify", "all", "--p", "31", "--ell", "2"],
+         "--p 31: fourier takes primes up to 13"),
+        (["verify", "all", "--p", "17"],
+         "--p 17: fourier takes primes up to 13"),
     ])
     def test_exit_2_with_message(self, args, message):
         res = run(*args)
@@ -379,6 +392,10 @@ class TestUsageErrors:
         ["verify", "gauss", "--p", "61"],
         ["verify", "thm81", "--p", "31", "--ell", "2"],
         ["verify", "measures", "--prec-T", "3"],
+        # the largest primes that fourier and measures take
+        ["verify", "fourier", "--p", "13"],
+        ["verify", "measures", "--p", "101"],
+        ["verify", "all", "--p", "13", "--ell", "2"],
     ])
     def test_boundary_values_run(self, args):
         assert run(*args).exit_code == 0

@@ -12,7 +12,9 @@ import padr
 from padr.exactnum import (
     LaurentRF,
     _laurent_canonical,
+    _lp_add,
     _lp_mul,
+    _lp_neg,
     _lp_to_poly,
     _poly_to_lp,
     _spoly_divmod,
@@ -32,12 +34,10 @@ from padr.scalar import (
     _coerce,
     _cyc_mul,
     _cyc_reduce,
-    _descend,
     _make,
     _prime_divisors,
     _pseudo_divmod,
     _phi_tail,
-    _minimal_field,
 )
 
 
@@ -329,23 +329,6 @@ def _galois_dense(x, m):
                                      x.pigrade))
 
 
-def _descend_dense(N, q, nums):
-    M = N // q
-    if M % q == 0:
-        if any(c for k, c in enumerate(nums) if k % q):
-            return None
-        return nums[::q]
-    u, v = pow(q, -1, M), pow(M, -1, q)
-    Y = [[0] * M for _ in range(q)]
-    for k, c in enumerate(nums):
-        Y[k * v % q][k * u % M] += c
-    Y = [_cyc_reduce(y, M) for y in Y]
-    Z = [y - y0 for y, y0 in zip(Y[1], Y[0])]
-    if any([y - y0 for y, y0 in zip(Yr, Y[0])] != Z for Yr in Y[2:]):
-        return None
-    return tuple(-z for z in Z)
-
-
 def _root_of_unity_sum_dense(terms):
     items, N, D, grade = [], 1, 1, 0
     for r, x, M, j in terms:
@@ -468,26 +451,6 @@ class TestSparseWalks:
             x = self.scalar(random.Random(s), N, dens, pigrade=2)
             hyp.assume(math.gcd(m, N) == 1)
             self.same(x.galois(m), _galois_dense(x, m))
-
-        check()
-
-    def test_descend(self):
-        hyp, st, conductor, density, seed = self.strategies()
-
-        @hyp.settings(max_examples=150, deadline=None)
-        @hyp.given(conductor.filter(lambda N: N > 1), density, st.booleans(),
-                   seed)
-        def check(N, dens, from_subfield, s):
-            rng = random.Random(s)
-            q = rng.choice(_prime_divisors(N))
-            if from_subfield:
-                # an element of Q(zeta_(N/q)), which descends
-                nums = self.scalar(rng, N // q, dens)._to_cyc(N).nums
-            else:
-                nums = tuple(self.numerators(rng, N, dens))
-            got = _descend(N, q, nums)
-            assert got == _descend_dense(N, q, nums)
-            assert got is not None or not from_subfield
 
         check()
 
@@ -783,24 +746,23 @@ class TestEqualityAndHash:
             a, b, c = values
             assert a == b and b == c and a == c
             assert hash(a) == hash(b) == hash(c)
-            for v in values:
-                assert _in_minimal_field(v) == a
 
         prop()
 
-    @pytest.mark.parametrize("v, M", [
-        (E.zeta(12, 3), 4), (E.zeta(15), 15), (E.zeta(6), 3),
-        (E.sqrtD(3), 12), (E.sqrtD(5) * E.zeta(9, 3), 15),
-        (E.zeta(8) + E.zeta(8, 2) - E.zeta(8), 4)])
-    def test_minimal_field(self, v, M):
-        w = _in_minimal_field(v)
-        assert w.N == M and w == v
+    @pytest.mark.parametrize("v", [
+        E.zeta(12, 3), E.zeta(15), E.zeta(6), E.sqrtD(3),
+        E.sqrtD(5) * E.zeta(9, 3), E.zeta(8) + E.zeta(8, 2) - E.zeta(8),
+        E.rational(0, pigrade=1), E.rational(3)])
+    def test_embeddings_hash_alike(self, v):
+        for k in (2, 3):
+            w = v._to_cyc(k * v.N)
+            assert w.N == k * v.N
+            assert w == v and hash(w) == hash(v)
 
-
-def _in_minimal_field(v):
-    """v rebuilt in the power basis of its smallest cyclotomic field."""
-    M, nums = _minimal_field(v.N, v.nums)
-    return E([Fraction(n, v.den) for n in nums], N=M, pigrade=v.pigrade)
+    def test_rationals_hash_as_fractions(self):
+        assert hash(E.rational(0, pigrade=1)) == hash(E.zero()) == hash(0)
+        assert hash(E.rational(3)) == hash(3)
+        assert hash(E.rational(Fraction(-5, 7))) == hash(Fraction(-5, 7))
 
 
 def _sympy_value(sp, v, x, m=1):
@@ -1062,10 +1024,60 @@ class TestLaurentRF:
                          ({0: E.zeta(3), 1: 1}, {0: 1, 1: E.zeta(3, 2)}),
                          ({0: 2, 1: -4}, {0: 1, 1: -3}),
                          ({-1: 1, 0: E.zeta(3)}, {0: 1, 1: 1})):
+            # the sides as LaurentRF passes them: ExactScalar coefficients
+            num, den = ({e: _coerce(c) for e, c in side.items()}
+                        for side in (num, den))
             assert _laurent_canonical(num, den) == \
                 self.canonical_every_step(num, den)
-        assert _laurent_canonical({0: 2, 1: -4}, {0: 1, 1: -2}) == \
+        assert _laurent_canonical({0: E.rational(2), 1: E.rational(-4)},
+                                  {0: E.one(), 1: E.rational(-2)}) == \
             ({0: 2}, {0: 1})
+
+    @staticmethod
+    def eq_cross_multiplied(f, g):
+        """Whether f.num g.den - g.num f.den is zero: the equality of two
+        rational functions in any form, canonical or not."""
+        return not _lp_add(_lp_mul(f.num, g.den),
+                           _lp_neg(_lp_mul(g.num, f.den)))
+
+    # POOL[3] and POOL[5] computed in Q(zeta_6) and in Q(zeta_3)
+    TWINS = {3: E.zeta(6, 2), 5: 1 - E.zeta(3, 2)}
+
+    def test_eq_reads_the_canonical_form(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        side = st.dictionaries(st.integers(-2, 2),
+                               st.integers(0, len(self.POOL) - 1),
+                               min_size=1, max_size=3)
+        factor = st.sampled_from([{0: 1}, {0: 1, 1: -1},
+                                  {-1: 1, 0: E.zeta(3)}])
+        twins = [self.TWINS.get(i, c) for i, c in enumerate(self.POOL)]
+
+        @hyp.settings(max_examples=200, deadline=None)
+        @hyp.given(side, side, side, side, factor, st.booleans())
+        def check(rn, rd, sn, sd, common, twin):
+            pool = twins if twin else self.POOL
+            f = LaurentRF({e: self.POOL[i] for e, i in rn.items()},
+                          {e: self.POOL[i] for e, i in rd.items()})
+            # f's value, both sides times common, maybe from other fields
+            same = LaurentRF(
+                _lp_mul({e: pool[i] for e, i in rn.items()}, common),
+                _lp_mul({e: pool[i] for e, i in rd.items()}, common))
+            other = LaurentRF({e: pool[i] for e, i in sn.items()},
+                              {e: pool[i] for e, i in sd.items()})
+            assert f == same and hash(f) == hash(same)
+            assert self.eq_cross_multiplied(f, same)
+            assert (f == other) == self.eq_cross_multiplied(f, other)
+            assert (f == other + 1) == self.eq_cross_multiplied(f, other + 1)
+
+        check()
+        # one value built in Q(zeta_3) and in Q(zeta_6)
+        f = LaurentRF({0: 1, 1: E.zeta(3)}, {0: 2, 2: 1 - E.zeta(3, 2)})
+        g = LaurentRF({0: 1, 1: E.zeta(6, 2)}, {0: 2, 2: 1 + E.zeta(6)})
+        assert (f.num[1].N, g.num[1].N) == (3, 6)
+        assert f == g and hash(f) == hash(g) and self.eq_cross_multiplied(f, g)
+        for h in (g * LaurentRF.X(), g + 1, -g):
+            assert f != h and not self.eq_cross_multiplied(f, h)
 
     def test_evaluate_parts_raises_where_evaluate_does(self):
         one = LaurentRF.one()
