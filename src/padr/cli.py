@@ -294,7 +294,7 @@ def _random_tate_case(rng):
     return p, phi, chi
 
 
-def suite_tate(p, rng):
+def suite_tate(rng):
     from padr.plocal import fourier_transform, tate_factors, tate_integral
     out = []
     done = 0
@@ -475,7 +475,7 @@ def suite_cpr(rng):
 _SUITES = {
     "gauss": (suite_gauss, ("p",)),
     "fourier": (suite_fourier, ("p", "rng")),
-    "tate": (suite_tate, ("p", "rng")),
+    "tate": (suite_tate, ("rng",)),
     "thm81": (suite_thm81, ("p", "ell")),
     "trilinear": (suite_trilinear, ()),
     "propb1": (suite_propb1, ()),

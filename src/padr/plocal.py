@@ -5,8 +5,17 @@ summation, and modified Euler factors evaluated at the central point.
 
 SchwartzFn is the one type for locally constant functions, also for the
 Z_p-periodic datum phi1 of an induced-model triple and for the twists of
-iwasawa.theta_twist.  Its balls are integer keys (level, residue) at one
-scale p^(-D), and the Fourier transform and the zeta integral read them.
+iwasawa.theta_twist.  It holds twisted atoms c psi(alpha x) on balls, as
+integer keys at one scale: the Fourier transform maps each atom to one
+atom, and the zeta integral reads them.  Its canonical form, the dense
+balls of constancy, is derived from the atoms when something reads it.
+
+Orthogonality (Tate's thesis, 1950).  On the ball p^k Z_p, the shells
+p^v Z_p^x where psi(alpha x) is not 1, v_p(alpha) = -F, sum chi(x)
+psi(alpha x) to exactly 0 except one: v = F - 1 for unramified chi (the
+shells v >= F are its geometric tail), v = F - c for chi of conductor
+c >= 1.  tate_integral enumerates only that shell, term by term; it uses
+no Gauss-sum value, so Tate's functional equation still checks gauss_sum.
 
 Conventions fixed throughout:
   * the additive character psi has conductor Z_p and psi(b/p^k) = zeta_{p^k}^(-b);
@@ -16,10 +25,10 @@ Conventions fixed throughout:
 
 Roots of unity as exponents (padr.chars).  Gauss sums, Fourier transforms
 and Tate integrals pass (r, x, M, j) terms to scalar.root_of_unity_sum, one
-call per output value: one per Gauss sum, one per output ball of a
-transform, and one per valuation shell of a zeta integral.  The
-coefficients are shifted by the exponents into one integer accumulator
-that is reduced once.
+call per output value: one per Gauss sum, one per atom of a transform and
+one per ball of its dense form, and one per valuation shell of a zeta
+integral.  The coefficients are shifted by the exponents into one integer
+accumulator that is reduced once.
 """
 
 from __future__ import annotations
@@ -81,13 +90,25 @@ def zeta_local(p: int, k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 class SchwartzFn:
-    """Finite sum of coefficients times indicators of balls a + p^k Z_p,
-    kept in a canonical disjoint form.  It is Z_p-periodic exactly when
-    every ball has level k <= 0.  The form is held as integer keys: the
-    smallest scale D with every centre and radius in p^(-D) Z_p, and sorted
-    (k, r, c), c on the ball r p^(-D) + p^k Z_p with 0 <= r < p^(k+D)."""
+    """Finite sum of twisted atoms c psi(alpha x) 1_(beta + p^k Z_p)(x).
 
-    __slots__ = ("p", "D", "keys")
+    A function built from balls, coefficients times indicators of balls
+    a + p^k Z_p, has alpha = 0 on every atom; fourier_transform maps each
+    atom to one atom.  The atoms are integer keys (k, r, f, c) at one scale
+    p^(-E): beta = r p^(-E) with 0 <= r < p^(k+E), and alpha = f p^(-E).
+    They may overlap and are not a canonical form; tate_integral reads them.
+
+    The canonical form is the dense one: the maximal balls on which the
+    function is constant and non-zero, as integer keys at the smallest
+    scale D with every centre and radius in p^(-D) Z_p, sorted (k, r, c),
+    c on the ball r p^(-D) + p^k Z_p with 0 <= r < p^(k+D).  A function
+    built from balls has it from the start, and its atoms are these keys;
+    for a transform it is derived from the atoms on first use and kept.
+    ==, repr, terms, evaluate, translate, dilate and + read it.  The
+    function is Z_p-periodic exactly when every dense key has level
+    k <= 0."""
+
+    __slots__ = ("p", "E", "atoms", "_dense")
 
     def __init__(self, p, terms):
         live, D = [], 0
@@ -110,20 +131,37 @@ class SchwartzFn:
         for num, den, e, k, c in live:
             q = p ** (k + D)
             keys.append((k, num * p ** (D - e) * pow(den, -1, q) % q, c))
-        self._canonical(p, D, keys)
+        self._set_balls(p, D, keys)
 
     @staticmethod
     def _from_keys(p, D, keys):
-        """From (k, r, c), k >= -D and 0 <= r < p^(k+D), repeats allowed."""
-        return object.__new__(SchwartzFn)._canonical(p, D, keys)
+        """From dense (k, r, c), k >= -D and 0 <= r < p^(k+D), repeats
+        allowed."""
+        return object.__new__(SchwartzFn)._set_balls(p, D, keys)
+
+    @staticmethod
+    def _from_atoms(p, E, atoms):
+        """From atoms (k, r, f, c), k >= -E and 0 <= r < p^(k+E)."""
+        return object.__new__(SchwartzFn)._fill(p, E, tuple(atoms), None)
+
+    def _set_balls(self, p, D, keys):
+        D, keys = SchwartzFn._canonical(p, D, keys)
+        return self._fill(p, D, tuple((k, r, 0, c) for k, r, c in keys),
+                          (D, keys))
+
+    def _fill(self, *slots):
+        for name, value in zip(SchwartzFn.__slots__, slots):
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("SchwartzFn is immutable")
 
-    def _canonical(self, p, D, keys):
-        """Fill the slots with the maximal balls on which the function is
-        constant and non-zero, sorted by level, then by residue; returns
-        self.
+    @staticmethod
+    def _canonical(p, D, keys):
+        """The dense canonical form (D', keys) of dense keys (k, r, c) at the
+        scale p^(-D): the maximal balls on which the function is constant and
+        non-zero, sorted by level, then by residue.
 
         Coefficients are summed per key; only the ancestors of the keys are
         split into their p children, carrying the running sum down; then
@@ -187,17 +225,47 @@ class SchwartzFn:
         # the smallest scale D - s: p^s divides every r, and s <= k + D
         s = min(vp_frac(math.gcd(p ** D, *(r for _, r, _ in out)), p),
                 D + out[0][0]) if out else D
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "D", D - s)
-        object.__setattr__(self, "keys", tuple((k, r // p ** s, c)
-                                               for k, r, c in out))
-        return self
+        return D - s, tuple((k, r // p ** s, c) for k, r, c in out)
+
+    def _dense_form(self):
+        """(D, keys), derived from the atoms on first use.
+
+        Each atom is split into the balls b + p^m Z_p on which psi(alpha x)
+        is constant, m = max(0, k, F) with p^F the denominator of alpha,
+        and the value on a ball is one root_of_unity_sum, over the atoms
+        that reach it, of the terms c psi(alpha b)."""
+        if self._dense is None:
+            p, E = self.p, self.E
+            den = p ** (2 * E)
+            balls = {}
+            for k, r, f, c in self.atoms:
+                m = max(0, k, E - vp_frac(f, p) if f else 0)
+                step = p ** (k + E)
+                for j in range(p ** (m - k)):
+                    b = r + j * step
+                    # psi(alpha b) = zeta_Q^e in lowest terms, so that the
+                    # term's conductor is the order of this root of unity
+                    balls.setdefault((m, b), []).append(
+                        (1, c) + psi_exponent(f * b, den, p))
+            object.__setattr__(self, "_dense", SchwartzFn._canonical(
+                p, E, [(m, b, root_of_unity_sum(terms))
+                       for (m, b), terms in balls.items()]))
+        return self._dense
+
+    @property
+    def D(self):
+        return self._dense_form()[0]
+
+    @property
+    def keys(self):
+        return self._dense_form()[1]
 
     @property
     def terms(self):
-        """(a, k, c) per key, the centre a = r p^(-D) a Fraction."""
-        scale = self.p ** self.D
-        return tuple((Fraction(r, scale), k, c) for k, r, c in self.keys)
+        """(a, k, c) per dense key, the centre a = r p^(-D) a Fraction."""
+        D, keys = self._dense_form()
+        scale = self.p ** D
+        return tuple((Fraction(r, scale), k, c) for k, r, c in keys)
 
     # -- constructors ------------------------------------------------------
 
@@ -262,7 +330,7 @@ class SchwartzFn:
 
     def __eq__(self, other):
         return (isinstance(other, SchwartzFn) and self.p == other.p
-                and self.D == other.D and self.keys == other.keys)
+                and self._dense_form() == other._dense_form())
 
     def __repr__(self):
         body = " + ".join(f"[{c.serialize()}]*1(({a}) + p^{k})"
@@ -274,32 +342,28 @@ def fourier_transform(phi: SchwartzFn) -> SchwartzFn:
     """phi_hat(y) = integral of phi(x) psi(-xy) dx with vol(Z_p) = 1, so that
     the double transform is phi(-x).
 
-    The transform of c 1_{a + p^k Z_p} is c p^(-k) psi(-a y) 1_{p^(-k) Z_p},
-    re-expanded into the balls b + p^m Z_p, b = j p^(-k), at the level
-    m = max(denominator exponent of a, -k).  On them psi(-a b) = zeta_Q^(e j)
-    for one pair (Q, e) = psi_exponent(-r, p^(k+D)) per input key (k, r),
-    so the value on an output ball is one root_of_unity_sum over the input
-    balls that reach it: the coefficients c are shifted by these exponents
-    into one integer accumulator and reduced once, with no product formed.
-    The result is built from the integer keys b p^K, K = max(0, levels).
+    Atom by atom, each in O(1):
+        c psi(alpha x) 1_(beta + p^k Z_p)(x)
+            -> c p^(-k) psi(alpha beta) psi(-beta y) 1_(alpha + p^(-k) Z_p)(y):
+    the output ball is centred at the input's frequency, and its frequency
+    is minus the input's centre.  The scale grows to the largest input
+    level, so that it holds the balls of level -k.  The weight p^(-k) and
+    a root psi(alpha beta) other than 1 enter c through one
+    root_of_unity_sum term, with no product of two scalars formed.  The
+    dense form of the result is derived only when something reads it.
     """
-    p, D = phi.p, phi.D
-    K = max([0] + [k for k, _, _ in phi.keys])
-    balls = {}
-    for k, r, c in phi.keys:
-        # a = r p^(-D): psi(-a p^(-k)) and the denominator exponent of a
-        Q, e = psi_exponent(-r, p ** (k + D), p)
-        m = max(0, -k, D - vp_frac(r, p) if r else 0)
+    p, E = phi.p, phi.E
+    out = max([E] + [k for k, _, _, _ in phi.atoms])
+    s, den = p ** (out - E), p ** (2 * E)
+    atoms = []
+    for k, r, f, c in phi.atoms:
         weight = Fraction(1, p ** k) if k >= 0 else p ** -k
-        shift = p ** (K - k)
-        for j in range(p ** (m + k)):
-            # zeta_Q^(e j) in lowest terms, so that the term's conductor is
-            # the order of this root of unity and not Q
-            g = math.gcd(j, Q)
-            balls.setdefault((m, j * shift), []).append(
-                (weight, c, Q // g, e * (j // g)))
-    return SchwartzFn._from_keys(p, K, [(m, b, root_of_unity_sum(terms))
-                                        for (m, b), terms in balls.items()])
+        if f * r:
+            c = root_of_unity_sum([(weight, c) + psi_exponent(f * r, den, p)])
+        else:
+            c = c * weight
+        atoms.append((-k, f * s % p ** (out - k), -r * s, c))
+    return SchwartzFn._from_atoms(p, out, atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -386,47 +450,60 @@ def w_operator(phi3: SchwartzFn, ell: int) -> SchwartzFn:
 # ---------------------------------------------------------------------------
 
 def tate_integral(phi: SchwartzFn, chi: PadicChar) -> LaurentRF:
-    """Z(s, phi, chi) by valuation-shell decomposition, X = q^(-s).
+    """Z(s, phi, chi) by valuation-shell decomposition, X = q^(-s), read from
+    the atoms c psi(alpha x) 1_(beta + p^k Z_p) of phi.
 
     Multiplicative measure normalized with vol(Z_p^x) = 1; a ball a + p^k Z_p
-    with v = v(a) < k has measure p^(v-k) q/(q-1), and c 1_{p^k Z_p}
-    contributes the exact geometric tail c u^k X^k / (1 - u X) when chi is
-    unramified (zero when ramified).  The tail and the sum of the shell
-    values are each one LaurentRF, built from numerator and denominator:
-        Z(s, phi, chi) = c u^k X^k / (1 - u X) + sum_v s_v X^v.
+    with v = v(a) < k has measure p^(v-k) q/(q-1).  The tails and the sum of
+    the shell values are each one LaurentRF, built from numerator and
+    denominator:
+        Z(s, phi, chi) = sum_t c_t u^t X^t / (1 - u X) + sum_v s_v X^v.
 
     On the shell p^v Z_p^x, chi(b) = u^v zeta_m^k with (m, k) the exponent
-    form of chi at the unit b p^(-v), an integer read from the key (k, r):
-    v = v_p(r) - D and a p^(-v) = r p^(-v-D).  Each shell is one
-    root_of_unity_sum of the terms (vol, c, m, k) over the sub-balls
-    b + p^klev Z_p at the conductor level, times u^v once.  The shell value
-    is the sum of the products c chi(b) vol; its sum over the sub-balls
-    lies at the lcm of the conductors of c and zeta_m^k over its terms (in
-    Q when rational), and the product with u^v then meets u's field.
+    form of chi at the unit b p^(-v), an integer read from the key.  Each
+    shell is one root_of_unity_sum of the terms (vol, c, M, j) over the
+    sub-balls b + p^klev Z_p on which chi and psi(alpha x) are constant,
+    times u^v once.  An atom on a ball without 0 is enumerated in its shell.
+    On the ball p^k Z_p, v_p(alpha) = -F, only the shell that orthogonality
+    leaves (module docstring) is enumerated, and for unramified chi the
+    shells v >= F, where psi(alpha x) = 1, give the tail from t = max(F, k).
     """
-    p = chi.p
+    p, E = chi.p, phi.E
     shells, tails = {}, {}
     level = max(chi.c, 1)
-    for k, r, c in phi.keys:
-        v = vp_frac(r, p) - phi.D if r else k
+    for k, r, f, c in phi.atoms:
+        # psi(alpha x) is constant on the balls of level >= F
+        F = E - vp_frac(f, p) if f else k
+        v = vp_frac(r, p) - E if r else k
         if v < k:
-            need = v + level
+            klev = max(k, v + level, F)
             # the units b p^(-v), integers, of the sub-balls b + p^klev Z_p
-            unit = r // p ** (v + phi.D)
-            if k >= need:
-                units, klev = [unit], k
-            else:
-                step = p ** (k - v)
-                units = [unit + t * step for t in range(p ** (need - k))]
-                klev = need
+            unit = r // p ** (v + E)
+            step = p ** (k - v)
             vol = Fraction(p, (p - 1) * p ** (klev - v))
             terms = shells.setdefault(v, [])
-            for b in units:
-                terms.append((vol, c) + chi.unit_exponent(b))
-        elif chi.c == 0:
-            # the ball p^k Z_p itself, the one ball that holds 0
-            tails[k] = c * chi.u ** k
-    total = LaurentRF(tails, {0: 1, 1: -chi.u})
+            for t in range(p ** (klev - k)):
+                b = unit + t * step
+                # psi(alpha b p^v)
+                Q, j = psi_exponent(f * b, p ** (E - v), p) \
+                    if f and v < E else (1, 0)
+                terms.append(_twist_term(vol, c, *chi.unit_exponent(b), Q, j))
+            continue
+        if chi.c == 0:
+            t = max(F, k)
+            tails[t] = tails[t] + c if t in tails else c
+        v = F - level
+        if v >= k:
+            # psi(alpha p^v) = zeta_Q^j, and psi(alpha b p^v) = zeta_Q^(j b)
+            Q, j = psi_exponent(f, p ** (E - v), p)
+            vol = Fraction(p, (p - 1) * p ** level)
+            terms = shells.setdefault(v, [])
+            for b in range(1, p ** level):
+                if b % p:
+                    terms.append(_twist_term(vol, c, *chi.unit_exponent(b),
+                                             Q, j * b))
+    total = LaurentRF({t: c * chi.u ** t for t, c in tails.items()},
+                      {0: 1, 1: -chi.u})
     sums = {}
     for v, terms in shells.items():
         s = root_of_unity_sum(terms)
@@ -435,6 +512,19 @@ def tate_integral(phi: SchwartzFn, chi: PadicChar) -> LaurentRF:
     if sums:
         total = total + LaurentRF(sums)
     return total
+
+
+def _twist_term(vol, c, m, e, Q, j):
+    """The root_of_unity_sum term for vol c zeta_m^e zeta_Q^j: one exponent
+    pair at lcm(m, Q).  A chi value zeta_m^e = +-1 goes into vol instead, as
+    root_of_unity_sum counts it, so that it adds no factor m to the
+    conductor."""
+    if Q == 1:
+        return vol, c, m, e
+    if 2 * e % m == 0:
+        return (-vol if e else vol), c, Q, j
+    L = math.lcm(m, Q)
+    return vol, c, L, e * (L // m) + j * (L // Q)
 
 
 # ---------------------------------------------------------------------------

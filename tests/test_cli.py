@@ -19,16 +19,17 @@ def run(*args):
     return CliRunner().invoke(main, list(args))
 
 
-def run_python(*args, cache_dir=None):
+def run_python(*args, cache_dir=None, timeout=None):
     """python with these arguments, in a subprocess that imports this padr,
-    with PADR_CACHE_DIR set to cache_dir (unset when it is None)."""
+    with PADR_CACHE_DIR set to cache_dir (unset when it is None), stopped
+    after timeout seconds (TimeoutExpired) when one is given."""
     src = os.path.dirname(os.path.dirname(padr.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("PADR_CACHE_DIR", None)
     if cache_dir is not None:
         env["PADR_CACHE_DIR"] = str(cache_dir)
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env)
+                          text=True, env=env, timeout=timeout)
 
 
 class TestVerify:
@@ -52,6 +53,14 @@ class TestVerify:
         b = run("verify", "tate", "--seed", "3")
         assert a.output == b.output
         assert a.exit_code == b.exit_code == 0
+
+    def test_tate_does_not_read_p(self):
+        # the suite draws its own primes, so --p is not trial-divided, which
+        # at 2^61 - 1 would run for minutes
+        args = ("-m", "padr.cli", "verify", "tate", "--seed", "3")
+        res = run_python(*args, "--p", str(2 ** 61 - 1), timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == run_python(*args).stdout
 
     def test_text_format(self):
         res = run("verify", "fourier", "--format", "text")

@@ -431,6 +431,18 @@ class TestFourier:
                                 rng.randint(-2, 2)) for _ in range(2)])
             assert fourier_transform(fourier_transform(f)) == f.dilate(-1)
 
+    def test_inverse_of_a_343_ball_transform(self):
+        # 1 + 7^3 Z_7 transforms into 343 dense balls but one atom, so the
+        # transform back is one atom too; the dense route sums 117,649
+        # terms for it
+        phi = SchwartzFn.indicator(7, 1, 3)
+        hat = fourier_transform(phi)
+        assert len(hat.keys) == 343 and hat == _fourier_by_products(phi)
+        back = fourier_transform(hat)
+        assert back == phi.dilate(-1)
+        dense = SchwartzFn._from_keys(7, hat.D, hat.keys)
+        assert fourier_transform(dense) == back
+
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_inversion_levels_and_denominators(self, p):
         # levels -2..3, centres with p-power and prime-to-p denominators;
@@ -482,6 +494,34 @@ class TestExponentRoute:
                                  for n, e, u, k, cf in raw])
             hat = fourier_transform(phi)
             assert hat == _fourier_by_products(phi)
+            # its transform has atoms off 0, with frequency 0
+            back = fourier_transform(hat)
+            assert back == _fourier_by_products(hat)
+            # atoms c psi(alpha x) 1_(beta + p^k Z_p) with alpha and beta
+            # non-zero, which no transform of a function built from balls
+            # has, at the scale p^-E: the dense view is checked against
+            # c psi(alpha x) summed at drawn points.  E <= 1 keeps the
+            # product route on the dense view fast
+            E_ = data.draw(st.integers(0, 1))
+            drawn = data.draw(st.lists(st.tuples(
+                st.integers(1 - E_, 1), st.integers(1, p ** 2),
+                st.integers(-p ** 2, p ** 2).filter(bool), coeff),
+                min_size=1, max_size=3))
+            atoms = [(k, 1 + r % (p ** (k + E_) - 1) if p ** (k + E_) > 2
+                      else 1, f, scalar(*cf)) for k, r, f, cf in drawn]
+            twisted = SchwartzFn._from_atoms(p, E_, atoms)
+            scale = Fraction(1, p ** E_)
+            for _ in range(3):
+                x = Fraction(data.draw(st.integers(-p ** 4, p ** 4)),
+                             p ** data.draw(st.integers(0, 3)))
+                want = E.zero()
+                for k, r, f, c in atoms:
+                    d = x - r * scale
+                    if d == 0 or vp_frac(d, p) >= k:
+                        want = want + c * psi_value(f * scale * x, p)
+                assert twisted.evaluate(x) == want
+            twisted_hat = fourier_transform(twisted)
+            assert twisted_hat == _fourier_by_products(twisted)
             # conductor 0 to 2 (p odd; 1 for p = 7, to keep Q(zeta_2058))
             c = 0 if p == 2 else data.draw(st.integers(0, 1 if p == 7 else 2))
             u = data.draw(st.sampled_from(
@@ -492,7 +532,7 @@ class TestExponentRoute:
             e = data.draw(st.sampled_from(
                 [x for x in range(1, m) if c != 2 or x % p])) if c else 0
             chi = PadicChar(p, u, c, e)
-            for f in (phi, hat):
+            for f in (phi, hat, back, twisted, twisted_hat):
                 assert tate_integral(f, chi) == _tate_by_products(f, chi)
 
         check()
@@ -624,9 +664,20 @@ class TestTateValuePin:
             lhs = tate_integral(hat, chi.inverse()).subst_X(Fraction(1, p), -1)
             rhs = tate_factors(chi)[2] * tate_integral(phi, chi)
             assert lhs == rhs
+            # the dense route, the integral over the transform's dense
+            # balls, gives the same value, with every coefficient in a
+            # field Q(zeta_N) that holds the one the atoms give
+            dense = SchwartzFn._from_keys(p, hat.D, hat.keys)
+            old = tate_integral(dense, chi.inverse()) \
+                .subst_X(Fraction(1, p), -1)
+            assert lhs == old
+            for new_side, old_side in ((lhs.num, old.num), (lhs.den, old.den)):
+                assert new_side.keys() == old_side.keys()
+                assert all(old_side[e].N % x.N == 0
+                           for e, x in new_side.items())
             lines += [repr(hat), lhs.serialize(), rhs.serialize()]
         digest = hashlib.md5("\n".join(lines).encode()).hexdigest()
-        assert digest == "963b2f602ec83d8019c85fdc49b0fc15"
+        assert digest == "8ea6ef4893f32533fb4c4e1a827a60a6"
 
 
 def delta(p, j=0, level=0):
