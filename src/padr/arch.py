@@ -233,8 +233,8 @@ def _interlace_data(lam, mu):
     nstars = tuple(total // 2 - ni for ni in n)
     _check(min(n) >= 0 and min(nstars) >= 0, "negative degree")
 
-    k = (-lam[0], -lam[1] - 1, 1 - lam[2])
-    kp = (int(-mu[0] - Fraction(1, 2)), int(Fraction(1, 2) - mu[1]))
+    w = weights_from_hc(HCParams(lam, mu))
+    k, kp = w.k, w.kp
     b, c = -kp[0] - 1, kp[1] - 1
     _check(nstars[0] == kp[1] - k[2] and nstars[1] == kp[0] - k[0],
            "seesaw degrees disagree with the weights")
@@ -278,13 +278,6 @@ def prop_b1_verify(lam, mu):
            "central ratio: the two forms disagree")
     rhs = gamma_R(2) ** 2 * gamma_R(4) * ratio
     return lhs == rhs, lhs, rhs
-
-
-def i_inf(w):
-    """The archimedean zeta-integral constant (-1)^m 2^(2 k3 - 2 k2') for
-    discriminant D = 4, the one case where (2/|delta|)^m is rational."""
-    _, m = einf_mq(w)
-    return Fraction((-1) ** m * 2 ** (2 * w.k[2]), 2 ** (2 * w.kp[1]))
 
 
 # ---------------------------------------------------------------------------

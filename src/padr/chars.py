@@ -170,9 +170,6 @@ class PadicChar:
     def at_minus_one(self) -> ExactScalar:
         return self.value_unit(-1)
 
-    def is_trivial(self):
-        return self.c == 0 and self.u == ExactScalar.one()
-
     # -- algebra -------------------------------------------------------------
 
     def __mul__(self, other):

@@ -50,6 +50,12 @@ _THM81_TRANSLATES = 20000
 #: seeds 0-9, at most 1.3 s), and 1.1 s at 113 and over 20 s at 1009.
 _MAX_P = {"gauss": 61, "thm81": 31, "fourier": 13, "measures": 101}
 
+#: the largest --p of interp, whose E_p is written in the power basis of
+#: Q(zeta_p) or Q(zeta_4p), about p/2 terms.  As processes on a 2-vCPU
+#: host, interp took 1.1-1.2 s at 9967 and 9931 (p = 3 mod 4), 0.5 s at
+#: 9973, the largest prime it takes, and 1.2-1.3 s at 10007.
+_MAX_INTERP_P = 10000
+
 
 def _parse_fraction(s):
     s = str(s)
@@ -169,7 +175,8 @@ def main(ctx):
 
 
 @main.command()
-@click.option("--p", type=int, default=5, show_default=True)
+@click.option("--p", type=int, default=5, show_default=True,
+              help=f"a prime, at most {_MAX_INTERP_P}")
 @click.option("--weights", default="-1,0,2", show_default=True,
               help="k1,k2,k3 (weakly increasing); with --kp they must "
                    "keep Gamma_VQ within 4300 digits: at the default --kp, "
@@ -184,6 +191,10 @@ def main(ctx):
 def interp(p, weights, kp, satake, fmt):
     """Assemble the local interpolation factors for one configuration."""
     from padr import arch, plocal
+    # before _check_prime, whose trial division is slow on a large prime
+    if p > _MAX_INTERP_P:
+        raise click.UsageError(f"--p {p}: interp takes primes up to "
+                               f"{_MAX_INTERP_P}")
     _check_prime(p)
     k = _parse_ints(weights, 3, "--weights")
     kprime = _parse_ints(kp, 2, "--kp")

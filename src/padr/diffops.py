@@ -683,25 +683,6 @@ def gen_iota(D, h):
     return [[a, zr, b], [zr, o, zr], [c, zr, d]]
 
 
-def natural_involution(g, D):
-    """g -> I g^c I with I = diag(1, 1, -1); equals S I (g^t)^(-1) I S^(-1)."""
-    out = [[g[i][j].conj() for j in range(3)] for i in range(3)]
-    for i in range(3):
-        for j in range(3):
-            if (i == 2) != (j == 2):
-                out[i][j] = -out[i][j]
-    return out
-
-
-def mat_inverse3(g, D):
-    """Inverse of a group element via g^(-1) = S (conj g)^t S^(-1)."""
-    S = s_delta(D)
-    # S^2 = diag(-1, -D, -1) is diagonal, so S^(-1) = (S^2)^(-1) S
-    S2 = mat_mul(S, S)
-    Sinv = [[S[i][j] / S2[i][i] for j in range(3)] for i in range(3)]
-    return mat_mul(mat_mul(S, mat_conj_t(g)), Sinv)
-
-
 # ---------------------------------------------------------------------------
 # the symmetric domain: eta, xi and the automorphy factors
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Measures on Z_p as truncated power series in T, theta twists by
-locally constant functions (plocal.SchwartzFn, read on Z_p),
-log-substitution, and q-expansion operator calculus.
+locally constant functions (plocal.SchwartzFn, read on Z_p), and
+q-expansion operator calculus.
 
 The dictionary: a measure mu corresponds to g(T) with
 integral of (1+T)^x d mu = g(T); the Dirac measure at a has transform
@@ -188,27 +188,6 @@ def integrate(g: MeasureSeries, phi: SchwartzFn,
               power: int = 0) -> ExactScalar:
     """Integral of phi(x) x^power d mu(g) by twisting the measure, then taking the plain moment."""
     return mellin_moment(theta_twist(g, phi), power)
-
-
-def substitute_log(f_coeffs, c, p: int, prec_T: int,
-                   prec_p: int = 0) -> MeasureSeries:
-    """Return f(c log(1+T)) truncated; the n-th moment is c^n n! [w^n]f."""
-    c = _coerce(c)
-    # log(1+T) truncated
-    log_coeffs = [ExactScalar.zero()] + [
-        ExactScalar.rational(Fraction((-1) ** (k + 1), k))
-        for k in range(1, prec_T + 1)]
-    L = MeasureSeries(p, log_coeffs, prec_T, 0).scale(c)
-    out = MeasureSeries(p, [], prec_T, 0)
-    power = MeasureSeries(p, [ExactScalar.one()], prec_T, 0)
-    for n, fn in enumerate(f_coeffs):
-        if n > prec_T:
-            break
-        fn = _coerce(fn)
-        if not fn.is_zero():
-            out = out + power.scale(fn)
-        power = power * L
-    return MeasureSeries(p, list(out.coeffs), prec_T, prec_p)
 
 
 class QExpansion:

@@ -603,25 +603,6 @@ def depletion_pipeline(h: GL3Vector, chi: PadicChar, chi_prime: PadicChar,
     return GL3Vector(h.p, h.chars, phi1, phi2, phi3), prefactor
 
 
-def whittaker_gl3_torus(h: GL3Vector, a, b) -> ExactScalar:
-    """Torus Whittaker value hat(phi3)(0) |b| mu(-b) hat(phi2)(b)
-    |a| nu(a)^(-1) hat(phi1)(a)."""
-    p = h.p
-    nu, _, mu = h.chars
-    a, b = Fraction(a), Fraction(b)
-    hat1 = fourier_transform(h.phi1)
-    hat2 = fourier_transform(h.phi2)
-    hat3 = fourier_transform(h.phi3)
-    f1 = hat1.evaluate(a)
-    f2 = hat2.evaluate(b)
-    if f1.is_zero() or f2.is_zero():
-        return ExactScalar.zero()
-    abs_a = ExactScalar.rational(Fraction(p) ** (-vp_frac(a, p)))
-    abs_b = ExactScalar.rational(Fraction(p) ** (-vp_frac(b, p)))
-    return (hat3.evaluate(0) * abs_b * mu(-b) * f2
-            * abs_a * nu(a).inverse() * f1)
-
-
 # ---------------------------------------------------------------------------
 # zeta integrals of depleted vectors: two routes
 # ---------------------------------------------------------------------------
@@ -805,7 +786,7 @@ def l_gl_pair(pi_chars, sigma, x) -> ExactScalar:
 
 
 # ---------------------------------------------------------------------------
-# adjoint modified factor and the p-stabilization ratio
+# adjoint modified factor
 # ---------------------------------------------------------------------------
 
 def adjoint_modified(sigma) -> ExactScalar:
@@ -832,23 +813,6 @@ def adjoint_modified(sigma) -> ExactScalar:
     else:
         inv = L_ad * g * ExactScalar.rational(Fraction(p) ** c_sigma) / z1
     return inv.inverse()
-
-
-def subgroup_index(p: int, c: int, ell: int) -> int:
-    """[K_0(p^c) : I_0(p^l)] inside GL_2(Z_p) for l >= max(1, c)."""
-    _check(ell >= max(1, c), f"level {ell} below max(1, {c})")
-    if c == 0:
-        return p ** (ell - 1) * (p + 1)
-    return p ** (ell - c)
-
-
-def pstab_ratio(sigma, ell: int) -> ExactScalar:
-    """q^(l/2) nu(p)^l [K_0(p^c(sigma)) : I_0(p^l)]^(-1) E(sigma, Ad, psi)
-    mu(-1), with q^(l/2) = half_power(p, l)."""
-    mu, nu = sigma
-    idx = subgroup_index(mu.p, mu.c + nu.c, ell)
-    return (nu.u ** ell * adjoint_modified(sigma) * mu.at_minus_one()
-            * half_power(mu.p, ell) * ExactScalar.rational(Fraction(1, idx)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Finite-dimensional representation algebra over Q: homogeneous polynomial
 models of GL(2) and SU(2) representations, the standard invariant pairings,
-pluriharmonic projection in two sets of variables, exact SU(2) Haar-monomial
-integration, trilinear invariant forms computed by two independent routes,
-and the interlacing checker for signed Harish-Chandra parameters.
+exact SU(2) Haar-monomial integration, trilinear invariant forms computed by
+two independent routes, and the interlacing checker for signed
+Harish-Chandra parameters.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .scalar import Q0, _check
+from .scalar import _check
 
 
 # ---------------------------------------------------------------------------
@@ -294,184 +294,6 @@ def do_binomial_sum(A, B, C):
     sum_i binom(A+B-i, B) binom(C+i, C) = binom(A+B+C+1, A)."""
     lhs = sum(comb(A + B - t, B) * comb(C + t, C) for t in range(A + 1))
     return lhs, comb(A + B + C + 1, A)
-
-
-# ---------------------------------------------------------------------------
-# bihomogeneous polynomials and pluriharmonic projection
-# ---------------------------------------------------------------------------
-
-class BiPoly:
-    """Bihomogeneous polynomial of bidegree (b, c): degree b in x11, x12 and
-    degree c in y1, y2; coeffs keyed by (i, j) for x11^i x12^(b-i) y1^j
-    y2^(c-j)."""
-
-    __slots__ = ("b", "c", "coeffs")
-
-    def __init__(self, b, c, coeffs):
-        self.b, self.c = b, c
-        out = {}
-        for (i, j), v in coeffs.items():
-            v = Fraction(v)
-            _check(0 <= i <= b and 0 <= j <= c,
-                   "BiPoly index outside its bidegree")
-            if v != 0:
-                out[(i, j)] = v
-        self.coeffs = out
-
-    @staticmethod
-    def monomial(b, c, i, j, v=1):
-        return BiPoly(b, c, {(i, j): v})
-
-    def __add__(self, other):
-        _check((self.b, self.c) == (other.b, other.c), "bidegree mismatch")
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return BiPoly(self.b, self.c, out)
-
-    def scale(self, v):
-        v = Fraction(v)
-        return BiPoly(self.b, self.c,
-                      {k: x * v for k, x in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return (isinstance(other, BiPoly) and (self.b, self.c) ==
-                (other.b, other.c) and self.coeffs == other.coeffs)
-
-    def __repr__(self):
-        return f"BiPoly({self.b},{self.c},{self.coeffs})"
-
-
-def bipoly_laplacian(P: BiPoly) -> BiPoly:
-    """The mixed Laplacian d^2/dx11 dy1 + d^2/dx12 dy2, lowering the bidegree
-    by (1, 1)."""
-    b, c = P.b, P.c
-    _check(b >= 1 and c >= 1, "Laplacian of bidegree below (1, 1)")
-    out = {}
-    for (i, j), v in P.coeffs.items():
-        if i >= 1 and j >= 1:
-            key = (i - 1, j - 1)
-            out[key] = out.get(key, Fraction(0)) + v * i * j
-        if i <= b - 1 and j <= c - 1:
-            key = (i, j)
-            out[key] = out.get(key, Fraction(0)) + v * (b - i) * (c - j)
-    return BiPoly(b - 1, c - 1, out)
-
-
-def bipoly_torsion_mul(R: BiPoly) -> BiPoly:
-    """Multiplication by x11 y1 + x12 y2, raising the bidegree by (1, 1)."""
-    b, c = R.b + 1, R.c + 1
-    out = {}
-    for (i, j), v in R.coeffs.items():
-        for key in ((i + 1, j + 1), (i, j)):
-            out[key] = out.get(key, Fraction(0)) + v
-    return BiPoly(b, c, out)
-
-
-def solve_linear(mat, rhs):
-    """Gaussian elimination over Fraction; returns a solution or None."""
-    n = len(mat)
-    m = len(mat[0]) if n else 0
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(mat)]
-    piv_cols = []
-    r = 0
-    for c in range(m):
-        piv = next((i for i in range(r, n) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(n):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if a[i][m] != 0:
-            return None
-    sol = [Q0] * m
-    for i, c in enumerate(piv_cols):
-        sol[c] = a[i][m]
-    return sol
-
-
-def bipoly_project(P: BiPoly) -> BiPoly:
-    """The pluriharmonic projection: the unique H with Laplacian zero and
-    P - H in (x11 y1 + x12 y2) times the (b-1, c-1) space, by a dense linear
-    solve over Q."""
-    b, c = P.b, P.c
-    if b == 0 or c == 0:
-        return P
-    basis = [(i, j) for i in range(b) for j in range(c)]
-    index = {k: t for t, k in enumerate(basis)}
-    mat = []
-    target = bipoly_laplacian(P)
-    # rows indexed by monomials of bidegree (b-1, c-1)
-    cols = []
-    for k in basis:
-        img = bipoly_laplacian(bipoly_torsion_mul(BiPoly.monomial(
-            b - 1, c - 1, k[0], k[1])))
-        cols.append(img.coeffs)
-    for row_key in basis:
-        mat.append([col.get(row_key, Fraction(0)) for col in cols])
-    rhs = [target.coeffs.get(k, Fraction(0)) for k in basis]
-    sol = solve_linear(mat, rhs)
-    _check(sol is not None, "projection solve failed")
-    R = BiPoly(b - 1, c - 1, {k: sol[index[k]] for k in basis})
-    H = P - bipoly_torsion_mul(R)
-    _check(bipoly_laplacian(H).is_zero(), "projection is not harmonic")
-    return H
-
-
-def bipoly_pair(P: BiPoly, Q: BiPoly) -> Fraction:
-    """The differential pairing on opposite bidegrees: a monomial of P with
-    x-exponents (n1, n2) and y-exponents (m1, m2) pairs only with the Q
-    monomial with x-exponents (m1, m2) and y-exponents (n1, n2), giving
-    n1! n2! m1! m2!."""
-    _check((P.b, P.c) == (Q.c, Q.b), "bidegree mismatch")
-    total = Fraction(0)
-    for (i, j), v in P.coeffs.items():
-        w = Q.coeffs.get((j, i))
-        if w is not None:
-            total += v * w * factorial(i) * factorial(P.b - i) \
-                * factorial(j) * factorial(P.c - j)
-    return total
-
-
-def bipoly_wp(P: BiPoly) -> HomPoly:
-    """The substitution x11 -> X, x12 -> Y, y1 -> -Y, y2 -> X, landing in
-    degree b + c."""
-    kappa = P.b + P.c
-    out = {}
-    for (i, j), v in P.coeffs.items():
-        y_deg = (P.b - i) + j
-        out[y_deg] = out.get(y_deg, Fraction(0)) + v * (-1) ** j
-    return HomPoly(kappa, out)
-
-
-def wp_compare(P: BiPoly, Q: BiPoly):
-    """Ratio of the differential pairing of the pluriharmonic projection of P
-    against Q to the degree-(b+c) pairing of the two substituted images.
-    The magnitude must be b! c!; the sign is reported, not asserted."""
-    b, c = P.b, P.c
-    _check((Q.b, Q.c) == (c, b), "bidegree mismatch")
-    lhs = bipoly_pair(bipoly_project(P), Q)
-    rhs = pair_ell(bipoly_wp(P), bipoly_wp(Q))
-    _check(rhs != 0, "degenerate pair")
-    ratio = lhs / rhs
-    _check(abs(ratio) == factorial(b) * factorial(c),
-           f"bad magnitude {ratio}")
-    return ratio
 
 
 # ---------------------------------------------------------------------------

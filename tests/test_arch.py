@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from math import factorial
 
 import pytest
 
@@ -16,7 +15,6 @@ from padr.arch import (
     gamma_vq,
     ggp_from_hc,
     hc_from_weights,
-    i_inf,
     prop_b1_verify,
     ratio_b1_closed,
     ratio_b1_direct,
@@ -208,12 +206,6 @@ class TestPropB1:
     def test_interlacing_violation_rejected(self):
         with pytest.raises(AssertionError):
             prop_b1_verify((1, 0, 0), (Fraction(3, 2), Fraction(-1, 2)))
-
-    def test_i_inf_d4(self):
-        w = WeightTuple((-1, 0, 2), (-1, 2))
-        assert i_inf(w) == Fraction(1)
-        w2 = WeightTuple((-1, 0, 2), (-1, 3))
-        assert i_inf(w2) == -Fraction(2 ** 4, 2 ** 6)
 
 
 class TestGGPCrossCheck:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -382,6 +383,9 @@ class TestUsageErrors:
          "--p 31: fourier takes primes up to 13"),
         (["verify", "all", "--p", "17"],
          "--p 17: fourier takes primes up to 13"),
+        # the next prime above interp's bound, 10000
+        (["interp", "--p", "10007"], "--p 10007: interp takes primes up to "
+                                     "10000"),
     ])
     def test_exit_2_with_message(self, args, message):
         res = run(*args)
@@ -405,9 +409,24 @@ class TestUsageErrors:
         ["verify", "fourier", "--p", "13"],
         ["verify", "measures", "--p", "101"],
         ["verify", "all", "--p", "13", "--ell", "2"],
+        # the largest prime that interp takes
+        ["interp", "--p", "9973"],
     ])
     def test_boundary_values_run(self, args):
         assert run(*args).exit_code == 0
+
+    def test_interp_refuses_a_large_prime_at_once(self):
+        # 2^61 - 1 is refused before _check_prime, whose trial division up
+        # to its square root would run for minutes
+        start = time.perf_counter()
+        res = run_python("-m", "padr.cli", "interp", "--p", str(2 ** 61 - 1),
+                         timeout=60)
+        elapsed = time.perf_counter() - start
+        assert res.returncode == 2
+        last = res.stderr.splitlines()[-1]
+        assert last == ("Error: --p 2305843009213693951: interp takes "
+                        "primes up to 10000")
+        assert elapsed < 1
 
 
 class TestInterp:

@@ -28,9 +28,7 @@ from padr.diffops import (
     conjugated_derivative_form,
     maass_shimura,
     mat_eq,
-    mat_inverse3,
     mat_mul,
-    natural_involution,
     coefficient_closed_form,
     qdelta,
     qi,
@@ -38,7 +36,6 @@ from padr.diffops import (
     eta_of,
     rf_sum,
     rho_xi,
-    s_delta,
     skew_pairing,
     symbolic_point,
     xi_of,
@@ -524,36 +521,6 @@ class TestGroup:
         zr, o = QiD(D), QiD(D, 1)
         g = [[o, o, zr], [zr, o, zr], [zr, zr, o]]
         assert not in_group(g, D)
-
-    @pytest.mark.parametrize("D", [3, 4])
-    def test_inverse(self, D):
-        ident = [[QiD(D, int(i == j)) for j in range(3)] for i in range(3)]
-        for g in sample_group_elts(D):
-            assert mat_eq(mat_mul(g, mat_inverse3(g, D)), ident)
-
-    @pytest.mark.parametrize("D", [3, 4])
-    def test_natural_involution_two_forms(self, D):
-        # I g^c I  ==  S I (g^t)^(-1) I S^(-1), and it stays in the group
-        S = s_delta(D)
-        S2 = mat_mul(S, S)
-        Sinv = [[S[i][j] / S2[i][i] for j in range(3)] for i in range(3)]
-        I3 = [[QiD(D, (1, 1, -1)[i] if i == j else 0) for j in range(3)]
-              for i in range(3)]
-        for g in sample_group_elts(D):
-            nat = natural_involution(g, D)
-            assert in_group(nat, D)
-            gti = [[mat_inverse3(g, D)[j][i] for j in range(3)]
-                   for i in range(3)]
-            other = mat_mul(S, mat_mul(I3, mat_mul(gti, mat_mul(I3, Sinv))))
-            assert mat_eq(nat, other)
-
-    @pytest.mark.parametrize("D", [3, 4])
-    def test_natural_involution_antihomomorphism(self, D):
-        gs = sample_group_elts(D)
-        for g, h in [(gs[0], gs[4]), (gs[2], gs[1])]:
-            lhs = natural_involution(mat_mul(g, h), D)
-            rhs = mat_mul(natural_involution(g, D), natural_involution(h, D))
-            assert mat_eq(lhs, rhs)
 
 
 def _act_point_chain(alpha, Z, D):

@@ -11,11 +11,9 @@ from padr.iwasawa import (
     mellin_moment,
     min_vp,
     qexp_ops,
-    substitute_log,
     theta_twist,
 )
 from padr.plocal import SchwartzFn
-from padr.scalar import ExactScalar as E
 
 
 class TestDiracSeries:
@@ -107,42 +105,6 @@ class TestThetaTwist:
         g1, g2 = dirac_series(1, p, N_T), dirac_series(4, p, N_T)
         lhs = theta_twist(g1 + g2, phi)
         rhs = theta_twist(g1, phi) + theta_twist(g2, phi)
-        assert lhs == rhs
-
-
-class TestSubstituteLog:
-    def test_f_w_moment1(self):
-        c = Fraction(7, 3)
-        g = substitute_log([0, 1], c, 5, 6)
-        assert mellin_moment(g, 1).as_fraction() == c
-
-    def test_f_w2_moment2(self):
-        c = Fraction(2)
-        g = substitute_log([0, 0, 1], c, 5, 6)
-        assert mellin_moment(g, 2).as_fraction() == 2 * c ** 2
-
-    def test_constant_series(self):
-        g = substitute_log([1], 3, 5, 5)
-        for n in range(1, 5):
-            assert mellin_moment(g, n) == E.zero()
-
-    def test_general_moment_identity(self):
-        c = Fraction(3, 2)
-        coeffs = [Fraction(1), Fraction(-2), Fraction(5, 7), Fraction(0), Fraction(1, 3)]
-        g = substitute_log(coeffs, c, 3, 10)
-        import math
-        for n in range(5):
-            want = c ** n * math.factorial(n) * coeffs[n]
-            assert mellin_moment(g, n).as_fraction() == want
-
-    def test_chain_rule(self):
-        # D_T f(c log(1+T)) = c f'(c log(1+T))
-        c = Fraction(2, 5)
-        coeffs = [Fraction(1), Fraction(4), Fraction(-1), Fraction(2), Fraction(1, 2)]
-        N_T = 9
-        lhs = substitute_log(coeffs, c, 3, N_T).d_T()
-        fprime = [k * coeffs[k] for k in range(1, len(coeffs))]
-        rhs = substitute_log(fprime, c, 3, N_T - 1).scale(c)
         assert lhs == rhs
 
 

@@ -57,3 +57,114 @@ def test_every_hook_resolves():
     for path, attr, _ in hooks.SPANS + hooks.COUNTS:
         _, target = hooks._resolve(path)
         assert attr in target.__dict__, f"{path}.{attr}"
+
+
+PERFBENCH = os.path.dirname(HOOKS)
+TESTS = os.path.dirname(os.path.abspath(__file__))
+
+#: the public functions that only tests call, each kept as the reference
+#: that a test compares reached code against, with that test
+ORACLES = {
+    ("plocal", "theta_p_level"):
+        "test_plocal.py::TestThetaOperators::test_level_independence",
+    ("plocal", "depletion_normal_form"):
+        "test_plocal.py::TestDepletionPipeline::test_normal_form",
+    ("plocal", "l_gl_pair"):
+        "test_plocal.py::TestEulerFactors::test_euler_cross_check",
+    ("plocal", "gamma_gl_pair"):
+        "test_plocal.py::TestEulerFactors::test_euler_cross_check",
+    ("plocal", "up_eigenvalues"):
+        "test_acceptance.py::test_criterion_06_up_eigenvalue_oracle",
+    ("plocal", "gl2_up_oracle"):
+        "test_acceptance.py::test_criterion_06_up_eigenvalue_oracle",
+}
+
+#: names that plocal imports for perfbench/hooks.py alone
+HOOK_REEXPORTS = {("plocal", "_gauss_cache"), ("plocal", "_gauss_cache_store")}
+
+
+def parse(path):
+    with open(path) as fh:
+        return ast.parse(fh.read())
+
+
+def padr_modules():
+    return {f[:-3]: parse(os.path.join(PKG, f))
+            for f in sorted(os.listdir(PKG)) if f.endswith(".py")}
+
+
+def names_used(node, strings=False):
+    """The names that node reads, as bare names or attributes, and, with
+    strings, the string constants in it (perfbench's hooks name callables
+    by string)."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif strings and isinstance(n, ast.Constant) \
+                and isinstance(n.value, str):
+            out.add(n.value)
+    return out
+
+
+def unreached_public_names():
+    """The public module-level functions and classes of src/padr that no
+    statement of src/padr other than their own definition, and no file
+    under perfbench/, names.  A decorated function counts as reached: its
+    decorator registers it (the click commands)."""
+    modules = padr_modules()
+    statements = [(st, names_used(st)) for tree in modules.values()
+                  for st in tree.body
+                  if not isinstance(st, (ast.Import, ast.ImportFrom))]
+    reached = set()
+    for dirpath, _, files in os.walk(PERFBENCH):
+        for f in files:
+            if f.endswith(".py"):
+                reached |= names_used(parse(os.path.join(dirpath, f)), True)
+    out = set()
+    for module, tree in modules.items():
+        for st in tree.body:
+            if (isinstance(st, (ast.FunctionDef, ast.ClassDef))
+                    and not st.name.startswith("_") and not st.decorator_list
+                    and st.name not in reached
+                    and not any(st.name in names for other, names in statements
+                                if other is not st)):
+                out.add((module, st.name))
+    return out
+
+
+def test_every_public_name_is_reached_or_an_oracle():
+    assert unreached_public_names() == set(ORACLES)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_each_oracle_is_read_by_its_test(name):
+    path, *scopes = ORACLES[name].split("::")
+    node = parse(os.path.join(TESTS, path))
+    for scope in scopes:
+        node = next(st for st in node.body
+                    if isinstance(st, (ast.ClassDef, ast.FunctionDef))
+                    and st.name == scope)
+    assert name[1] in names_used(node)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = set()
+    for module, tree in padr_modules().items():
+        scopes = [tree] + [n for n in ast.walk(tree)
+                           if isinstance(n, ast.FunctionDef)]
+        for scope in scopes:
+            used = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+            for st in scope.body:
+                if isinstance(st, ast.ImportFrom) \
+                        and st.module != "__future__":
+                    names = [a.asname or a.name for a in st.names]
+                elif isinstance(st, ast.Import):
+                    names = [(a.asname or a.name).split(".")[0]
+                             for a in st.names]
+                else:
+                    continue
+                unused |= {(module, n) for n in names if n not in used}
+    assert unused == HOOK_REEXPORTS

@@ -1,18 +1,12 @@
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 import pytest
 
 from padr.repalg import (
-    BiPoly,
     HomPoly,
     SignedHCSeq,
-    bipoly_laplacian,
-    bipoly_pair,
-    bipoly_project,
-    bipoly_torsion_mul,
-    bipoly_wp,
     do_binomial_sum,
     ggp_check,
     p_invariant,
@@ -21,13 +15,7 @@ from padr.repalg import (
     su2_monomial_integral,
     trilinear_norm,
     trilinear_value,
-    wp_compare,
 )
-
-
-def rand_bipoly(rng, b, c, n_terms=4):
-    return BiPoly(b, c, {(rng.randint(0, b), rng.randint(0, c)):
-                         rng.randint(-3, 3) for _ in range(n_terms)})
 
 
 class TestPairEll:
@@ -132,62 +120,6 @@ class TestTrilinear:
                 for C in range(5):
                     lhs, rhs = do_binomial_sum(A, B, C)
                     assert lhs == rhs
-
-
-class TestBiPoly:
-    def test_project_fixes_harmonic(self):
-        P = BiPoly.monomial(2, 3, 2, 0)  # x11^2 y2^3
-        assert bipoly_project(P) == P
-
-    def test_project_output_harmonic(self):
-        rng = random.Random(5)
-        for _ in range(15):
-            b, c = rng.randint(1, 4), rng.randint(1, 4)
-            P = rand_bipoly(rng, b, c)
-            H = bipoly_project(P)
-            assert bipoly_laplacian(H).is_zero()
-            assert bipoly_project(H) == H
-
-    def test_transversality(self):
-        rng = random.Random(6)
-        for b in range(1, 5):
-            for c in range(1, 5):
-                for _ in range(3):
-                    R = rand_bipoly(rng, b - 1, c - 1, 3)
-                    if R.is_zero():
-                        continue
-                    assert not bipoly_laplacian(bipoly_torsion_mul(R)).is_zero()
-
-    def test_pair_on_reference_vectors(self):
-        for b, c in [(1, 0), (1, 1), (2, 3)]:
-            P = BiPoly.monomial(b, c, b, 0)  # x11^b y2^c
-            Q = BiPoly.monomial(c, b, 0, b)  # x12^c y1^b
-            assert bipoly_pair(P, Q) == factorial(b) * factorial(c)
-
-    def test_wp_compare_magnitude(self):
-        for b, c in [(1, 0), (0, 1), (1, 1), (2, 1), (2, 3)]:
-            P = BiPoly.monomial(b, c, b, 0)
-            Q = BiPoly.monomial(c, b, 0, b)
-            r = wp_compare(P, Q)
-            assert abs(r) == factorial(b) * factorial(c)
-
-    def test_wp_compare_constant_ratio(self):
-        rng = random.Random(7)
-        b, c = 2, 1
-        ratios = set()
-        for _ in range(12):
-            P = rand_bipoly(rng, b, c, 3)
-            Q = rand_bipoly(rng, c, b, 3)
-            try:
-                ratios.add(wp_compare(P, Q))
-            except AssertionError as exc:
-                assert "degenerate" in str(exc)
-        assert len(ratios) == 1
-
-    def test_wp_substitution_degree(self):
-        P = BiPoly.monomial(2, 1, 1, 1)  # x11 x12 y1
-        w = bipoly_wp(P)
-        assert w.kappa == 3
 
 
 class TestGGP:
