@@ -43,12 +43,13 @@ _THM81_TRANSLATES = 20000
 #: order.  The times of gauss and thm81 follow the factorisation of p - 1,
 #: so they are not monotone in p.  As processes on a 2-vCPU host, verify
 #: gauss took at most 1.4 s for every prime up to 61 (p = 61), and 2.4 s
-#: at 67, 3.7 s at 71 and 131 s at 199; verify thm81 --ell 2 took at most
-#: 1.3 s up to 31 (p = 29), and 3.0 s at 37 and 11 s at 41; verify fourier
-#: took 0.64 s at 13 (median of seeds 0-19, at most 0.92 s), and 2.3 s at
-#: 17 and over 30 s at 31; verify measures took 0.94 s at 101 (median of
-#: seeds 0-9, at most 1.3 s), and 1.1 s at 113 and over 20 s at 1009.
-_MAX_P = {"gauss": 61, "thm81": 31, "fourier": 13, "measures": 101}
+#: at 67, 3.7 s at 71 and 131 s at 199; verify thm81 --ell 2 took 0.30 s
+#: at 31, 0.25 s at 37, 0.29 s at 41 and 0.60 s at 43, and 3.2 s at 47,
+#: 2.2 s at 53, 31 s at 59 and 1.7 s at 61; verify fourier took 0.42 s at
+#: 4999 (median of seeds 0-19, at most 1.0 s), and at most 1.2 s at 6007
+#: and 1.7 s at 8009; verify measures took 0.94 s at 101 (median of seeds
+#: 0-9, at most 1.3 s), and 1.1 s at 113 and over 20 s at 1009.
+_MAX_P = {"gauss": 61, "thm81": 43, "fourier": 5000, "measures": 101}
 
 #: the largest --p of interp, whose E_p is written in the power basis of
 #: Q(zeta_p) or Q(zeta_4p), about p/2 terms.  As processes on a 2-vCPU

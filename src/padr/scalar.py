@@ -52,6 +52,17 @@ one dense integer list, and the list is reduced mod Phi_N once for the
 whole sum, with no product of two scalars formed.  Its result has the
 value that the chain of * and + would give, at one conductor rule: the
 lcm over the non-zero terms of lcm(x.N, M), or 1 when it is rational.
+
+Inversion.  The norm of x, the product of its conjugates under
+(Z/N)^x, is rational, so 1/x is the product cof of the conjugates other
+than x, over that rational.  The norm is taken down a chain of subgroups
+H of (Z/N)^x: y = cof * x starts at x, fixed by H = {1}.  While y is not
+rational, h is the smallest unit not in H and n the least exponent with
+h^n in H; then cof and y are multiplied by Q = prod over 0 < i < n of
+h^i(y), and H grows to <H, h>.  Q = h(P_(n-1)), with P_k the product over
+i < k of h^i(y), built by doubling (Itoh-Tsujii): P_2k = P_k * h^k(P_k)
+and P_2k+1 = y * h(P_2k).  So an inverse needs only galois and *: no
+polynomial gcd, and no division by Phi_N.
 """
 
 from __future__ import annotations
@@ -63,51 +74,6 @@ from fractions import Fraction
 from itertools import compress
 
 Q0 = Fraction(0)
-
-
-# ----------------------------------------------------------------------
-# integer polynomial helpers (dense lists, index = degree)
-# ----------------------------------------------------------------------
-
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _pseudo_divmod(a, b):
-    """(q, r, f) with f*a == q*b + r over Z and deg r < deg b, for integer
-    polynomials a and b != 0; f is the power of lc(b) that the division
-    needed (1 when b is monic)."""
-    lead, db = b[-1], len(b) - 1
-    r = list(a)
-    q = [0] * max(0, len(r) - db)
-    f = 1
-    for k in range(len(r) - 1, db - 1, -1):
-        c = r[k]
-        if not c:
-            continue
-        if c % lead:
-            r = [x * lead for x in r]
-            q = [x * lead for x in q]
-            f *= lead
-            c *= lead
-        t = c // lead
-        q[k - db] += t
-        base = k - db
-        for j, y in enumerate(b):
-            r[base + j] -= t * y
-    return _poly_trim(q), _poly_trim(r[:db]), f
 
 
 @functools.lru_cache(maxsize=None)
@@ -417,13 +383,32 @@ class ExactScalar:
     __rmul__ = __mul__
 
     def inverse(self):
+        """1/x = cof / y, with y = cof * x the norm of x, taken down a chain
+        of subgroups H of (Z/N)^x (see Inversion in the module docstring)."""
         if self.is_zero():
             raise AssertionError("division by zero")
-        pg = -self.pigrade
-        if self.N == 1:
-            return _make(1, (self.den,), self.nums[0], pg)
-        inv, den = _cyc_inverse(self.nums, self.N)
-        return _make(self.N, [x * self.den for x in inv], den, pg)._demote()
+        N = self.N
+        if N == 1:
+            return _make(1, (self.den,), self.nums[0], -self.pigrade)
+        # y = cof * x is the norm of x to the subfield that H fixes
+        H, y, cof = {1}, self, ExactScalar.one()
+        while y.N != 1:
+            h = next(m for m in range(2, N)
+                     if m not in H and math.gcd(m, N) == 1)
+            hs, t = [1], h  # h^i mod N for i < n, h^n the first one in H
+            while t not in H:
+                hs.append(t)
+                t = t * h % N
+            # P_k = prod over i < k of h^i(y), for k = n - 1 by doubling
+            P, k = y, 1
+            for bit in bin(len(hs) - 1)[3:]:
+                P, k = P * P.galois(hs[k]), 2 * k
+                if bit == "1":
+                    P, k = y * P.galois(h), k + 1
+            Q = P.galois(h)
+            cof, y = cof * Q, y * Q
+            H = {g * e % N for g in H for e in hs}
+        return cof * y.inverse()
 
     def __truediv__(self, other):
         return self * _coerce(other).inverse()
@@ -726,33 +711,6 @@ def _cyc_mul(a, b, N):
 def _kron_offset(n, nb):
     """2^(8 nb - 1) in each of n digits of nb bytes."""
     return int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
-
-
-def _cyc_inverse(nums, N):
-    """(inv, den) with (sum inv[k] zeta^k)/den the inverse of sum nums[k] zeta^k
-    mod Phi_N.  Extended Euclid on integer polynomials: each remainder r is a
-    pseudo-remainder with its content divided out, and each cofactor s/c
-    satisfies s*a == c*r mod Phi_N, with gcd(c, *s) == 1."""
-    deg = euler_phi(N)
-    r0, r1 = list(cyclotomic_poly(N)), _poly_trim(list(nums))
-    s0, c0, s1, c1 = [], 1, [1], 1
-    while len(r1) > 1:
-        q, r, f = _pseudo_divmod(r0, r1)
-        if not r:
-            raise AssertionError("element not invertible (should be impossible "
-                                 "in a field)")
-        g = math.gcd(*r)
-        r = [x // g for x in r]
-        # f*r0 - q*r1 == g*r, so s = f*c1*s0 - c0*q*s1 and c = c0*c1*g
-        qs = _poly_mul(q, s1)
-        s = [f * c1 * x for x in s0] + [0] * (len(qs) - len(s0))
-        for i, y in enumerate(qs):
-            s[i] -= c0 * y
-        c = c0 * c1 * g
-        h = math.gcd(c, *s)
-        r0, r1 = r1, r
-        s0, c0, s1, c1 = s1, c1, [x // h for x in s], c // h
-    return s1 + [0] * (deg - len(s1)), c1 * r1[0]
 
 
 # ----------------------------------------------------------------------

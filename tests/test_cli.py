@@ -217,7 +217,9 @@ class TestGaussCacheWrites:
         galois = ExactScalar.galois
 
         def counted(self, m):
-            calls.append(m)
+            # inverse takes norms with galois(m), 1 < m < N: only -1 checks
+            if m == -1:
+                calls.append(m)
             return galois(self, m)
         monkeypatch.setattr(ExactScalar, "galois", counted)
         assert run("verify", "gauss", "--p", "7").exit_code == 0
@@ -357,32 +359,32 @@ class TestUsageErrors:
         (["verify", "thm81", "--ell", "100"], "at most 20000"),
         (["verify", "thm81", "--ell", "99999999999999999999"],
          "at most 20000"),
-        # the next primes above the --p bounds of gauss (61) and thm81 (31)
+        # the next primes above the --p bounds of gauss (61) and thm81 (43)
         (["verify", "gauss", "--p", "67"],
          "--p 67: gauss takes primes up to 61"),
-        (["verify", "thm81", "--p", "37", "--ell", "2"],
-         "--p 37: thm81 takes primes up to 31"),
-        (["verify", "all", "--p", "37", "--ell", "2"],
-         "--p 37: thm81 takes primes up to 31"),
+        (["verify", "thm81", "--p", "47", "--ell", "2"],
+         "--p 47: thm81 takes primes up to 43"),
+        (["verify", "all", "--p", "47", "--ell", "2"],
+         "--p 47: thm81 takes primes up to 43"),
         (["verify", "all", "--p", "67", "--ell", "2"],
          "--p 67: gauss takes primes up to 61"),
         # the prime 2^89 - 1 is refused before _check_prime, whose trial
         # division up to its square root would not finish
         (["verify", "gauss", "--p", str(2 ** 89 - 1)],
          "gauss takes primes up to 61"),
-        # the next primes above the --p bounds of fourier (13) and
-        # measures (101); all takes fourier's bound, so --p 31 --ell 2,
-        # which gauss and thm81 accept, stops at fourier
-        (["verify", "fourier", "--p", "17"],
-         "--p 17: fourier takes primes up to 13"),
+        # the next primes above the --p bounds of fourier (5000) and
+        # measures (101); all takes thm81's bound, the smallest, so
+        # --p 53 --ell 2, which gauss accepts, stops at thm81
+        (["verify", "fourier", "--p", "5003"],
+         "--p 5003: fourier takes primes up to 5000"),
         (["verify", "measures", "--p", "103"],
          "--p 103: measures takes primes up to 101"),
         (["verify", "measures", "--p", "1009"],
          "--p 1009: measures takes primes up to 101"),
-        (["verify", "all", "--p", "31", "--ell", "2"],
-         "--p 31: fourier takes primes up to 13"),
-        (["verify", "all", "--p", "17"],
-         "--p 17: fourier takes primes up to 13"),
+        (["verify", "all", "--p", "53", "--ell", "2"],
+         "--p 53: thm81 takes primes up to 43"),
+        (["verify", "fourier", "--p", "1000003"],
+         "--p 1000003: fourier takes primes up to 5000"),
         # the next prime above interp's bound, 10000
         (["interp", "--p", "10007"], "--p 10007: interp takes primes up to "
                                      "10000"),
@@ -403,12 +405,12 @@ class TestUsageErrors:
         ["verify", "thm81", "--ell", "9"],
         # the largest primes that gauss and thm81 take
         ["verify", "gauss", "--p", "61"],
-        ["verify", "thm81", "--p", "31", "--ell", "2"],
+        ["verify", "thm81", "--p", "43", "--ell", "2"],
         ["verify", "measures", "--prec-T", "3"],
         # the largest primes that fourier and measures take
-        ["verify", "fourier", "--p", "13"],
+        ["verify", "fourier", "--p", "4999"],
         ["verify", "measures", "--p", "101"],
-        ["verify", "all", "--p", "13", "--ell", "2"],
+        ["verify", "all", "--p", "43", "--ell", "2"],
         # the largest prime that interp takes
         ["interp", "--p", "9973"],
     ])

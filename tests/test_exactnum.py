@@ -36,7 +36,6 @@ from padr.scalar import (
     _cyc_reduce,
     _make,
     _prime_divisors,
-    _pseudo_divmod,
     _phi_tail,
 )
 
@@ -96,6 +95,27 @@ class TestCycloArith:
                 assert a * (b + c) == a * b + a * c
                 if not a.is_zero():
                     assert a * a.inverse() == E.one()
+
+    @pytest.mark.parametrize("N", [10, 81, 343, 506, 1332])
+    def test_inverse_at_large_conductors(self, N):
+        def check(x, y):
+            assert x * y == 1
+            assert y.N == (1 if x.is_rational() else x.N)
+            assert y.pigrade == -x.pigrade
+
+        # the inverse of a random dense element has numerators of thousands
+        # of bits, and inverting it again took 7 s at N = 1332
+        dense = rand_scalar(random.Random(N), N)
+        check(dense, dense.inverse())
+        # the dense unit 1 + zeta + ... + zeta^(a-1), a a unit mod N, a
+        # one-term c*zeta_N^3 and a graded sparse element, inverted twice
+        a = next(a for a in range(euler_phi(N) // 2, N) if math.gcd(a, N) == 1)
+        unit = E([1] * a + [0] * (euler_phi(N) - a), N=N)
+        for x in (unit, E.zeta(N, 3) * Fraction(-5, 2),
+                  (E.zeta(N) + 2).with_grades(Fraction(1, 2))):
+            y = x.inverse()
+            check(x, y)
+            assert y.inverse() == x
 
     def test_pigrade_tracking(self):
         a = E.rational(Fraction(1, 2), pigrade=-2)
@@ -283,12 +303,19 @@ class TestCycloKernel:
 
 @functools.lru_cache(maxsize=None)
 def _cyclotomic_by_division(n):
-    """Phi_n as (x^n - 1) pseudo-divided by Phi_d for every d | n, d < n."""
+    """Phi_n as (x^n - 1) divided by Phi_d for every d | n, d < n: each
+    Phi_d is monic, so this is exact integer long division."""
     num = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            num, r, _ = _pseudo_divmod(num, list(_cyclotomic_by_division(d)))
-            assert not r
+            b = _cyclotomic_by_division(d)
+            q = [0] * (len(num) - len(b) + 1)
+            for k in range(len(q) - 1, -1, -1):
+                c = q[k] = num[k + len(b) - 1]
+                for j, y in enumerate(b):
+                    num[k + j] -= c * y
+            assert not any(num), (n, d)
+            num = q
     return tuple(num)
 
 
