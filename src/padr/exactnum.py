@@ -40,7 +40,8 @@ def _lp_to_poly(a):
     if not a:
         return 0, []
     lo, hi = min(a), max(a)
-    return lo, [a.get(e, ExactScalar.zero()) for e in range(lo, hi + 1)]
+    zero = ExactScalar.zero()
+    return lo, [a.get(e, zero) for e in range(lo, hi + 1)]
 
 
 def _poly_to_lp(offset, lst):
@@ -89,14 +90,26 @@ def _spoly_gcd(a, b):
 class LaurentRF:
     """Laurent rational function num/den in X over ExactScalar.
 
-    The constructor canonicalises once (_laurent_canonical): den is a
-    polynomial with constant term 1, and num and den are divided by their
-    gcd, which is taken only when both sides have two or more terms (a
-    one-term side c X^k is a unit times a power of X).  That form is
-    unique per value (coprime sides, den(0) = 1, no zero entries), so
-    == compares the two forms and forms no product.  evaluate_parts
-    returns num(x) and den(x) undivided, for callers that invert one
-    product of denominators.
+    The canonical form is unique per value: den is a polynomial with
+    constant term 1, num and den are coprime, and no entry is zero.  So ==
+    compares the two forms and forms no product.  A LaurentRF enters it by
+    one of two routes:
+      * the public constructor, for any pair: _laurent_canonical divides
+        both sides by their gcd, taken only when both have two or more
+        terms (a one-term side c X^k is a unit times a power of X), then
+        makes den's lowest term 1;
+      * the private _from_coprime, for sides coprime by construction: it
+        skips the gcd and only makes den's lowest term 1.  Three sites use
+        it.  A product n1 n2 / (d1 d2) of canonical forms shares only the
+        cross factors gcd(n1, d2) and gcd(n2, d1), since n1, d1 and n2, d2
+        are coprime (Henrici 1956; Knuth, TAOCP vol. 2, 4.5.1), so * takes
+        those two gcds alone.  subst_X maps X -> s X^(+-1), s != 0, an
+        automorphism of the Laurent ring, which keeps coprime sides
+        coprime.  plocal.tate_integral builds one numerator over 1 - uX
+        that does not vanish at X = 1/u.
+    -num over den is canonical when num over den is, so __neg__ keeps den.
+    evaluate_parts returns num(x) and den(x) undivided, for callers that
+    invert one product of denominators.
     """
 
     __slots__ = ("num", "den")
@@ -110,6 +123,17 @@ class LaurentRF:
         num, den = _laurent_canonical(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+
+    @staticmethod
+    def _from_coprime(num, den):
+        """num/den for coprime sides, den's lowest entry non-zero and no
+        entry zero: the canonical form without a gcd (see the class
+        docstring for the callers, each of which knows its sides coprime)."""
+        out = object.__new__(LaurentRF)
+        num, den = _normalized(num, den)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", den)
+        return out
 
     def __setattr__(self, *a):
         raise AttributeError("LaurentRF is immutable")
@@ -164,7 +188,10 @@ class LaurentRF:
 
     def __mul__(self, other):
         other = _coerce_rf(other)
-        return LaurentRF(_lp_mul(self.num, other.num), _lp_mul(self.den, other.den))
+        # each factor is coprime, so the product shares only the cross gcds
+        n1, d2 = _cancelled(self.num, other.den)
+        n2, d1 = _cancelled(other.num, self.den)
+        return LaurentRF._from_coprime(_lp_mul(n1, n2), _lp_mul(d1, d2))
 
     __rmul__ = __mul__
 
@@ -214,8 +241,11 @@ class LaurentRF:
     def evaluate_parts(self, x):
         """(num(x), den(x)) without dividing, so that a caller multiplying
         several values can invert one product of denominators; raises
-        PoleError where den(x) = 0."""
+        PoleError where den(x) = 0, or at x = 0 when num has a negative
+        power of X."""
         x = _coerce(x)
+        if x.is_zero() and min(self.num, default=0) < 0:
+            raise PoleError(f"evaluation of {self} at the pole X = 0")
         num = ExactScalar.zero()
         for e, c in self.num.items():
             num = num + c * x ** e
@@ -227,12 +257,15 @@ class LaurentRF:
         return num, den
 
     def subst_X(self, scale, power=1):
-        """Substitute X -> scale * X^power (power = +-1)."""
+        """Substitute X -> scale * X^power (power = +-1, scale != 0).  That
+        is an automorphism of the Laurent ring, so the coprime sides stay
+        coprime and only den's lowest term is made 1 again."""
         _check(power in (1, -1), f"power {power} is not +-1")
         scale = _coerce(scale)
+        _check(not scale.is_zero(), "substitution X -> 0 * X^power")
         num = {power * e: c * scale ** e for e, c in self.num.items()}
         den = {power * e: c * scale ** e for e, c in self.den.items()}
-        return LaurentRF(_lp_clean(num), _lp_clean(den))
+        return LaurentRF._from_coprime(num, den)
 
     # -- serialization -----------------------------------------------------
 
@@ -265,33 +298,50 @@ def _coerce_rf(x):
 
 
 def _laurent_canonical(num, den):
-    """gcd-reduced form with den a polynomial of constant term 1.  Each
-    step runs only where it can change something: the gcd when both sides
-    have two or more terms and, if both are of degree 1, are proportional;
-    the rescaling when den's lowest coefficient is not already 1 (so a
-    Laurent polynomial, den = 1, costs no arithmetic)."""
-    if not num:
-        return {}, {0: ExactScalar.one()}
+    """The canonical form of num/den: the sides divided by their gcd, then
+    den's lowest term made 1."""
+    return _normalized(*_cancelled(num, den))
+
+
+def _cancelled(num, den):
+    """num and den divided by their gcd, den's lowest entry non-zero.  The
+    gcd is taken only where it can be non-trivial: when both sides have two
+    or more terms (a one-term side c X^k is a unit times a power of X), and
+    not both are of degree 1."""
+    if len(num) < 2 or len(den) < 2:
+        return num, den
     off_n, pn = _lp_to_poly(num)
     off_d, pd = _lp_to_poly(den)
-    # a one-term side c X^k is a unit times a power of X: the gcd is 1; two
-    # degree-1 sides share a root only when they are proportional
-    if len(num) > 1 and len(den) > 1 and (
-            len(pn) != 2 or len(pd) != 2
-            or pn[0] * pd[1] == pn[1] * pd[0]):
-        g = _spoly_gcd(pn, pd)
-        if len(g) > 1:
-            pn, rn = _spoly_divmod(pn, g)
-            pd, rd = _spoly_divmod(pd, g)
-            _check(all(x.is_zero() for x in rn + rd),
-                   "the gcd does not divide both sides")
-    # pd[0] is den's lowest term, non-zero, and so is its quotient by a gcd
-    # (which divides den, so is not divisible by X): make it 1
-    c0 = pd[0]
+    if len(pn) == 2 and len(pd) == 2:
+        # two degree-1 sides share a root only when they are proportional,
+        # and then each is its leading coefficient times the monic gcd
+        if pn[0] * pd[1] != pn[1] * pd[0]:
+            return num, den
+        return {off_n: pn[1]}, {off_d: pd[1]}
+    g = _spoly_gcd(pn, pd)
+    if len(g) < 2:
+        return num, den
+    pn, rn = _spoly_divmod(pn, g)
+    pd, rd = _spoly_divmod(pd, g)
+    _check(all(x.is_zero() for x in rn + rd),
+           "the gcd does not divide both sides")
+    # the gcd divides den, so it is not divisible by X: the quotients keep
+    # the sides' offsets and den's lowest entry stays non-zero
+    return _poly_to_lp(off_n, pn), _poly_to_lp(off_d, pd)
+
+
+def _normalized(num, den):
+    """num/den with den shifted to a polynomial and its lowest term made 1,
+    both sides sorted by exponent; den's lowest entry is non-zero and no
+    entry is zero.  The rescaling runs only when that term is not already
+    1, so a Laurent polynomial (den = 1) costs no arithmetic."""
+    if not num:
+        return {}, {0: ExactScalar.one()}
+    lo = min(den)
+    c0 = den[lo]
     if not c0.is_one():
         c0_inv = c0.inverse()
-        pd = [x * c0_inv for x in pd]
-        pn = [x * c0_inv for x in pn]
-    num = _poly_to_lp(off_n - off_d, pn)
-    den = _poly_to_lp(0, pd)
-    return num, den
+        num = {e: c * c0_inv for e, c in num.items()}
+        den = {e: c * c0_inv for e, c in den.items()}
+    return ({e - lo: num[e] for e in sorted(num)},
+            {e - lo: den[e] for e in sorted(den)})

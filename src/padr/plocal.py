@@ -40,7 +40,7 @@ from fractions import Fraction
 from .chars import (PadicChar, _gauss_cache, _gauss_cache_store,
                     _gauss_inverse, gauss_sum, psi_exponent, psi_value,
                     vp_frac)
-from .exactnum import LaurentRF
+from .exactnum import LaurentRF, _lp_add, _lp_mul
 from .scalar import (ExactScalar, PoleError, _check, _coerce, half_power,
                      root_of_unity_sum)
 
@@ -454,10 +454,15 @@ def tate_integral(phi: SchwartzFn, chi: PadicChar) -> LaurentRF:
     the atoms c psi(alpha x) 1_(beta + p^k Z_p) of phi.
 
     Multiplicative measure normalized with vol(Z_p^x) = 1; a ball a + p^k Z_p
-    with v = v(a) < k has measure p^(v-k) q/(q-1).  The tails and the sum of
-    the shell values are each one LaurentRF, built from numerator and
-    denominator:
-        Z(s, phi, chi) = sum_t c_t u^t X^t / (1 - u X) + sum_v s_v X^v.
+    with v = v(a) < k has measure p^(v-k) q/(q-1).  The tails and the
+    shell values give
+        Z(s, phi, chi) = sum_t c_t u^t X^t / (1 - u X) + sum_v s_v X^v,
+    built as one numerator over 1 - uX,
+        (sum_t c_t u^t X^t + (1 - u X) sum_v s_v X^v) / (1 - u X).
+    At X = 1/u that numerator is sum_t c_t, so when the sum is not 0 the
+    sides are coprime and the LaurentRF is built without a gcd; otherwise
+    the public constructor cancels 1 - uX.  With no tail (chi ramified, or
+    no ball through 0) Z is the Laurent polynomial of the shell sums.
 
     On the shell p^v Z_p^x, chi(b) = u^v zeta_m^k with (m, k) the exponent
     form of chi at the unit b p^(-v), an integer read from the key.  Each
@@ -502,16 +507,21 @@ def tate_integral(phi: SchwartzFn, chi: PadicChar) -> LaurentRF:
                 if b % p:
                     terms.append(_twist_term(vol, c, *chi.unit_exponent(b),
                                              Q, j * b))
-    total = LaurentRF({t: c * chi.u ** t for t, c in tails.items()},
-                      {0: 1, 1: -chi.u})
+    u = chi.u
     sums = {}
     for v, terms in shells.items():
         s = root_of_unity_sum(terms)
         if not s.is_zero():
-            sums[v] = s * chi.u ** v
-    if sums:
-        total = total + LaurentRF(sums)
-    return total
+            sums[v] = s * u ** v
+    if not tails:  # a ramified chi, or no ball through 0
+        return LaurentRF._from_coprime(sums, {0: ExactScalar.one()})
+    den = {0: ExactScalar.one(), 1: -u}
+    num = _lp_add({t: c * u ** t for t, c in tails.items()},
+                  _lp_mul(sums, den))
+    # num(1/u) = sum_t c_t: when it is not 0, num is coprime to 1 - uX
+    if sum(tails.values(), ExactScalar.zero()).is_zero():
+        return LaurentRF(num, den)
+    return LaurentRF._from_coprime(num, den)
 
 
 def _twist_term(vol, c, m, e, Q, j):

@@ -1119,8 +1119,6 @@ class TestLaurentRF:
         poles = 0
         for h in (f, g, f * g, LaurentRF.X(-2) / g):
             for x in points:
-                if x == 0 and min(h.num) < 0:
-                    continue
                 try:
                     want = h.evaluate(x)
                 except PoleError:
@@ -1131,6 +1129,77 @@ class TestLaurentRF:
                 n, d = h.evaluate_parts(x)
                 assert n / d == want
         assert poles  # the points reach the poles X = 3 of f, 1/3 and -1/2 of g
+
+    def test_a_negative_power_is_a_pole_at_zero(self):
+        # X^-1 + 1 has a pole at X = 0, which den(0) = 1 does not show
+        f = LaurentRF({-1: 1, 0: 1})
+        for evaluate in (f.evaluate, f.evaluate_parts):
+            for zero in (0, Fraction(0), E.zero()):
+                with pytest.raises(PoleError):
+                    evaluate(zero)
+        assert LaurentRF({0: 1, 2: 3}, {0: 1, 1: -2}).evaluate(0) == 1
+        assert f.evaluate(Fraction(1, 2)) == 3
+
+    def test_subst_X_takes_a_non_zero_scale(self):
+        for f in (LaurentRF({0: 1}, {0: 1, 1: -2}), LaurentRF({-1: 1, 0: 1}),
+                  LaurentRF.one()):
+            for power in (1, -1):
+                with pytest.raises(AssertionError, match="X -> 0"):
+                    f.subst_X(0, power)
+                with pytest.raises(AssertionError, match="X -> 0"):
+                    f.subst_X(E.zero(), power)
+
+    @staticmethod
+    def ordered(f):
+        """Both sides of f, entry by entry in dict order, serialized."""
+        return [[(e, c.serialize()) for e, c in side.items()]
+                for side in (f.num, f.den)]
+
+    # values in Q and Q(zeta_3), where the field of a value is its
+    # conductor, so equal values serialize alike whatever the route
+    Q3 = [E.one(), E.rational(-2), E.rational(Fraction(3, 4)), E.zeta(3),
+          E.zeta(3, 2) + 2, 1 - E.zeta(3), E.rational(Fraction(-1, 6))]
+
+    def test_trusted_routes_equal_the_public_constructor(self):
+        # * and subst_X build through _from_coprime; the public constructor
+        # on their raw pairs takes every gcd and must give the same form
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        index = st.integers(0, len(self.Q3) - 1)
+        side = st.dictionaries(st.integers(-3, 3), index, min_size=1,
+                               max_size=4)
+        factor = st.sampled_from([{0: 1}, {0: 1, 1: -1},
+                                  {0: 2, 1: E.zeta(3)},
+                                  {-1: 1, 1: 1 - E.zeta(3)},
+                                  {0: 1, 1: 1, 2: 1}])
+
+        def build(d):
+            return {e: self.Q3[i] for e, i in d.items()}
+
+        @hyp.settings(max_examples=300, deadline=None)
+        @hyp.given(side, side, side, side, factor, factor, index,
+                   st.sampled_from([1, -1]))
+        def check(n1, d1, n2, d2, f1, f2, s, power):
+            # f1 may cancel within a, and shares a factor with b's den;
+            # f2 likewise across b's num and a's den
+            a = LaurentRF(_lp_mul(build(n1), f1), _lp_mul(build(d1), f2))
+            b = LaurentRF(_lp_mul(build(n2), f2), _lp_mul(build(d2), f1))
+            for x, y in ((a, b), (b, a), (a, a), (a, LaurentRF.zero()),
+                         (a, LaurentRF.const(self.Q3[s]))):
+                got = x * y
+                want = LaurentRF(_lp_mul(x.num, y.num), _lp_mul(x.den, y.den))
+                assert self.ordered(got) == self.ordered(want)
+                assert got.serialize() == want.serialize()
+            scale = self.Q3[s]
+            for x in (a, b, LaurentRF.zero()):
+                got = x.subst_X(scale, power)
+                want = LaurentRF(
+                    {power * e: c * scale ** e for e, c in x.num.items()},
+                    {power * e: c * scale ** e for e, c in x.den.items()})
+                assert self.ordered(got) == self.ordered(want)
+                assert got.serialize() == want.serialize()
+
+        check()
 
     def test_graded_coefficients(self):
         c = E.rational(2, pigrade=1)

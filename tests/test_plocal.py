@@ -13,7 +13,8 @@ from padr.chars import (
     psi_value,
     vp_frac,
 )
-from padr.exactnum import LaurentRF
+from padr.cli import _random_tate_case
+from padr.exactnum import LaurentRF, _lp_mul
 from padr.plocal import (
     GL3Vector,
     SchwartzFn,
@@ -570,6 +571,88 @@ class TestTateIntegral:
     def test_ramified_kills_units_unless_matched(self):
         chi = PadicChar(5, 1, 1, 1)
         assert tate_integral(SchwartzFn.unit_indicator(5), chi) == LaurentRF.zero()
+
+    @staticmethod
+    def ordered(f):
+        """Both sides of f, entry by entry in dict order, serialized."""
+        return [[(e, c.serialize()) for e, c in side.items()]
+                for side in (f.num, f.den)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_trusted_forms_equal_the_public_constructor(self, seed):
+        # the inputs of `padr verify tate --seed <seed>` (criterion 4).
+        # tate_integral's raw pair, one numerator over 1 - uX, or the shell
+        # sums over 1, is canonical up to the order of its entries when it
+        # skips the gcd, so the public constructor on the result's sides is
+        # the public route on that pair; gamma * Z and the substitution
+        # X -> 1/(qX) are checked against the public route on theirs
+        rng = random.Random(seed)
+        done = 0
+        while done < 50:
+            p, phi, chi = _random_tate_case(rng)
+            if phi.is_zero():
+                continue
+            z = tate_integral(phi, chi)
+            zhat = tate_integral(fourier_transform(phi), chi.inverse())
+            gamma = tate_factors(chi)[2]
+            s = E.rational(Fraction(1, p))
+            for got, num, den in (
+                    (z, z.num, z.den), (zhat, zhat.num, zhat.den),
+                    (gamma * z, _lp_mul(gamma.num, z.num),
+                     _lp_mul(gamma.den, z.den)),
+                    (zhat.subst_X(s, -1),
+                     {-e: c * s ** e for e, c in zhat.num.items()},
+                     {-e: c * s ** e for e, c in zhat.den.items()})):
+                want = LaurentRF(num, den)
+                assert self.ordered(got) == self.ordered(want)
+                assert got.serialize() == want.serialize()
+            assert z == _tate_by_products(phi, chi)
+            done += 1
+
+    def test_no_gcd_where_the_form_is_known(self, monkeypatch):
+        from padr import exactnum
+        calls = {"gcd": 0, "public": 0}
+        gcd, canonical = exactnum._spoly_gcd, exactnum._laurent_canonical
+
+        def counted_gcd(a, b):
+            calls["gcd"] += 1
+            return gcd(a, b)
+
+        def counted_canonical(num, den):
+            calls["public"] += 1
+            return canonical(num, den)
+
+        # a tail 2 * 1_(5^-1 Z_5), sum_t c_t = 2, and a shell 1 + 5 Z_5:
+        # three terms over 1 - 2X; with a ramified chi only shells remain
+        phi = SchwartzFn(5, [(0, -1, 2), (1, 1, 3)])
+        shells = SchwartzFn(5, [(Fraction(1, 5), 0, 1), (1, 1, 3),
+                                (7, 2, -1)])
+        unr, ram = unram(5, 2), PadicChar(5, 2, 1, 1)
+        wants = [_tate_by_products(phi, unr), _tate_by_products(shells, ram)]
+        monkeypatch.setattr(exactnum, "_spoly_gcd", counted_gcd)
+        monkeypatch.setattr(exactnum, "_laurent_canonical", counted_canonical)
+        got = [tate_integral(phi, unr), tate_integral(shells, ram)]
+        assert calls == {"gcd": 0, "public": 0}
+        assert got == wants
+        assert [len(z.num) for z in got] == [3, 2]
+        assert [len(z.den) for z in got] == [2, 1]
+        # the public constructor on the same pair takes a gcd
+        LaurentRF(got[0].num, got[0].den)
+        assert calls == {"gcd": 1, "public": 1}
+        # 1_(Z_5^x): built from balls, its atoms are the balls a + 5 Z_5,
+        # so it has no tail; as the atoms 1_(Z_5) - 1_(5 Z_5) its tails
+        # have sum_t c_t = 0, and the public constructor cancels
+        # (1 - 2X)/(1 - 2X)
+        one = tate_integral(SchwartzFn.unit_indicator(5), unr)
+        assert calls == {"gcd": 1, "public": 1}
+        diff = SchwartzFn._from_atoms(5, 0, [(0, 0, 0, E.one()),
+                                             (1, 0, 0, E.rational(-1))])
+        assert diff == SchwartzFn.unit_indicator(5)
+        ones = [one, tate_integral(diff, unr)]
+        assert calls["public"] == 2
+        for one in ones:
+            assert self.ordered(one) == self.ordered(LaurentRF.one())
+            assert one.serialize() == LaurentRF.one().serialize()
 
     def test_functional_equation_random(self):
         rng = random.Random(4)
