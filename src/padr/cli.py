@@ -3,17 +3,20 @@ identity-suite runner with JSON output.
 
 `padr interp` assembles the local factors attached to a weight/Satake
 configuration; `padr verify <suite>` runs a named battery of exact
-identities and exits 0 only when every identity holds.
+identities and exits 0 only when every identity holds.  `run(argv)` runs
+one command in process and returns its exit code; `main` is the console
+script and the target of `python -m padr.cli`.  The parser is argparse,
+so a padr process imports nothing outside the standard library.
 """
 
+import argparse
+import functools
 import json
 import math
 import random
 import re
 import sys
 from fractions import Fraction
-
-import click
 
 from padr.chars import (PadicChar, flush_gauss_cache, gauss_sum,
                         gauss_sum_twisted)
@@ -58,6 +61,10 @@ _MAX_P = {"gauss": 61, "thm81": 43, "fourier": 5000, "measures": 101}
 _MAX_INTERP_P = 10000
 
 
+class UsageError(Exception):
+    """A bad argument value: the command exits 2 with `Error: <message>`."""
+
+
 def _parse_fraction(s):
     s = str(s)
     try:
@@ -66,7 +73,7 @@ def _parse_fraction(s):
             raise ValueError(f"exponent beyond {_MAX_EXPONENT} in size")
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
-        raise click.UsageError(f"cannot parse scalar {s!r}: {exc}")
+        raise UsageError(f"cannot parse scalar {s!r}: {exc}")
 
 
 def _parse_ints(s, n, label):
@@ -75,13 +82,13 @@ def _parse_ints(s, n, label):
     except ValueError:
         out = ()
     if len(out) != n:
-        raise click.UsageError(f"{label} must be {n} comma-separated integers")
+        raise UsageError(f"{label} must be {n} comma-separated integers")
     return out
 
 
 def _check_prime(p):
     if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
-        raise click.UsageError(f"--p must be a prime, got {p}")
+        raise UsageError(f"--p must be a prime, got {p}")
 
 
 def _pi_string(x):
@@ -94,12 +101,12 @@ def _pi_string(x):
 def _satake_values(data, key, n):
     vals = data.get(key) if isinstance(data, dict) else None
     if not isinstance(vals, list) or len(vals) != n:
-        raise click.UsageError(f"--satake needs a list of {n} values "
-                               f"under {key!r}")
+        raise UsageError(f"--satake needs a list of {n} values "
+                         f"under {key!r}")
     vals = [_parse_fraction(u) for u in vals]
     if not all(vals):
-        raise click.UsageError(f"--satake values under {key!r} must be "
-                               f"non-zero")
+        raise UsageError(f"--satake values under {key!r} must be "
+                         f"non-zero")
     return vals
 
 
@@ -117,7 +124,7 @@ def _check_weight_size(hc):
             L = m.bit_length()
             need += L * (m + 1) - (1 << L) + 1 - m + m.bit_count()
     if need > _SATAKE_BITS:
-        raise click.UsageError(
+        raise UsageError(
             f"--weights and --kp are too large: Gamma_VQ would need {need} "
             f"bits, at most {_SATAKE_BITS} can be written out")
 
@@ -129,7 +136,7 @@ def _check_satake_size(p, pi_vals, sigma_vals):
     need = (4 * bits(pi_vals) + 6 * bits(sigma_vals)
             + 6 * p.bit_length() + 32)
     if need > _SATAKE_BITS:
-        raise click.UsageError(
+        raise UsageError(
             f"--satake values are too large: E_p would need {need} bits, "
             f"at most {_SATAKE_BITS} can be written out")
 
@@ -144,10 +151,10 @@ def _adjoint_or_pole(sigma):
 
 def _emit(report, fmt):
     if fmt == "json":
-        click.echo(json.dumps(report, indent=2, sort_keys=False))
+        print(json.dumps(report, indent=2, sort_keys=False))
         return
     for line in _text_lines(report):
-        click.echo(line)
+        print(line)
 
 
 def _text_lines(report):
@@ -166,43 +173,20 @@ def _text_lines(report):
         yield f"{key}: {val}"
 
 
-@click.group()
-@click.pass_context
-def main(ctx):
-    """Exact-arithmetic toolkit for local interpolation factors."""
-    # new Gauss sums go to PADR_CACHE_DIR once, when the command ends
-    # (also when it exits 1)
-    ctx.call_on_close(flush_gauss_cache)
-
-
-@main.command()
-@click.option("--p", type=int, default=5, show_default=True,
-              help=f"a prime, at most {_MAX_INTERP_P}")
-@click.option("--weights", default="-1,0,2", show_default=True,
-              help="k1,k2,k3 (weakly increasing); with --kp they must "
-                   "keep Gamma_VQ within 4300 digits: at the default --kp, "
-                   "-509,0,509 does and -510,0,510 does not")
-@click.option("--kp", default="-1,2", show_default=True,
-              help="k1',k2' (weakly increasing)")
-@click.option("--satake", default=None,
-              help="JSON {\"pi\": [u1,u2,u3], \"sigma\": [v1,v2]} of "
-                   "rational strings, or a file path")
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]),
-              default="json", show_default=True)
 def interp(p, weights, kp, satake, fmt):
     """Assemble the local interpolation factors for one configuration."""
     from padr import arch, plocal
     # before _check_prime, whose trial division is slow on a large prime
     if p > _MAX_INTERP_P:
-        raise click.UsageError(f"--p {p}: interp takes primes up to "
-                               f"{_MAX_INTERP_P}")
+        raise UsageError(f"--p {p}: interp takes primes up to "
+                         f"{_MAX_INTERP_P}")
     _check_prime(p)
     k = _parse_ints(weights, 3, "--weights")
     kprime = _parse_ints(kp, 2, "--kp")
     try:
         w = arch.WeightTuple(k, kprime)
     except AssertionError as exc:
-        raise click.UsageError(f"bad weights: {exc}")
+        raise UsageError(f"bad weights: {exc}")
     hc, xcrit, ycrit = arch.hc_from_weights(w)
     _check_weight_size(hc)
 
@@ -215,7 +199,7 @@ def interp(p, weights, kp, satake, fmt):
             except OSError:
                 data = json.loads(satake, parse_float=_parse_fraction)
         except ValueError as exc:  # bad JSON, or a file that is not text
-            raise click.UsageError(f"bad --satake: {exc}")
+            raise UsageError(f"bad --satake: {exc}")
     pi_vals = _satake_values(data, "pi", 3)
     sigma_vals = _satake_values(data, "sigma", 2)
     _check_satake_size(p, pi_vals, sigma_vals)
@@ -241,6 +225,7 @@ def interp(p, weights, kp, satake, fmt):
         report["warnings"] = ["weights outside the critical range; "
                               "archimedean factors are formal"]
     _emit(report, fmt)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -506,21 +491,6 @@ def _run_suite(name, seed, params):
             "passed": passed, "failed": len(idents) - passed}
 
 
-@main.command()
-@click.argument("suite", type=click.Choice(list(_SUITES) + ["all"]))
-@click.option("--p", type=int, default=3, show_default=True,
-              help="a prime: at most "
-                   f"{_MAX_P['fourier']} for fourier and "
-                   f"{_MAX_P['measures']} for measures, and an odd one at "
-                   f"most {_MAX_P['gauss']} for gauss and "
-                   f"{_MAX_P['thm81']} for thm81, also under all")
-@click.option("--ell", type=int, default=3, show_default=True,
-              help="thm81's averaging level: ell >= 2 and p^ell <= "
-                   f"{_THM81_TRANSLATES} (ell <= 9 at p = 3)")
-@click.option("--prec-T", "prec_t", type=int, default=8, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]),
-              default="json", show_default=True)
 def verify(suite, p, ell, prec_t, seed, fmt):
     """Run a named identity battery; exit 0 only if every identity holds."""
     names = list(_SUITES) if suite == "all" else [suite]
@@ -528,31 +498,167 @@ def verify(suite, p, ell, prec_t, seed, fmt):
     # before _check_prime, whose trial division is slow on a large prime
     for name, most in _MAX_P.items():
         if name in names and p > most:
-            raise click.UsageError(f"--p {p}: {name} takes primes up to "
-                                   f"{most}")
+            raise UsageError(f"--p {p}: {name} takes primes up to "
+                             f"{most}")
     if "p" in used:
         _check_prime(p)
     if p == 2 and {"gauss", "thm81"} & set(names):
-        raise click.UsageError("gauss and thm81 need an odd prime --p")
+        raise UsageError("gauss and thm81 need an odd prime --p")
     # thm81's conductor-1 case needs ell >= n + n' = 2
     if "ell" in used and ell < 2:
-        raise click.UsageError(f"--ell must be at least 2, got {ell}")
+        raise UsageError(f"--ell must be at least 2, got {ell}")
     # p^ell >= 2^ell exceeds the bound once ell reaches its bit length, so
     # such an ell is rejected before p^ell is built
     if "ell" in used and (ell >= _THM81_TRANSLATES.bit_length()
                           or p ** ell > _THM81_TRANSLATES):
-        raise click.UsageError(f"--ell {ell} at --p {p}: thm81 averages "
-                               f"p^ell translates, at most "
-                               f"{_THM81_TRANSLATES}")
+        raise UsageError(f"--ell {ell} at --p {p}: thm81 averages "
+                         f"p^ell translates, at most "
+                         f"{_THM81_TRANSLATES}")
     # the Mellin moments of the measures suite go up to T^3
     if "prec_t" in used and prec_t < 3:
-        raise click.UsageError(f"--prec-T must be at least 3, got {prec_t}")
+        raise UsageError(f"--prec-T must be at least 3, got {prec_t}")
     params = {"p": p, "ell": ell, "prec_t": prec_t}
     reports = [_run_suite(n, seed, params) for n in names]
     report = reports[0] if len(reports) == 1 else {"suites": reports}
     _emit(report, fmt)
-    if any(r["failed"] for r in reports):
-        sys.exit(1)
+    return 1 if any(r["failed"] for r in reports) else 0
+
+
+# ---------------------------------------------------------------------------
+# argument parsing and entry points
+# ---------------------------------------------------------------------------
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with the conventions of padr's command line: options are
+    never abbreviated, an option's value is the next token whatever it
+    looks like, and a usage error ends stderr with `Error: <message>`."""
+
+    def __init__(self, **kwargs):
+        #: the option strings that take a value
+        self.value_options = set()
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.nargs != 0:
+            self.value_options.update(action.option_strings)
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse takes a token that starts with '-' and is no negative
+        # number for an option, so "--weights -3,-1,2" would leave --weights
+        # without a value; "--weights=-3,-1,2" is one token it reads whole
+        args = list(sys.argv[1:] if args is None else args)
+        out = []
+        while args:
+            tok = args.pop(0)
+            if tok == "--":
+                out += [tok] + args
+                break
+            if tok in self.value_options and args:
+                tok = f"{tok}={args.pop(0)}"
+            out.append(tok)
+        return super().parse_known_args(out, namespace)
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(2, f"Error: {message}\n")
+
+
+@functools.cache
+def _parser():
+    """The parser of both commands, built once per process."""
+    parser = _Parser(
+        prog="padr",
+        description="Exact-arithmetic toolkit for local interpolation "
+                    "factors.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    fmt = {"dest": "fmt", "choices": ["json", "text"], "default": "json",
+           "help": "output format (default: %(default)s)"}
+
+    doc = "Assemble the local interpolation factors for one configuration."
+    sub = commands.add_parser("interp", help=doc, description=doc)
+    sub.add_argument("--p", type=int, default=5,
+                     help=f"a prime, at most {_MAX_INTERP_P} "
+                          "(default: %(default)s)")
+    sub.add_argument("--weights", default="-1,0,2",
+                     help="k1,k2,k3 (weakly increasing); with --kp they must "
+                          "keep Gamma_VQ within 4300 digits: at the default "
+                          "--kp, -509,0,509 does and -510,0,510 does not "
+                          "(default: %(default)s)")
+    sub.add_argument("--kp", default="-1,2",
+                     help="k1',k2' (weakly increasing) (default: %(default)s)")
+    sub.add_argument("--satake",
+                     help="JSON {\"pi\": [u1,u2,u3], \"sigma\": [v1,v2]} of "
+                          "rational strings, or a file path (default: pi "
+                          "2,1,3 and sigma 5,1/2)")
+    sub.add_argument("--format", **fmt)
+    sub.set_defaults(command=interp, parser=sub)
+
+    doc = "Run a named identity battery; exit 0 only if every identity holds."
+    sub = commands.add_parser("verify", help=doc, description=doc)
+    sub.add_argument("suite", metavar="SUITE",
+                     choices=list(_SUITES) + ["all"],
+                     help=f"one of {', '.join(_SUITES)}, or all")
+    sub.add_argument("--p", type=int, default=3,
+                     help="a prime: at most "
+                          f"{_MAX_P['fourier']} for fourier and "
+                          f"{_MAX_P['measures']} for measures, and an odd one "
+                          f"at most {_MAX_P['gauss']} for gauss and "
+                          f"{_MAX_P['thm81']} for thm81, also under all "
+                          "(default: %(default)s)")
+    sub.add_argument("--ell", type=int, default=3,
+                     help="thm81's averaging level: ell >= 2 and p^ell <= "
+                          f"{_THM81_TRANSLATES} (ell <= 9 at p = 3) "
+                          "(default: %(default)s)")
+    sub.add_argument("--prec-T", dest="prec_t", type=int, default=8,
+                     help="the measures suite's T-adic precision, at least 3 "
+                          "(default: %(default)s)")
+    sub.add_argument("--seed", type=int, default=0,
+                     help="the seed of the suites' random draws "
+                          "(default: %(default)s)")
+    sub.add_argument("--format", **fmt)
+    sub.set_defaults(command=verify, parser=sub)
+    return parser
+
+
+def run(argv=None):
+    """Run `padr ARGV` in this process (sys.argv[1:] when ARGV is None):
+    write to sys.stdout and sys.stderr as they are at the call, and return
+    the exit code, 0 when every identity holds, 1 when one fails and 2 on
+    a usage error.  New Gauss sums go to PADR_CACHE_DIR once, when the
+    command ends, also when it returns 1."""
+    try:
+        try:
+            args = vars(_parser().parse_args(argv))
+            command, parser = args.pop("command"), args.pop("parser")
+            return command(**args)
+        except UsageError as exc:
+            parser.error(str(exc))
+    except SystemExit as exc:  # a usage error, or --help
+        return exc.code
+    finally:
+        flush_gauss_cache()
+
+
+def main(argv=None, prog_name=None):
+    """The console script: exit with run's code.  prog_name is the keyword
+    of click's form that perfbench's sampled_cli.py passes; every usage
+    line names padr."""
+    sys.exit(run(argv))
+
+
+def _click_main(argv=None, standalone_mode=True):
+    """click's `main.main(argv, standalone_mode=False)`, which perfbench's
+    worker and make_references.py call: return when the code is 0, raise
+    SystemExit(code) otherwise.  ROADMAP item 4 moves perfbench onto run
+    and then deletes this form."""
+    code = run(argv)
+    if code or standalone_mode:
+        sys.exit(code)
+
+
+main.main = _click_main
 
 
 if __name__ == "__main__":  # pragma: no cover

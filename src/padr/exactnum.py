@@ -99,14 +99,15 @@ class LaurentRF:
         terms (a one-term side c X^k is a unit times a power of X), then
         makes den's lowest term 1;
       * the private _from_coprime, for sides coprime by construction: it
-        skips the gcd and only makes den's lowest term 1.  Three sites use
+        skips the gcd and only makes den's lowest term 1.  Four sites use
         it.  A product n1 n2 / (d1 d2) of canonical forms shares only the
         cross factors gcd(n1, d2) and gcd(n2, d1), since n1, d1 and n2, d2
         are coprime (Henrici 1956; Knuth, TAOCP vol. 2, 4.5.1), so * takes
         those two gcds alone.  subst_X maps X -> s X^(+-1), s != 0, an
         automorphism of the Laurent ring, which keeps coprime sides
         coprime.  plocal.tate_integral builds one numerator over 1 - uX
-        that does not vanish at X = 1/u.
+        that does not vanish at X = 1/u.  inverse swaps the sides of a
+        canonical form, which are coprime and have no zero entry.
     -num over den is canonical when num over den is, so __neg__ keeps den.
     evaluate_parts returns num(x) and den(x) undivided, for callers that
     invert one product of denominators.
@@ -197,7 +198,7 @@ class LaurentRF:
 
     def inverse(self):
         _check(self.num, "division by zero rational function")
-        return LaurentRF(self.den, self.num)
+        return LaurentRF._from_coprime(self.den, self.num)
 
     def __truediv__(self, other):
         return self * _coerce_rf(other).inverse()

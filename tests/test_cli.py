@@ -1,23 +1,37 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 
 import padr
-from padr import chars as pchars, plocal
+from padr import chars as pchars, cli, plocal
 from padr.chars import PadicChar
 from padr.cli import main
 from padr.scalar import ExactScalar
 
 
 def run(*args):
-    return CliRunner().invoke(main, list(args))
+    """`padr ARGS` in process, through the console script: its exit code,
+    the SystemExit it raised when that code is not 0 (else None), and its
+    output, stdout then stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(list(args))
+        except SystemExit as exc:
+            code, exception = exc.code, exc
+    return SimpleNamespace(exit_code=code,
+                           exception=exception if code else None,
+                           output=out.getvalue() + err.getvalue())
 
 
 def run_python(*args, cache_dir=None, timeout=None):
@@ -73,9 +87,8 @@ class TestVerify:
     def test_gauss_imports_only_the_layers_it_uses(self):
         # the scalar kernel and the Gauss sums: no LaurentRF, no Tate code
         res = run_python("-c", "import sys\n"
-                         "from padr.cli import main\n"
-                         "main.main(['verify', 'gauss', '--p', '5'], "
-                         "standalone_mode=False)\n"
+                         "from padr.cli import run\n"
+                         "run(['verify', 'gauss', '--p', '5'])\n"
                          "print(sorted(m for m in sys.modules "
                          "if m.startswith('padr')), file=sys.stderr)")
         assert res.returncode == 0, res.stderr
@@ -588,3 +601,91 @@ class TestInterp:
         opt = run_python("-O", "-m", "padr.cli", "interp", *args)
         assert plain.returncode == opt.returncode == code
         assert (opt.stdout, opt.stderr) == (plain.stdout, plain.stderr)
+
+
+class TestArgvForms:
+    """The argument forms that the benchmark's worker, sampled_cli.py and
+    make_references.py send."""
+
+    def test_negative_values_as_separate_tokens(self):
+        joined = run("interp", "--weights=-3,-1,2", "--kp=-1,2")
+        apart = run("interp", "--weights", "-3,-1,2", "--kp", "-1,2")
+        assert joined.exit_code == apart.exit_code == 0
+        assert apart.output == joined.output
+
+    def test_negative_prime(self):
+        res = run("interp", "--p", "-5")
+        assert res.exit_code == 2
+        assert res.output.splitlines()[-1] == \
+            "Error: --p must be a prime, got -5"
+
+    @pytest.mark.parametrize("args", [
+        ["interp", "--p", "abc"],
+        # options are not abbreviated
+        ["interp", "--wei", "1,2,3"],
+        ["nope"],
+        ["verify"],
+        [],
+    ], ids=["not-an-int", "abbreviated", "unknown-command", "no-suite",
+            "no-command"])
+    def test_parse_errors_exit_2(self, args):
+        res = run(*args)
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        assert res.output.splitlines()[-1].startswith("Error: ")
+
+    def test_click_form_fills_the_cache(self, tmp_path, monkeypatch):
+        # the worker's cache fill: main.main(..., standalone_mode=False)
+        # returns on exit code 0 and writes the new Gauss sums
+        monkeypatch.setenv("PADR_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(pchars, "_GAUSS_MEMO", None)
+        monkeypatch.setattr(pchars, "_GAUSS_DIRTY", False)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main.main(["verify", "gauss", "--p", "7"],
+                             standalone_mode=False) is None
+        assert json.loads(out.getvalue())["failed"] == 0
+        assert json.loads((tmp_path / "gauss_sums.json").read_text())
+
+    def test_click_form_raises_on_a_usage_error(self):
+        with contextlib.redirect_stderr(io.StringIO()):
+            with pytest.raises(SystemExit) as exc:
+                main.main(["verify", "gauss", "--p", "9"],
+                          standalone_mode=False)
+        assert exc.value.code == 2
+
+    def test_prog_name_form_exits_0(self):
+        with contextlib.redirect_stdout(io.StringIO()):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "gauss", "--p", "5"], prog_name="padr")
+        assert exc.value.code == 0
+
+    def test_help_states_every_bound(self):
+        res = run("verify", "--help")
+        assert res.exit_code == 0
+        for bound in [*cli._MAX_P.values(), cli._THM81_TRANSLATES]:
+            assert str(bound) in res.output
+        res = run("interp", "--help")
+        assert res.exit_code == 0
+        assert str(cli._MAX_INTERP_P) in res.output
+
+
+def imported_modules(*args):
+    """The modules that `python -X importtime ARGS` imports."""
+    res = run_python("-X", "importtime", *args)
+    assert res.returncode == 0, res.stderr
+    lines = re.finditer(r"^import time:\s*\d+ \|\s*\d+ \|\s*(\S+)$",
+                        res.stderr, re.MULTILINE)
+    return {line[1] for line in lines}
+
+
+@pytest.mark.parametrize("args", [["verify", "gauss", "--p", "5"],
+                                  ["interp"]], ids=["verify", "interp"])
+def test_a_padr_process_imports_only_the_standard_library(args):
+    # what site imports at start-up, which may be third-party, is excluded
+    loaded = imported_modules("-m", "padr.cli", *args) \
+        - imported_modules("-c", "pass")
+    foreign = {m for m in loaded if m.split(".")[0] != "padr"
+               and m.split(".")[0] not in sys.stdlib_module_names}
+    assert foreign == set()
+    assert "padr.scalar" in loaded

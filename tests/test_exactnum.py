@@ -1201,6 +1201,26 @@ class TestLaurentRF:
 
         check()
 
+    def test_inverse_takes_no_gcd(self, monkeypatch):
+        # inverse swaps the coprime sides of a canonical form
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return _spoly_gcd(a, b)
+        monkeypatch.setattr(padr.exactnum, "_spoly_gcd", counted)
+        for f in (LaurentRF({-1: 2, 0: 1, 2: E.zeta(3)},
+                            {0: 1, 1: 1, 2: 1}),
+                  LaurentRF({0: 1, 1: 1 - E.zeta(3), 3: 5}, {0: 1, 1: -1}),
+                  LaurentRF({-2: E.rational(Fraction(3, 4))},
+                            {0: 1, 1: 2, 2: E.zeta(3)})):
+            calls.clear()
+            got = f.inverse()
+            assert calls == []
+            want = LaurentRF(f.den, f.num)
+            assert self.ordered(got) == self.ordered(want)
+            assert got.serialize() == want.serialize()
+
     def test_graded_coefficients(self):
         c = E.rational(2, pigrade=1)
         f = LaurentRF({1: c})

@@ -113,7 +113,8 @@ def unreached_names():
     """The module-level functions and classes of src/padr, public or
     private, that no statement of src/padr other than their own definition,
     and no file under perfbench/, names.  A decorated function counts as
-    reached: its decorator registers it (the click commands)."""
+    reached: the functools caches, and any function that a decorator
+    registers."""
     modules = padr_modules()
     statements = [(st, names_used(st)) for tree in modules.values()
                   for st in tree.body
