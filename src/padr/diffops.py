@@ -157,6 +157,10 @@ class QiD:
         return self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
+        # a rational value hashes like the int or Fraction it equals
+        a, b, c, d = self.nums
+        if not (b or c or d):
+            return hash(Fraction(a, self.den))
         return hash((self.D, self.nums, self.den))
 
     def __repr__(self):
@@ -943,30 +947,44 @@ def drho_n(f, n, w0=False):
     Slot j of C differentiates along the image of e_j, the vector field
     D_j = args[j][0] d/dtau + args[j][1] d/dw of `_frame`.  D_0 and D_1
     commute, so a slot assignment's term depends only on the number b of
-    slots on e_1: the table keeps D_1^b D_0^(m-b) (rho(Xi) f) for
-    b = 0..m at level m, n + 1 entries at the end instead of 2^n, and
-    the contraction with (xi^t)^(-1) v0 eta^(-1) weights entry b by its
-    binom(n, b) assignments times c0^(n-b) c1^b."""
+    slots on e_1: entry b of the table at level m is D_1^b D_0^(m-b)
+    (rho(Xi) f), and the contraction with (xi^t)^(-1) v0 eta^(-1) weights
+    entry b of level n by its binom(n, b) assignments times c0^(n-b) c1^b.
+    Entry b of level m only feeds entries b..b+n-m of level n, so it is
+    built only when one of their weights is non-zero: with w0, c0 = 0
+    and only the D_1 chain (b = m) is built, else all m + 1 entries.  Each
+    built entry comes from entry b (by D_0) or m - 1 (by D_1, for b = m)
+    of level m - 1, whose derivatives are taken once per level and only
+    along the variables whose slot-field coefficient is non-zero."""
     _check(n >= 0, "negative order")
     D, k = f.D, f.k
     fr = _frame(D, w0)
-    args = fr.args
-
-    def along(a, dt, du):
-        return [rf_sum(((1, (a[0], x)), (1, (a[1], y))), D)
-                for x, y in zip(dt, du)]
-    table = [rho_xi([RF(c) for c in f.comps], k, D, False, w0)]
-    for m in range(1, n + 1):
-        derivs = [([c.deriv(0) for c in vec], [c.deriv(2) for c in vec])
-                  for vec in table]
-        if w0 and m == n:
-            derivs, args = _nest_w0(derivs), fr.args_w0
-        table = ([along(args[0], *d) for d in derivs]
-                 + [along(args[1], *derivs[-1])])
-    if w0 and n == 0:
-        table = _nest_w0(table)
     weights = _slot_weights(D, n, w0)
-    total = [rf_sum([(1, (w, vec[i])) for w, vec in zip(weights, table)], D)
+    live = [not w.is_zero() for w in weights]
+    table = {0: rho_xi([RF(c) for c in f.comps], k, D, False, w0)}
+    for m in range(1, n + 1):
+        last = w0 and m == n
+        args = fr.args_w0 if last else fr.args
+        derivs = {}
+
+        def along(j, b):
+            # D_j of entry b of the previous level, its zero terms left out
+            parts = []
+            for a, idx in zip(args[j], (0, 2)):
+                if a.is_zero():
+                    continue
+                if (b, idx) not in derivs:
+                    dv = [c.deriv(idx) for c in table[b]]
+                    derivs[b, idx] = _nest_w0(dv) if last else dv
+                parts.append((a, derivs[b, idx]))
+            return [rf_sum([(1, (a, dv[i])) for a, dv in parts], D)
+                    for i in range(f.kappa + 1)]
+        table = {b: along(0, b) if b < m else along(1, m - 1)
+                 for b in range(m + 1) if any(live[b:b + n - m + 1])}
+    if w0 and n == 0:
+        table = {0: _nest_w0(table[0])}
+    total = [rf_sum([(1, (weights[b], vec[i])) for b, vec in table.items()],
+                    D)
              for i in range(f.kappa + 1)]
     return rho_xi(total, k, D, True, w0)
 
@@ -990,6 +1008,7 @@ def conjugated_derivative_form(f, n):
     binom(n, j) (-conj(w)/delta)^j d^(n-j)/dw^(n-j) d^j/dtau^j, whose terms
     with j > 0 vanish at conj(w) = 0.  So, as in drho_restricted, rho(Xi)
     runs at conj(w) = 0, d/dw is taken n times, then w = 0."""
+    _check(n >= 0, "negative order")
     vec = rho_xi([RF(c) for c in f.comps], f.k, f.D, False, True)
     for _ in range(n):
         vec = [c.deriv(2) for c in vec]
@@ -1001,6 +1020,7 @@ def coefficient_closed_form(f, n):
     coefficient of X^a Y^(kappa-a) is
     sum_j (a+j)!/a! binom(n, j) (d^(n-j) f_(a+j) / dw^(n-j))|_(w=0)
     (-i eta(tau))^(-j)."""
+    _check(n >= 0, "negative order")
     D = f.D
     kappa = f.kappa
     inv = _frame(D, True).inv_mi_eta_tau

@@ -121,6 +121,21 @@ class TestQiD:
         with pytest.raises(AssertionError):
             QiD(3, 1) == QiD(4, 1)
 
+    def test_hash_agrees_with_eq(self):
+        # a rational QiD equals the int or Fraction of its value, so it
+        # hashes alike and is one element of a set with it
+        for D in (1, 3, 4):
+            for x in (0, 1, -7, Fraction(1, 2), Fraction(-5, 3)):
+                z = QiD(D, x)
+                assert z == x and hash(z) == hash(x)
+                assert len({z, x}) == 1
+        assert len({QiD(3, 1), 1}) == 1
+        # equal values reached by different routes hash alike
+        z = QiD(3, 1, 2, Fraction(1, 3), -1)
+        w = QiD(3, Fraction(1, 2), 0, 0, 5)
+        assert z * w / w == z and hash(z * w / w) == hash(z)
+        assert hash(QiD(3, 2) / QiD(3, 4)) == hash(Fraction(1, 2))
+
     def test_checks_survive_dash_O(self):
         code = ("from padr.diffops import QiD, gen_m\n"
                 "print(QiD(3) == None)\n"
@@ -651,6 +666,16 @@ class TestDifferentialOperators:
             assert x == y
             assert x == z
 
+    def test_negative_order_raises(self):
+        # n = -1 is no order for any route: each raises the same check
+        # instead of returning f (or zeros)
+        for f in self.probes():
+            for route in (drho_n, drho_restricted,
+                          conjugated_derivative_form,
+                          coefficient_closed_form):
+                with pytest.raises(AssertionError, match="negative order"):
+                    route(f, -1)
+
     def test_leading_term_mod_inverse_volume(self):
         # with components free of tau and conj(tau), the closed form minus
         # the naive term sum_a d^n f_a / dw^n X^a Y^(kappa-a) is a sum of
@@ -823,7 +848,7 @@ class TestEarlyRestriction:
     w = 0 after their last derivatives, before rho(Xi)^(-1); each must
     equal restricting the full result."""
 
-    @pytest.mark.parametrize("D", [3, 4])
+    @pytest.mark.parametrize("D", range(1, 8))
     @pytest.mark.parametrize("probe", range(len(CRITERION_9_PROBES)))
     @pytest.mark.parametrize("n", range(5))
     def test_drho_restricted(self, D, probe, n):
@@ -865,6 +890,36 @@ class TestNablaFrame:
             bracket = rf_sum(((1, (along(a00, a01, x1),)),
                               (-1, (along(a10, a11, x0),))), D)
             assert bracket.is_zero()
+
+    @pytest.mark.parametrize("D", range(1, 13))
+    def test_contraction_coefficient_c0_vanishes_at_conj_w_0(self, D):
+        # drho_n builds only the table entries that reach a non-zero
+        # weight c0^(n-b) c1^b: at conj(w) = 0 only the D_1 chain, in general
+        # every entry
+        assert _frame(D, True).c0.is_zero()
+        assert not _frame(D).c0.is_zero()
+        assert not _frame(D, True).c1.is_zero()
+
+    @pytest.mark.parametrize("probe", range(len(CRITERION_9_PROBES)))
+    @pytest.mark.parametrize("n", range(4))
+    def test_derivatives_taken(self, monkeypatch, probe, n):
+        # drho_n takes each derivative of a built table entry once per
+        # level: at level m the full route differentiates its m entries
+        # along tau and w, n(n+1)(kappa+1) derivatives in all; the
+        # restricted route one entry along w alone, n(kappa+1)
+        f = probe_section(4, probe)
+        calls = []
+        deriv = RF.deriv
+
+        def counted(self, idx):
+            calls.append(idx)
+            return deriv(self, idx)
+        monkeypatch.setattr(RF, "deriv", counted)
+        drho_restricted(f, n)
+        assert calls == [2] * (n * (f.kappa + 1))
+        calls.clear()
+        drho_n(f, n)
+        assert len(calls) == n * (n + 1) * (f.kappa + 1)
 
     def test_shared_values_unchanged_by_use(self):
         # the cached frames, rho matrices and slot weights are shared by
