@@ -6,43 +6,41 @@ and closed forms, criticality flags and the sign/weight bookkeeping for the
 interpolation formula, formal degrees, and the full two-route assembly
 check for the archimedean period identity.
 
-Everything is exact: each value is a rational ExactScalar whose pi-grade
-k stands for a factor pi^k.  The grade is an integer or, transiently
-(Gamma at a half-odd-integer, Gamma(1/2) = pi^(1/2)), a half-integer, so
-no floating point ever enters.
+Everything is exact: each value is a rational multiple r pi^k with k an
+integer, held as the Laurent monomial r X^k in X = pi, so no floating
+point ever enters.
 """
 
 from fractions import Fraction
 from math import comb, factorial
 
-from padr.scalar import ExactScalar, _check
+from padr.exactnum import LaurentRF
+from padr.scalar import _check
 from padr.repalg import SignedHCSeq, ggp_check, trilinear_closed
 
 
 def _pi(value, k):
-    """The rational scalar value * pi^k."""
-    return ExactScalar.rational(value, pigrade=k)
+    """The rational value * pi^k, as a LaurentRF in X = pi."""
+    return LaurentRF.monomial(value, k)
 
 
 def gamma_plain(s):
-    """Gamma(s) at a positive integer or positive half-odd-integer,
-    as an exact scalar (Gamma(1/2) = pi^(1/2))."""
+    """Gamma(s) = (s - 1)! at a positive integer s."""
     s = Fraction(s)
-    _check(s > 0, f"Gamma argument {s} not positive")
-    if s.denominator == 1:
-        return ExactScalar.rational(factorial(s.numerator - 1))
-    _check(s.denominator == 2, f"Gamma argument {s} not half-integral")
-    # Gamma(m + 1/2) = (2m)! / (4^m m!) * sqrt(pi)
-    m = (s.numerator - 1) // 2
-    return _pi(Fraction(factorial(2 * m), 4 ** m * factorial(m)),
-               Fraction(1, 2))
+    _check(s.denominator == 1 and s > 0, f"Gamma argument {s}")
+    return factorial(s.numerator - 1)
 
 
 def gamma_R(s):
-    """pi^(-s/2) Gamma(s/2) at a positive integer s."""
+    """pi^(-s/2) Gamma(s/2) at a positive integer s: (m - 1)! pi^(-m) at
+    s = 2m and, as Gamma(m + 1/2) = (2m)! / (4^m m!) pi^(1/2),
+    (2m)! / (4^m m!) pi^(-m) at s = 2m + 1."""
     s = Fraction(s)
     _check(s.denominator == 1 and s > 0, f"Gamma_R argument {s}")
-    return _pi(1, -s / 2) * gamma_plain(s / 2)
+    m, odd = divmod(s.numerator, 2)
+    if odd:
+        return _pi(Fraction(factorial(2 * m), 4 ** m * factorial(m)), -m)
+    return _pi(factorial(m - 1), -m)
 
 
 def gamma_C(s):
@@ -132,13 +130,9 @@ def einf_mq(w):
     return root, m
 
 
-def formal_degrees(arg):
-    """Formal degree: for a pair mu returns (mu1 - mu2)/(4 pi) as a
-    scalar; for an integer n returns dim = n + 1."""
-    if isinstance(arg, int):
-        _check(arg >= 0, f"negative dimension index {arg}")
-        return arg + 1
-    m1, m2 = (Fraction(x) for x in arg)
+def formal_degrees(mu):
+    """The formal degree (mu1 - mu2)/(4 pi) of a pair mu."""
+    m1, m2 = (Fraction(x) for x in mu)
     _check(m1 > m2, "mu not descending")
     return _pi((m1 - m2) / 4, -1)
 
@@ -158,7 +152,7 @@ def arch_L(lam, mu, s, mode="rankin"):
     lam = tuple(Fraction(x) for x in lam)
     mu = tuple(Fraction(x) for x in mu)
     s = Fraction(s)
-    out = ExactScalar.one()
+    out = LaurentRF.one()
     if mode == "rankin":
         for li in lam:
             for mj in mu:
@@ -195,7 +189,7 @@ def ratio_b1_closed(lam, mu):
     values times 2^(-3) (2 pi)^(6 - 2(lam3 - mu2))."""
     lam = tuple(Fraction(x) for x in lam)
     mu = tuple(Fraction(x) for x in mu)
-    out = ExactScalar.one()
+    out = Fraction(1)
     for li in lam:
         for mj in mu:
             out = out * gamma_plain(Fraction(1, 2) + abs(li - mj))
@@ -206,7 +200,7 @@ def ratio_b1_closed(lam, mu):
     e = 6 - 2 * (lam[2] - mu[1])
     _check(e.denominator == 1, "lam3 - mu2 not half-integral")
     e = int(e)
-    return out * _pi(Fraction(2) ** e / 8, e)
+    return _pi(Fraction(2) ** e / 8 * out, e)
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +259,8 @@ def prop_b1_verify(lam, mu):
             total += (-1) ** (i + j) * comb(n1s, i) * comb(n1s, j) \
                 * trilinear_closed(n, i, j)
 
-    front = ExactScalar.rational(factorial(b) * factorial(c) * factorial(n[2])
-                                 * (n[0] + 1)) / d_sigma \
-        / (factorial(k[2] - 1) * factorial(-k[0] - 1))
+    front = factorial(b) * factorial(c) * factorial(n[2]) * (n[0] + 1) \
+        / d_sigma / (factorial(k[2] - 1) * factorial(-k[0] - 1))
     j_integral = front * total
 
     ell_k_pk = -k[0]  # dimension of the minimal K-type

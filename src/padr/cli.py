@@ -92,10 +92,13 @@ def _check_prime(p):
 
 
 def _pi_string(x):
-    """A rational multiple of a power of pi as 'v*pi^k', or as 'v' when
-    k = 0 or v = 0, e.g. '1/8*pi^-10'."""
-    v = x.with_grades(pigrade=0).as_fraction()
-    return f"{v}*pi^{x.pigrade}" if v and x.pigrade else str(v)
+    """A rational multiple r*pi^k, the LaurentRF monomial r X^k in X = pi,
+    as 'r*pi^k', or as 'r' when k = 0 or r = 0, e.g. '1/8*pi^-10'."""
+    if x.is_zero():
+        return "0"
+    (k, r), = x.num.items()
+    r = r.as_fraction()
+    return f"{r}*pi^{k}" if k else str(r)
 
 
 def _satake_values(data, key, n):

@@ -569,6 +569,8 @@ class RF:
         return self.num.is_zero()
 
     def __eq__(self, other):
+        if not isinstance(other, (RF, QiD, int, Fraction)):
+            return NotImplemented
         other = self._coerce(other)
         return _sp_mul(self.num, other.den) == _sp_mul(other.num, self.den)
 

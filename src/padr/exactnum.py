@@ -1,6 +1,7 @@
-"""Laurent rational functions in X (= q^(-s)) over the scalars of
-padr.scalar (L1): they carry the local L/epsilon/gamma factors and zeta
-integrals built on top.
+"""Laurent rational functions in a formal variable X over the scalars of
+padr.scalar (L1): with X = q^(-s) they carry the local L/epsilon/gamma
+factors and zeta integrals built on top, and with X = pi the archimedean
+Gamma factors, as monomials r X^k.
 """
 
 from __future__ import annotations
@@ -88,7 +89,8 @@ def _spoly_gcd(a, b):
 
 
 class LaurentRF:
-    """Laurent rational function num/den in X over ExactScalar.
+    """Laurent rational function num/den in X over ExactScalar, X a formal
+    variable: q^(-s) in padr.plocal, pi in padr.arch.
 
     The canonical form is unique per value: den is a polynomial with
     constant term 1, num and den are coprime, and no entry is zero.  So ==

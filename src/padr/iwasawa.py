@@ -34,7 +34,7 @@ def _reduce_mod(x: ExactScalar, p: int, m: int) -> ExactScalar:
         _check(c.denominator % p != 0, "non p-integral coefficient")
         num = (c.numerator * pow(c.denominator, -1, q)) % q
         coeffs.append(Fraction(num))
-    return ExactScalar(coeffs, N=x.N, pigrade=x.pigrade)
+    return ExactScalar(coeffs, N=x.N)
 
 
 class MeasureSeries:
@@ -135,6 +135,8 @@ class MeasureSeries:
         }
 
     def __eq__(self, other):
+        if not isinstance(other, MeasureSeries):
+            return NotImplemented
         return (self.p == other.p and self.prec_T == other.prec_T
                 and self.prec_p == other.prec_p and self.coeffs == other.coeffs)
 
@@ -202,6 +204,8 @@ class QExpansion:
         self.M_max = M_max if M_max is not None else max(coeffs, default=1)
 
     def __eq__(self, other):
+        if not isinstance(other, QExpansion):
+            return NotImplemented
         return self.coeffs == other.coeffs
 
     def __repr__(self):

@@ -2,16 +2,12 @@
 
 Every scalar lies in one field family: a cyclotomic field Q(zeta_N),
 N >= 1, where Q(zeta_1) = Q.  Square roots of integers need no field of
-their own: by Kronecker-Weber sqrt D lies in Q(zeta_4D), and sqrtD(D) is
-built there from quadratic Gauss sums (sqrt_prime), and a half power
-p^(h/2) is p^floor(h/2) sqrt_prime(p)^(h mod 2) (half_power).  Every
-scalar additionally carries one formal grade, the pi-grade k (a formal
-factor pi^k), since pi lies in no Q(zeta_N).  Multiplication adds
-grades; addition insists on equal grades, except that an exact zero is
-grade-polymorphic.  The pi-grade is an integer or a half-integer, since
-Gamma(1/2) = pi^(1/2): an integral grade is stored as a plain int, a
-half-integral one as a Fraction, and any other value raises ValueError.
-The archimedean Gamma factors are rational scalars with such grades.
+their own: by Kronecker-Weber sqrt p lies in Q(zeta_4p), where
+sqrt_prime(p) builds it from a quadratic Gauss sum, and a half power
+p^(h/2) is p^floor(h/2) sqrt_prime(p)^(h mod 2) (half_power).  pi lies
+in no Q(zeta_N), so a power of pi is no scalar: the archimedean Gamma
+factors are rational multiples r pi^k, which padr.arch holds as Laurent
+monomials r X^k in X = pi.
 
 Representation.  A scalar is a tuple of integer numerators ``nums`` over
 one denominator ``den`` in the power basis 1, zeta_N, ...,
@@ -72,9 +68,6 @@ import math
 import re
 from fractions import Fraction
 from itertools import compress
-
-Q0 = Fraction(0)
-
 
 @functools.lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
@@ -167,10 +160,6 @@ def _cyc_reduce(acc, N):
     return acc
 
 
-class GradeError(ArithmeticError):
-    """Raised when adding scalars whose formal grades disagree."""
-
-
 class PoleError(ArithmeticError):
     """Raised when a factor is evaluated at one of its poles."""
 
@@ -182,19 +171,6 @@ def _check(ok, what):
         raise AssertionError(what)
 
 
-def _pigrade(k):
-    """A pi-grade as a plain int, or as a Fraction when it is half-odd;
-    any other value raises ValueError."""
-    if type(k) is int:
-        return k
-    k = Fraction(k)
-    if k.denominator == 1:
-        return k.numerator
-    if k.denominator != 2:
-        raise ValueError(f"pi-grade {k} is not a half-integer")
-    return k
-
-
 def _as_fraction(x):
     if isinstance(x, Fraction):
         return x
@@ -204,13 +180,13 @@ def _as_fraction(x):
 
 
 class ExactScalar:
-    """Immutable element of Q(zeta_N), N >= 1 (N = 1 is Q), with a formal
-    pi-grade, stored as integer numerators ``nums`` in the power basis over
-    one positive ``den``."""
+    """Immutable element of Q(zeta_N), N >= 1 (N = 1 is Q), stored as
+    integer numerators ``nums`` in the power basis over one positive
+    ``den``."""
 
-    __slots__ = ("N", "nums", "den", "pigrade")
+    __slots__ = ("N", "nums", "den")
 
-    def __init__(self, coeffs, N=1, pigrade=0):
+    def __init__(self, coeffs, N=1):
         coeffs = [c if type(c) is Fraction else _as_fraction(c)
                   for c in coeffs]
         if N < 1:
@@ -226,7 +202,6 @@ class ExactScalar:
         _set_N(self, N)
         _set_nums(self, nums)
         _set_den(self, den)
-        _set_pigrade(self, _pigrade(pigrade))
 
     def __setattr__(self, *a):
         raise AttributeError("ExactScalar is immutable")
@@ -240,12 +215,12 @@ class ExactScalar:
     # -- constructors --------------------------------------------------
 
     @staticmethod
-    def rational(x, pigrade=0):
+    def rational(x):
         if type(x) is int:
-            return _build(1, (x,), 1, _pigrade(pigrade))
+            return _build(1, (x,), 1)
         if type(x) is not Fraction:
             x = Fraction(x)
-        return _build(1, (x.numerator,), x.denominator, _pigrade(pigrade))
+        return _build(1, (x.numerator,), x.denominator)
 
     @staticmethod
     def zeta(N, k=1):
@@ -255,18 +230,7 @@ class ExactScalar:
         k %= N
         acc = [0] * max(k + 1, euler_phi(N))
         acc[k] = 1
-        return _build(N, tuple(_cyc_reduce(acc, N)), 1, 0)._demote()
-
-    @staticmethod
-    def sqrtD(D):
-        """The positive square root of a squarefree integer D > 1, in
-        Q(zeta_4D): the product of sqrt_prime(p) over the primes p | D."""
-        if type(D) is not int or D <= 1 or math.prod(_prime_divisors(D)) != D:
-            raise ValueError(f"D={D} is not a squarefree integer > 1")
-        out = ExactScalar.one()
-        for p in _prime_divisors(D):
-            out = out * sqrt_prime(p)
-        return out
+        return _build(N, tuple(_cyc_reduce(acc, N)), 1)._demote()
 
     @staticmethod
     def zero():
@@ -282,7 +246,7 @@ class ExactScalar:
         return not any(self.nums)
 
     def is_one(self):
-        return self.nums == (1,) and self.den == 1 and not self.pigrade
+        return self.nums == (1,) and self.den == 1
 
     def is_rational(self):
         return self._demote().N == 1
@@ -291,7 +255,6 @@ class ExactScalar:
         d = self._demote()
         # constant messages: an f-string would serialize self on every call
         _check(d.N == 1, "not rational")
-        _check(d.pigrade == 0, "graded scalar")
         return Fraction(d.nums[0], d.den)
 
     # -- canonicalization ----------------------------------------------
@@ -300,10 +263,7 @@ class ExactScalar:
         """Drop to N = 1 when the element is a plain rational."""
         if self.N == 1 or any(self.nums[1:]):
             return self
-        return _build(1, self.nums[:1], self.den, self.pigrade)
-
-    def with_grades(self, pigrade):
-        return _build(self.N, self.nums, self.den, _pigrade(pigrade))
+        return _build(1, self.nums[:1], self.den)
 
     # -- promotion -----------------------------------------------------
 
@@ -313,13 +273,13 @@ class ExactScalar:
             return self
         if self.N == 1:
             nums = self.nums + (0,) * (euler_phi(N) - 1)
-            return _build(N, nums, self.den, self.pigrade)
+            return _build(N, nums, self.den)
         step = N // self.N
         acc = [0] * N
         nums = self.nums
         for k in compress(range(len(nums)), nums):
             acc[k * step] = nums[k]
-        return _make(N, _cyc_reduce(acc, N), self.den, self.pigrade)
+        return _make(N, _cyc_reduce(acc, N), self.den)
 
     @staticmethod
     def _promote_pair(a, b):
@@ -337,9 +297,6 @@ class ExactScalar:
             return other
         if other.is_zero():
             return self
-        if self.pigrade != other.pigrade:
-            raise GradeError(f"grade mismatch in addition: pi:{self.pigrade}"
-                             f" vs pi:{other.pigrade}")
         a, b = ExactScalar._promote_pair(self, other)
         da, db = a.den, b.den
         if da == db:
@@ -349,13 +306,12 @@ class ExactScalar:
             fa, fb = db // g, da // g
             nums = [x * fa + y * fb for x, y in zip(a.nums, b.nums)]
             da *= fa
-        return _make(a.N, nums, da, a.pigrade)._demote()
+        return _make(a.N, nums, da)._demote()
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _build(self.N, tuple([-x for x in self.nums]), self.den,
-                      self.pigrade)
+        return _build(self.N, tuple([-x for x in self.nums]), self.den)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -365,9 +321,6 @@ class ExactScalar:
 
     def __mul__(self, other):
         other = _coerce(other)
-        pg = self.pigrade + other.pigrade
-        if type(pg) is not int:
-            pg = _pigrade(pg)
         den = self.den * other.den
         # a rational factor scales the other's numerators: no promotion
         if other.N == 1:
@@ -376,9 +329,8 @@ class ExactScalar:
             a, c = other, self.nums[0]
         else:
             a, b = ExactScalar._promote_pair(self, other)
-            return _make(a.N, _cyc_mul(a.nums, b.nums, a.N), den,
-                         pg)._demote()
-        return _make(a.N, [x * c for x in a.nums], den, pg)._demote()
+            return _make(a.N, _cyc_mul(a.nums, b.nums, a.N), den)._demote()
+        return _make(a.N, [x * c for x in a.nums], den)._demote()
 
     __rmul__ = __mul__
 
@@ -389,7 +341,7 @@ class ExactScalar:
             raise AssertionError("division by zero")
         N = self.N
         if N == 1:
-            return _make(1, (self.den,), self.nums[0], -self.pigrade)
+            return _make(1, (self.den,), self.nums[0])
         # y = cof * x is the norm of x to the subfield that H fixes
         H, y, cof = {1}, self, ExactScalar.one()
         while y.N != 1:
@@ -435,23 +387,16 @@ class ExactScalar:
             other = _coerce(other)
         except TypeError:
             return NotImplemented
-        if self.is_zero() and other.is_zero():
-            return True
-        if self.pigrade != other.pigrade:
-            return False
         a, b = ExactScalar._promote_pair(self, other)
         return a.den == b.den and a.nums == b.nums
 
     def __hash__(self):
-        # zero is grade-polymorphic, so every zero hashes alike
-        if self.is_zero():
-            return hash(Q0)
         # the normalized trace Tr(x)/phi(N) is the same in every Q(zeta_N)
         # that holds x, and it is x itself when x is rational
         N = self.N
         tr = Fraction(sum(n * t for n, t in zip(self.nums, _traces(N))),
                       self.den * euler_phi(N))
-        return hash((tr, self.pigrade) if self.pigrade else tr)
+        return hash(tr)
 
     # -- Galois --------------------------------------------------------
 
@@ -467,7 +412,7 @@ class ExactScalar:
         nums = self.nums
         for k in compress(range(len(nums)), nums):
             acc[k * m % N] += nums[k]
-        return _make(N, _cyc_reduce(acc, N), self.den, self.pigrade)._demote()
+        return _make(N, _cyc_reduce(acc, N), self.den)._demote()
 
     def conjugate(self):
         """Complex conjugation: zeta_N -> zeta_N^(-1)."""
@@ -477,8 +422,8 @@ class ExactScalar:
 
     def serialize(self):
         """The power-basis form: terms c and c*zN^k (c a reduced fraction,
-        0 < k < phi(N)) joined by + or -, "0" for zero, then " @pi:h" for
-        a non-zero pi-grade.  parse reads exactly this form."""
+        0 < k < phi(N)) joined by + or -, "0" for zero.  parse reads
+        exactly this form."""
         d = self._demote()
         den = d.den
         terms = []
@@ -489,16 +434,17 @@ class ExactScalar:
             g = math.gcd(n, den)
             c = f"{n // g}/{den // g}" if g != den else str(n // g)
             terms.append(f"{c}*z{d.N}^{k}" if k else c)
-        body = "+".join(terms).replace("+-", "-") if terms else "0"
-        if d.pigrade:
-            body += f" @pi:{d.pigrade}"
-        return body
+        return "+".join(terms).replace("+-", "-") if terms else "0"
 
     @staticmethod
     def parse(s):
         """The scalar that serialize wrote as s.  parse reads exactly
-        serialize's form; any other string raises ValueError."""
-        return _parse_scalar(s)
+        serialize's form: any string that serialize would not write, as
+        "2/4", "+1" or "1*z3^0", raises ValueError."""
+        x = _parse_power_basis(s)
+        if x.serialize() != s:
+            raise ValueError(f"not a serialized scalar: {s!r}")
+        return x
 
     def __repr__(self):
         return f"ExactScalar({self.serialize()!r})"
@@ -507,21 +453,20 @@ class ExactScalar:
 _new = object.__new__
 # the slot descriptors write past ExactScalar.__setattr__, which raises to
 # keep the type immutable, at less cost than object.__setattr__
-_set_N, _set_nums, _set_den, _set_pigrade = (
+_set_N, _set_nums, _set_den = (
     getattr(ExactScalar, slot).__set__ for slot in ExactScalar.__slots__)
 
 
-def _build(N, nums, den, pigrade):
+def _build(N, nums, den):
     """ExactScalar from a numerator tuple and den already in lowest terms."""
     x = _new(ExactScalar)
     _set_N(x, N)
     _set_nums(x, nums)
     _set_den(x, den)
-    _set_pigrade(x, pigrade)
     return x
 
 
-def _make(N, nums, den, pigrade):
+def _make(N, nums, den):
     """ExactScalar from integer numerators over den != 0, in lowest terms.
 
     nums is a tuple or a list that no one else holds, since it may be
@@ -541,7 +486,7 @@ def _make(N, nums, den, pigrade):
             for k in compress(range(len(nums)), nums):
                 nums[k] //= g
         den //= g
-    return _build(N, tuple(nums), den, pigrade)
+    return _build(N, tuple(nums), den)
 
 
 def root_of_unity_sum(terms):
@@ -553,12 +498,11 @@ def root_of_unity_sum(terms):
     common denominator, and the list is reduced mod Phi_N once.  No product
     of two scalars is formed.  A non-zero term has conductor lcm(x.N, M),
     with M counted as 1 when zeta_M^j = +-1; the sum lives at the lcm of
-    these, or in Q when it is rational.  Zero terms are skipped; the
-    non-zero ones must share one pi-grade, else GradeError.
+    these, or in Q when it is rational.  Zero terms are skipped.
     """
     items = []
     N = D = 1
-    pg = last = None
+    last = None
     for r, x, M, j in terms:
         if type(r) is int:
             rn, rd = r, 1
@@ -569,11 +513,6 @@ def root_of_unity_sum(terms):
         if x is not last:  # runs of terms often share x
             if not any(x.nums):
                 continue
-            if x.pigrade != pg:
-                if pg is not None:
-                    raise GradeError(f"grade mismatch in a root-of-unity sum: "
-                                     f"pi:{pg} vs pi:{x.pigrade}")
-                pg = x.pigrade
             last = x
             if N % x.N:
                 N = math.lcm(N, x.N)
@@ -592,7 +531,7 @@ def root_of_unity_sum(terms):
             D = math.lcm(D, d)
     if not items:
         return ExactScalar.zero()
-    return _make(N, _cyc_reduce(_accumulate(items, N, D), N), D, pg)._demote()
+    return _make(N, _cyc_reduce(_accumulate(items, N, D), N), D)._demote()
 
 
 def _accumulate(items, N, D):
@@ -747,27 +686,17 @@ def half_power(p: int, h: int) -> ExactScalar:
 # scalar parsing
 # ----------------------------------------------------------------------
 
-def _parse_scalar(s: str) -> ExactScalar:
-    s, at, tail = s.strip().partition(" @")
-    x = _parse_power_basis(s)
-    if not at:
-        return x
-    if not tail.startswith("pi:"):
-        raise ValueError(f"bad grade annotation: @{tail}")
-    return x.with_grades(tail[3:])
-
-
 _POWER_TERM = re.compile(r"([+-]?)(\d+)(?:/(\d+))?(?:\*z(\d+)\^(\d+))?")
 
 
 def _parse_power_basis(s):
     """The value of a sum of terms c and c*zN^k with one N and k < phi(N),
-    the form serialize() writes, placed straight into the numerator vector;
-    any other input raises ValueError."""
+    placed straight into the numerator vector; input of any other shape
+    raises ValueError."""
     terms, N, pos = [], None, 0
     while pos < len(s):
         m = _POWER_TERM.match(s, pos)
-        if m is None or (pos and not m.group(1)):
+        if m is None:
             raise ValueError(f"not a serialized scalar: {s!r}")
         sign, num, den, n, k = m.groups()
         if n is not None:
@@ -789,4 +718,4 @@ def _parse_power_basis(s):
     nums = [0] * euler_phi(N)
     for num, d, k in terms:
         nums[k] += num * (den // d)
-    return _make(N, nums, den, 0)._demote()
+    return _make(N, nums, den)._demote()

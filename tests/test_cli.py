@@ -203,7 +203,7 @@ class TestGaussCacheWrites:
     @pytest.mark.parametrize("entry", ["5", "1*z42^1", "0", "5 @q:1"])
     def test_entry_that_is_no_gauss_sum_is_recomputed(self, stores, tmp_path,
                                                      entry):
-        # "5 @q:1" does not parse, since a scalar's one grade is @pi; each
+        # "5 @q:1" does not parse, since a scalar carries no grade; each
         # other entry parses, but its product with its conjugate is not 7
         cache = tmp_path / "gauss_sums.json"
         cache.write_text(json.dumps({"7_1_1": entry}))
@@ -471,7 +471,8 @@ class TestInterp:
         assert res.exit_code == 0, res.output
         w = arch.WeightTuple((-509, 0, 509), (-1, 2))
         v = arch.gamma_vq(w)
-        want = f"{v.with_grades(pigrade=0).as_fraction()}*pi^{v.pigrade}"
+        (k, r), = v.num.items()
+        want = f"{r.as_fraction()}*pi^{k}"
         assert json.loads(res.output)["Gamma_VQ"] == want
         assert len(want.split("/")[0]) == 4020
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from padr.diffops import RF, QiD
 from padr.iwasawa import (
     MeasureSeries,
     QExpansion,
@@ -156,3 +157,20 @@ class TestBadInputsRaise:
     def test_q_expansion_index_below_one(self):
         with pytest.raises(AssertionError):
             QExpansion({0: 1})
+
+
+@pytest.mark.parametrize("make", [lambda: MeasureSeries(5, [1, 2], 3),
+                                  lambda: QExpansion({1: 1, 2: 3}),
+                                  lambda: RF.const(3, 2)],
+                         ids=["MeasureSeries", "QExpansion", "RF"])
+@pytest.mark.parametrize("foreign", [0, None, "a"])
+def test_eq_with_a_foreign_operand_is_false(make, foreign):
+    # == against an operand of no known type answers NotImplemented, so that
+    # Python falls back to identity, instead of raising
+    x = make()
+    assert not x == foreign and x != foreign
+    if not (isinstance(x, RF) and foreign == 0):
+        assert x.__eq__(foreign) is NotImplemented
+    # RF still reads QiD, int and Fraction operands as constants
+    if isinstance(x, RF):
+        assert x == 2 and x == Fraction(2) and x == QiD(3, 2)

@@ -44,6 +44,11 @@ def test_lower_layers_import_only_lower_layers(module, allowed):
     assert padr_imports(module) <= allowed
 
 
+def test_arch_imports_the_scalars_and_repalg():
+    # a power of pi is a LaurentRF monomial with ExactScalar coefficients
+    assert padr_imports("arch") == {"scalar", "exactnum", "repalg"}
+
+
 def test_plocal_imports_neither_cli_nor_diffops():
     assert not padr_imports("plocal") & {"cli", "diffops"}
 
@@ -62,8 +67,9 @@ def test_every_hook_resolves():
 PERFBENCH = os.path.dirname(HOOKS)
 TESTS = os.path.dirname(os.path.abspath(__file__))
 
-#: the module-level functions that only tests call, each kept as the
-#: reference that a test compares reached code against, with that test
+#: the module-level functions and the methods ("Class.method") that only
+#: tests call, each kept as the reference that a test compares reached code
+#: against, with that test
 ORACLES = {
     ("plocal", "theta_p_level"):
         "test_plocal.py::TestThetaOperators::test_level_independence",
@@ -77,6 +83,11 @@ ORACLES = {
         "test_acceptance.py::test_criterion_06_up_eigenvalue_oracle",
     ("plocal", "gl2_up_oracle"):
         "test_acceptance.py::test_criterion_06_up_eigenvalue_oracle",
+    ("plocal", "SchwartzFn._from_keys"):
+        "test_plocal.py::TestSchwartzFn::test_keys_at_any_scale",
+    ("repalg", "HomPoly.act"): "test_repalg.py::TestPairEll::test_invariance",
+    ("repalg", "SignedHCSeq.flip_signs"):
+        "test_repalg.py::TestGGP::test_flip_symmetry",
 }
 
 #: names that plocal imports for perfbench/hooks.py alone
@@ -111,10 +122,14 @@ def names_used(node, strings=False):
 
 def unreached_names():
     """The module-level functions and classes of src/padr, public or
-    private, that no statement of src/padr other than their own definition,
-    and no file under perfbench/, names.  A decorated function counts as
-    reached: the functools caches, and any function that a decorator
-    registers."""
+    private, and the non-dunder methods of its classes, as "Class.method",
+    that no statement of src/padr other than their own definition, and no
+    file under perfbench/, names.  A decorated module-level function counts
+    as reached: the functools caches, and any function that a decorator
+    registers.  Names are matched by name alone, so a method counts as
+    reached when any method of its name is, and so does an override of a
+    base class's method, which the base's own code calls (argparse calls
+    parse_known_args)."""
     modules = padr_modules()
     statements = [(st, names_used(st)) for tree in modules.values()
                   for st in tree.body
@@ -133,12 +148,33 @@ def unreached_names():
                     and not any(st.name in names for other, names in statements
                                 if other is not st)):
                 out.add((module, st.name))
+    # a class body is named statement by statement, so that a method's own
+    # body does not reach it
+    units = [(st, names_used(st)) for other, _ in statements
+             for st in (other.body if isinstance(other, ast.ClassDef)
+                        else [other])]
+    methods = [(module, cls.name, st) for module, tree in modules.items()
+               for cls in tree.body if isinstance(cls, ast.ClassDef)
+               for st in cls.body if isinstance(st, ast.FunctionDef)
+               and not (st.name.startswith("__") and st.name.endswith("__"))]
+    reached |= {st.name for _, _, st in methods
+                if any(st.name in names for other, names in units
+                       if other is not st)}
+    out |= {(module, f"{cls}.{st.name}") for module, cls, st in methods
+            if st.name not in reached and not overrides(module, cls, st.name)}
     return out
 
 
+def overrides(module, cls, name):
+    """Whether padr.<module>.<cls>.<name> overrides a method of a base."""
+    bases = getattr(importlib.import_module(f"padr.{module}"), cls).__mro__
+    return any(name in base.__dict__ for base in bases[1:])
+
+
 def split(names):
-    """(public, private): the (module, name) pairs split by a leading _."""
-    private = {n for n in names if n[1].startswith("_")}
+    """(public, private): the (module, name) pairs split by a leading _ of
+    the function's or method's own name."""
+    private = {n for n in names if n[1].rpartition(".")[2].startswith("_")}
     return set(names) - private, private
 
 
@@ -159,7 +195,7 @@ def test_each_oracle_is_read_by_its_test(name):
         node = next(st for st in node.body
                     if isinstance(st, (ast.ClassDef, ast.FunctionDef))
                     and st.name == scope)
-    assert name[1] in names_used(node)
+    assert name[1].rpartition(".")[2] in names_used(node)
 
 
 def test_no_module_imports_a_name_it_never_uses():
